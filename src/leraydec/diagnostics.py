@@ -24,9 +24,6 @@ from .spectral import BOX_VOLUME, SpectralField
 
 L_BOX = spectral.TWO_PI
 
-# numpy renamed trapz in 2.0
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 
 @dataclass
 class DiagRecord:
@@ -215,7 +212,7 @@ def time_average(ts, values, horizon: float | None = None) -> float:
         v_end = np.interp(t_end, ts, vals)
         tt = np.append(tt, t_end)
         vv = np.append(vv, v_end)
-    return float(_trapezoid(vv, tt) / (tt[-1] - tt[0]))
+    return float(np.trapezoid(vv, tt) / (tt[-1] - tt[0]))
 
 
 @dataclass
@@ -242,8 +239,8 @@ def model_error(traj_model, traj_reference) -> ModelError:
         h1_sq.append(spectral.hs_norm(diff, 1) ** 2)
     ts = np.asarray(ta)
     span = ts[-1] - ts[0]
-    l2l2 = float(np.sqrt(_trapezoid(l2_sq, ts)))
-    h1_avg = float(np.sqrt(_trapezoid(h1_sq, ts) / span)) if span > 0 else float("nan")
+    l2l2 = float(np.sqrt(np.trapezoid(l2_sq, ts)))
+    h1_avg = float(np.sqrt(np.trapezoid(h1_sq, ts) / span)) if span > 0 else float("nan")
     return ModelError(l2_final=float(np.sqrt(l2_sq[-1])), l2l2=l2l2, h1_timeavg=h1_avg)
 
 

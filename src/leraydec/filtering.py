@@ -57,15 +57,31 @@ def _prepare(k):
 
 
 def _x_of(k: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    return (spec.delta * k) ** 2
+    # tiny delta*k underflows to a subnormal or zero: its correctly rounded value
+    with np.errstate(under="ignore"):
+        return (spec.delta * k) ** 2
+
+
+def _log_inverse_ratio(x: np.ndarray) -> np.ndarray:
+    """-log(x / (1 + x)) = log1p(1 / x) for x > 0.
+
+    1 / x overflows for subnormal x, where log1p(x) - log(x) is exact to
+    rounding instead; normal x take the log1p(1 / x) branch unchanged.
+    """
+    out = np.empty_like(x)
+    normal = x >= np.finfo(np.float64).tiny
+    out[normal] = np.log1p(1.0 / x[normal])
+    sub = x[~normal]
+    out[~normal] = np.log1p(sub) - np.log(sub)
+    return out
 
 
 def _ratio_power(x: np.ndarray, m: int) -> np.ndarray:
     """(x / (1 + x))^m, exact 0 at x = 0, full precision for x >> 1."""
     out = np.zeros_like(x)
     pos = x > 0
-    with np.errstate(divide="ignore"):
-        out[pos] = np.exp(-m * np.log1p(1.0 / x[pos]))
+    with np.errstate(under="ignore"):  # r^m below the smallest subnormal is 0
+        out[pos] = np.exp(-m * _log_inverse_ratio(x[pos]))
     return out
 
 
@@ -73,8 +89,7 @@ def _one_minus_ratio_power(x: np.ndarray, m: int) -> np.ndarray:
     """1 - (x / (1 + x))^m without cancellation; exact 1 at x = 0."""
     out = np.ones_like(x)
     pos = x > 0
-    with np.errstate(divide="ignore"):
-        out[pos] = -np.expm1(-m * np.log1p(1.0 / x[pos]))
+    out[pos] = -np.expm1(-m * _log_inverse_ratio(x[pos]))
     return out
 
 
@@ -141,12 +156,27 @@ def van_cittert(fbar: SpectralField, spec: FilterSpec, iteration_hook=None) -> S
     if spec.order > spec.max_order:
         raise ValueError(f"order {spec.order} exceeds the configured max {spec.max_order}")
     g = transfer_g(fbar.grid.k_mag, spec)
-    w = fbar.coeffs.copy()
-    for _ in range(spec.order):
-        w += fbar.coeffs - g * w
+    w = np.empty_like(fbar.coeffs)
+    van_cittert_iterate(g, fbar.coeffs, w, np.empty_like(w), spec.order, iteration_hook)
+    return fbar.with_coeffs(w)
+
+
+def van_cittert_iterate(g, fbar, out, scratch, order: int, iteration_hook=None):
+    """The van Cittert kernel on coefficient arrays: out <- D_N fbar, in place.
+
+    g is the filter multiplier; out and scratch have the shape of fbar and
+    overlap neither it nor each other.  Nothing is allocated, so the solver
+    runs this on its per-run workspace and van_cittert (with the unit-cost
+    microbenchmark on top of it) times the same operations.
+    """
+    np.copyto(out, fbar)
+    for _ in range(order):
+        np.multiply(g, out, out=scratch)
+        np.subtract(fbar, scratch, out=scratch)
+        out += scratch
         if iteration_hook is not None:
             iteration_hook()
-    return fbar.with_coeffs(w)
+    return out
 
 
 def deconv_error_field(f: SpectralField, spec: FilterSpec) -> SpectralField:

@@ -38,6 +38,8 @@ _RK_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 
 CONVECTIVE_FORMS = ("advective", "divergence")
 
+_AXES = (1, 2, 3)  # transform axes of a (3, n, n, n) field
+
 
 class CFLAdvisory(UserWarning):
     """Raised as a warning when dt exceeds the advisory CFL limit."""
@@ -161,7 +163,14 @@ def cfl_max_dt(state: SpectralField, courant: float = 1.0) -> float:
 
 
 class _Stepper:
-    """Precomputed multipliers, buffers, and counters for one run."""
+    """Precomputed multipliers, counters and the workspace of one run.
+
+    The workspace is three complex and three real (3, n, n, n) buffers,
+    allocated once; every right-hand side runs inside it with no field-sized
+    temporaries of its own.  Each operation keeps the operand order of the
+    plain array expression it replaces, so results are bit for bit those of
+    an allocate-per-operation evaluation.
+    """
 
     def __init__(self, config: SolverConfig, stats: RunStats | None = None):
         self.config = config
@@ -174,6 +183,7 @@ class _Stepper:
             filtering.transfer_g(g.k_mag, config.filter) if config.model.is_regularized else None
         )
         self.order = config.model.order if config.model.is_regularized else 0
+        self.ik = [1j * kj for kj in g.wavevectors()]
 
         if config.nu > 0:
             gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
@@ -187,6 +197,10 @@ class _Stepper:
             f = f * filtering.transfer_hn(g.k_mag, config.filter)
         self.f_eff = f if np.any(f) else None
 
+        shape = (3, g.n, g.n, g.n)
+        self.cwork = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
+        self.rwork = [np.empty(shape) for _ in range(3)]
+
     def initial_state(self) -> SpectralField:
         ic = self.config.ic.evaluate(self.grid)
         coeffs = spectral.leray_project(ic).coeffs * self.mask
@@ -195,48 +209,58 @@ class _Stepper:
         return SpectralField(self.grid, coeffs, 0.0)
 
     def advecting_velocity(self, w: np.ndarray) -> np.ndarray:
-        """Deconvolved advecting velocity by van Cittert iteration, timed."""
+        """Deconvolved advecting velocity by van Cittert iteration, timed.
+
+        Uses all three complex buffers; the result is the second one.
+        """
         if self.g_hat is None:
             return w
+        wbar, adv, scratch = self.cwork
         t0 = time.perf_counter()
-        wbar = self.g_hat * w
-        adv = wbar.copy()
-        for _ in range(self.order):
-            adv += wbar - self.g_hat * adv
+        np.multiply(self.g_hat, w, out=wbar)
+        filtering.van_cittert_iterate(self.g_hat, wbar, adv, scratch, self.order)
         self.stats.deconv_seconds += time.perf_counter() - t0
         self.stats.filter_applications += self.order + 1
         return adv
 
     def nonlinear(self, w: np.ndarray, project: bool = True) -> np.ndarray:
-        """-(u_adv . grad) w, dealiased, optionally Leray-projected."""
-        g = self.grid
-        n = g.n
-        n3 = n**3
+        """-(u_adv . grad) w, dealiased, optionally Leray-projected.
+
+        The result is a workspace buffer, overwritten by the next call.
+        """
+        n3 = self.grid.n**3
+        c0, c1, c2 = self.cwork
+        adv_phys, r1, r2 = self.rwork
         self.stats.rhs_evals += 1
 
         adv = self.advecting_velocity(w)
-        adv_phys = np.fft.ifftn(adv, axes=(1, 2, 3)).real * n3
+        np.multiply(np.fft.ifftn(adv, axes=_AXES, out=c0).real, n3, out=adv_phys)
 
-        conv = np.zeros((3, n, n, n))
         if self.config.conv_form == "advective":
-            for j, kj in enumerate(g.wavevectors()):
-                dw_j = np.fft.ifftn(1j * kj * w, axes=(1, 2, 3)).real * n3
-                conv += adv_phys[j] * dw_j
-            out = -(np.fft.fftn(conv, axes=(1, 2, 3)) / n3)
+            conv = r2
+            conv.fill(0.0)
+            for j, ik in enumerate(self.ik):
+                np.multiply(ik, w, out=c1)
+                np.multiply(np.fft.ifftn(c1, axes=_AXES, out=c2).real, n3, out=r1)
+                conv += np.multiply(adv_phys[j], r1, out=r1)
+            out = np.fft.fftn(conv, axes=_AXES, out=c0)
+            out /= n3
+            np.negative(out, out=out)
+            free = c1
         else:
-            w_phys = np.fft.ifftn(w, axes=(1, 2, 3)).real * n3
-            out = np.zeros((3, n, n, n), dtype=np.complex128)
-            for j, kj in enumerate(g.wavevectors()):
-                flux = np.fft.fftn(adv_phys[j] * w_phys, axes=(1, 2, 3)) / n3
-                out -= 1j * kj * flux
+            w_phys = r1
+            np.multiply(np.fft.ifftn(w, axes=_AXES, out=c2).real, n3, out=w_phys)
+            out = c1
+            out.fill(0.0)
+            for j, ik in enumerate(self.ik):
+                flux = np.fft.fftn(np.multiply(adv_phys[j], w_phys, out=r2), axes=_AXES, out=c0)
+                flux /= n3
+                out -= np.multiply(ik, flux, out=flux)
+            free = c2
         out *= self.mask
 
         if project:
-            dot = g.kx * out[0] + g.ky * out[1] + g.kz * out[2]
-            factor = dot / g._k_sq_safe
-            out[0] -= g.kx * factor
-            out[1] -= g.ky * factor
-            out[2] -= g.kz * factor
+            spectral.leray_project_inplace(out, self.grid, free[:2])
         return out
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
@@ -252,12 +276,13 @@ class _Stepper:
             if s > 0 and self.decays is not None:
                 u *= self.decays[s - 1]
                 p *= self.decays[s - 1]
+            r = self.rhs(u)
             if s == 0:
-                p[:] = dt * self.rhs(u)
+                np.multiply(dt, r, out=p)
             else:
                 p *= _RK_A[s]
-                p += dt * self.rhs(u)
-            u += _RK_B[s] * p
+                p += np.multiply(dt, r, out=r)
+            u += np.multiply(_RK_B[s], p, out=r)
         if self.decays is not None:
             u *= self.decays[2]
 
@@ -325,8 +350,11 @@ def recover_pressure(
     w = state.coeffs * stepper.mask
     rhs = stepper.nonlinear(w, project=False)
     if forcing is not None:
-        rhs = rhs + forcing.coeffs
-    q = -1j * (g.kx * rhs[0] + g.ky * rhs[1] + g.kz * rhs[2]) / g._k_sq_safe
+        rhs += forcing.coeffs
+    q = np.empty((g.n, g.n, g.n), dtype=np.complex128)
+    spectral.wavevector_dot(rhs, g, q, np.empty_like(q))
+    np.multiply(-1j, q, out=q)
+    q /= g._k_sq_safe
     q[0, 0, 0] = 0.0
     return q
 
@@ -360,7 +388,7 @@ def run(config: SolverConfig) -> Trajectory:
         SpectralField(config.grid, stepper.f_eff, 0.0) if stepper.f_eff is not None else None
     )
     records = [diagnostics.energy_record(state0, config.nu, f_field)]
-    snapshots = [state0.copy()]
+    snapshots = [state0]  # u is the working copy
 
     stats.cfl_dt_max = cfl_max_dt(state0)
     if config.dt > stats.cfl_dt_max:
@@ -386,10 +414,13 @@ def run(config: SolverConfig) -> Trajectory:
     for m in range(1, steps + 1):
         stepper.advance(u, p)
         t = m * config.dt
-        if not np.all(np.isfinite(u)):
-            raise BlowUpError(m, t, build_trajectory())
         state = SpectralField(config.grid, u, t)
-        records.append(diagnostics.energy_record(state, config.nu, f_field))
+        record = diagnostics.energy_record(state, config.nu, f_field)
+        # the energy is a sum over every coefficient, so a non-finite state
+        # shows up in it (as does an overflowing finite one)
+        if not np.isfinite([record.energy, record.h1_seminorm_sq, record.input_power]).all():
+            raise BlowUpError(m, t, build_trajectory())
+        records.append(record)
         if m % config.snapshot_every == 0 or m == steps:
             snapshots.append(state.copy())
 

@@ -179,15 +179,38 @@ def shell_spectrum(f: SpectralField) -> np.ndarray:
     return shells[1:]
 
 
+def wavevector_dot(c: np.ndarray, grid: Grid, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """k . c of 3-component coefficients, written into out (n, n, n).
+
+    scratch is an (n, n, n) complex temporary; nothing else is allocated.
+    """
+    np.multiply(grid.kx, c[0], out=out)
+    np.multiply(grid.ky, c[1], out=scratch)
+    out += scratch
+    np.multiply(grid.kz, c[2], out=scratch)
+    out += scratch
+    return out
+
+
+def leray_project_inplace(c: np.ndarray, grid: Grid, work: np.ndarray) -> np.ndarray:
+    """Leray projection of coefficients c (3, n, n, n) in place; k = 0 untouched.
+
+    work is a (2, n, n, n) complex scratch; nothing else is allocated.
+    """
+    factor, scratch = work[0], work[1]
+    wavevector_dot(c, grid, factor, scratch)
+    factor /= grid._k_sq_safe
+    for kj, cj in zip(grid.wavevectors(), c):
+        np.multiply(kj, factor, out=scratch)
+        cj -= scratch
+    return c
+
+
 def leray_project(f: SpectralField) -> SpectralField:
     """Projection onto divergence-free fields, mode by mode; k = 0 untouched."""
-    g = f.grid
+    n = f.grid.n
     c = f.coeffs.copy()
-    dot = g.kx * c[0] + g.ky * c[1] + g.kz * c[2]
-    factor = dot / g._k_sq_safe
-    c[0] -= g.kx * factor
-    c[1] -= g.ky * factor
-    c[2] -= g.kz * factor
+    leray_project_inplace(c, f.grid, np.empty((2, n, n, n), dtype=np.complex128))
     return f.with_coeffs(c)
 
 

@@ -84,6 +84,22 @@ def test_large_order_large_k_precision():
     assert h == pytest.approx(expected, rel=1e-6)
 
 
+def test_subnormal_argument_reaches_exact_limits_without_overflow():
+    # (delta k)^2 = 2.5e-321 is subnormal, so 1 / x would overflow; the
+    # multipliers must still land on their k -> 0 limits, with overflow,
+    # division and invalid operations all raising
+    spec = ld.FilterSpec(delta=0.5, order=2)
+    with np.errstate(all="raise"):
+        assert ld.transfer_hn(1e-160, spec) == 1.0
+        assert ld.transfer_dn(1e-160, spec) == 1.0
+        assert ld.deconv_error_multiplier(1e-160, spec) == 0.0
+    # normal x keep the log1p(1 / x) evaluation bit for bit
+    x = np.logspace(-307, 307, 2001)
+    m = spec.order + 1
+    assert np.array_equal(filtering._one_minus_ratio_power(x, m), -np.expm1(-m * np.log1p(1.0 / x)))
+    assert np.array_equal(filtering._ratio_power(x, m), np.exp(-m * np.log1p(1.0 / x)))
+
+
 def test_apply_filter_solves_helmholtz(rand16):
     spec = ld.FilterSpec(delta=0.37)
     fb = ld.apply_filter(rand16, spec)

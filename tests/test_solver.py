@@ -261,3 +261,99 @@ def test_inviscid_energy_conservation_short(grid8):
     traj = ld.run(cfg)
     e = [r.energy for r in traj.records]
     assert abs(e[-1] - e[0]) / e[0] < 1e-9
+
+
+def _reference_nonlinear(w, model, fspec, dealias, conv_form, project=True):
+    """The allocate-per-operation right-hand side the workspace kernel replaced."""
+    g = w.grid
+    n3 = g.n**3
+    mask = g.dealias_mask if dealias else g.negation_closed_mask
+    w = w.coeffs * mask
+    if model.is_regularized:
+        g_hat = ld.transfer_g(g.k_mag, fspec)
+        wbar = g_hat * w
+        adv = wbar.copy()
+        for _ in range(model.order):
+            adv += wbar - g_hat * adv
+    else:
+        adv = w
+    adv_phys = np.fft.ifftn(adv, axes=(1, 2, 3)).real * n3
+    if conv_form == "advective":
+        conv = np.zeros(w.shape)
+        for j, kj in enumerate(g.wavevectors()):
+            dw_j = np.fft.ifftn(1j * kj * w, axes=(1, 2, 3)).real * n3
+            conv += adv_phys[j] * dw_j
+        out = -(np.fft.fftn(conv, axes=(1, 2, 3)) / n3)
+    else:
+        w_phys = np.fft.ifftn(w, axes=(1, 2, 3)).real * n3
+        out = np.zeros(w.shape, dtype=np.complex128)
+        for j, kj in enumerate(g.wavevectors()):
+            flux = np.fft.fftn(adv_phys[j] * w_phys, axes=(1, 2, 3)) / n3
+            out -= 1j * kj * flux
+    out *= mask
+    if project:
+        dot = g.kx * out[0] + g.ky * out[1] + g.kz * out[2]
+        factor = dot / g._k_sq_safe
+        out[0] -= g.kx * factor
+        out[1] -= g.ky * factor
+        out[2] -= g.kz * factor
+    return out
+
+
+def _reference_pressure(w, model, fspec, forcing, dealias, conv_form):
+    g = w.grid
+    rhs = _reference_nonlinear(w, model, fspec, dealias, conv_form, project=False)
+    if forcing is not None:
+        rhs = rhs + forcing.coeffs
+    q = -1j * (g.kx * rhs[0] + g.ky * rhs[1] + g.kz * rhs[2]) / g._k_sq_safe
+    q[0, 0, 0] = 0.0
+    return q
+
+
+_MODELS = [(ld.ModelKind.nse(), None),
+           (ld.ModelKind.leray_deconvolution(3), ld.FilterSpec(delta=0.5, order=3))]
+
+
+@pytest.mark.parametrize("conv_form", ld.solver.CONVECTIVE_FORMS)
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("model,fspec", _MODELS, ids=["nse", "order3"])
+def test_workspace_kernel_is_bit_identical_to_allocating_one(grid16, model, fspec, dealias, conv_form):
+    w = ld.random_solenoidal(grid16, seed=21)
+    forcing = ld.taylor_green(grid16)
+    kw = dict(dealias=dealias, conv_form=conv_form)
+    nl = ld.nonlinear_term(w, model, fspec, **kw).coeffs
+    assert np.array_equal(nl, _reference_nonlinear(w, model, fspec, **kw))
+    for f in (None, forcing):
+        q = recover_pressure(w, model, fspec, forcing=f, **kw)
+        assert np.array_equal(q, _reference_pressure(w, model, fspec, f, **kw))
+    # a later call must not write into an earlier call's result
+    q = recover_pressure(w, model, fspec, **kw)
+    nl_kept, q_kept = nl.copy(), q.copy()
+    other = ld.random_solenoidal(grid16, seed=22)
+    ld.nonlinear_term(other, model, fspec, **kw)
+    recover_pressure(other, model, fspec, **kw)
+    assert np.array_equal(nl, nl_kept) and np.array_equal(q, q_kept)
+
+
+def test_step_is_bit_identical_and_leaves_its_input_alone(grid16):
+    model, fspec = _MODELS[1]
+    cfg = _cfg(grid16, model="leray_deconv", order=3, nu=0.05, dt=0.01, t_end=0.01)
+    state = ld.random_solenoidal(grid16, seed=23)
+    kept = state.coeffs.copy()
+    out = ld.step(state, cfg).coeffs
+    assert np.array_equal(state.coeffs, kept)
+
+    # the low-storage RK3 step with the integrating factor, allocating as it goes
+    a, b, c = ld.solver._RK_A, ld.solver._RK_B, ld.solver._RK_C
+    decays = [np.exp(-cfg.nu * grid16.k_sq * cfg.dt * gap) for gap in (c[1], c[2] - c[1], 1.0 - c[2])]
+    u = state.coeffs * grid16.dealias_mask
+    p = np.zeros_like(u)
+    for s in range(3):
+        if s > 0:
+            u *= decays[s - 1]
+            p *= decays[s - 1]
+        rhs = _reference_nonlinear(state.with_coeffs(u), model, fspec, True, "advective")
+        p = cfg.dt * rhs if s == 0 else a[s] * p + cfg.dt * rhs
+        u = u + b[s] * p
+    u *= decays[2]
+    assert np.array_equal(out, u)
