@@ -84,88 +84,3 @@ from .snapshots import SnapshotError, SnapshotMeta, read_snapshot, write_snapsho
 from .tables import TableError, read_diag_csv, write_diag_csv, write_manifest, write_study_tables
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOX_VOLUME",
-    "BlowUpError",
-    "CFLAdvisory",
-    "ConfigError",
-    "ConsistencyReport",
-    "DiagRecord",
-    "FieldSpec",
-    "FilterSpec",
-    "Grid",
-    "ModelError",
-    "ModelKind",
-    "RateFit",
-    "RunConfig",
-    "RunStats",
-    "SnapshotError",
-    "SnapshotMeta",
-    "SolverConfig",
-    "SpectralField",
-    "StudyReport",
-    "StudySpec",
-    "TableError",
-    "Trajectory",
-    "TransferTable",
-    "abc_flow",
-    "apply_dn",
-    "apply_filter",
-    "apply_hn",
-    "cfl_max_dt",
-    "consistency_report",
-    "curl",
-    "cutoff_frequency",
-    "cutoff_frequency_exact",
-    "deconv_error_field",
-    "deconv_error_multiplier",
-    "divergence",
-    "energy",
-    "energy_inequality_monitor",
-    "energy_record",
-    "evaluate_field",
-    "fit_rate",
-    "from_physical",
-    "gradient",
-    "hs_norm",
-    "inner",
-    "laplacian",
-    "leray_project",
-    "model_error",
-    "nonlinear_term",
-    "operator_norm_dn",
-    "parse_config",
-    "parse_config_text",
-    "project_ball",
-    "project_pn",
-    "random_solenoidal",
-    "read_diag_csv",
-    "read_snapshot",
-    "recover_pressure",
-    "render_effective",
-    "reynolds_report",
-    "run",
-    "run_study",
-    "shell_spectrum",
-    "single_mode",
-    "smoothing_constant",
-    "solenoidal_defect",
-    "step",
-    "symmetry_defect",
-    "tau_tensor",
-    "taylor_green",
-    "time_average",
-    "to_physical",
-    "transfer_dn",
-    "transfer_exact",
-    "transfer_g",
-    "transfer_hn",
-    "validate_field",
-    "van_cittert",
-    "write_diag_csv",
-    "write_manifest",
-    "write_snapshot",
-    "write_study_tables",
-    "zeros",
-]

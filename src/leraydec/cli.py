@@ -19,19 +19,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import diagnostics, experiments, filtering, tables
-from .config import ConfigError, parse_config, render_effective
+from .config import ConfigError, _parse_floats, _parse_ints, parse_config, render_effective
 from .filtering import FilterSpec
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
 from .solver import BlowUpError, run
 from .tables import TableError
-
-
-def _parse_float_list(raw: str) -> tuple:
-    return tuple(float(p) for p in raw.split(",") if p.strip())
-
-
-def _parse_int_list(raw: str) -> tuple:
-    return tuple(int(p) for p in raw.split(",") if p.strip())
 
 
 def _args_hash(parts: dict) -> str:
@@ -44,6 +36,13 @@ def _write_effective(rc, out_dir) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_effective(rc.effective))
     return path
+
+
+def _write_study(out_dir, report, digest: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    written = tables.write_study_tables(out_dir, report)
+    tables.write_manifest(out_dir, written, digest)
+    print(f"wrote {len(written) + 1} files to {out_dir}")
 
 
 def _load_run_config(args):
@@ -90,7 +89,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    orders = _parse_int_list(args.orders)
+    orders = _parse_ints(args.orders)
     if not orders:
         raise ConfigError("transfer needs at least one order")
     os.makedirs(args.out, exist_ok=True)
@@ -100,7 +99,7 @@ def cmd_transfer(args) -> int:
         spec = experiments.StudySpec(
             kind="transfer_figures",
             orders=orders,
-            smoother_orders=_parse_int_list(args.smoother_orders),
+            smoother_orders=_parse_ints(args.smoother_orders),
             k_max=args.k_max,
             k_points=args.points,
         )
@@ -125,21 +124,17 @@ def cmd_transfer(args) -> int:
 
 
 def _study_from_config(args, kind: str):
+    """The sweep's [study] values (keys named as StudySpec fields), flags taking precedence."""
     rc = _load_run_config(args)
-    study = dict(rc.study or {})
-    spec_kwargs = {
-        "kind": kind,
-        "base": rc.solver,
-        "deltas": _parse_float_list(args.deltas) if args.deltas else study.get("deltas", ()),
-        "orders": _parse_int_list(args.orders) if args.orders else study.get("orders", ()),
-        "fit_window": args.fit_window if args.fit_window is not None else study.get("fit_window"),
-        "floor": study.get("floor", 1e-12),
+    flags = {
+        "deltas": _parse_floats(args.deltas) if args.deltas else None,
+        "orders": _parse_ints(args.orders) if args.orders else None,
+        "delta": args.delta,
+        "fit_window": args.fit_window,
     }
-    if getattr(args, "delta", None) is not None:
-        spec_kwargs["delta"] = args.delta
-    elif "delta" in study:
-        spec_kwargs["delta"] = study["delta"]
-    return experiments.StudySpec(**spec_kwargs), rc
+    values = dict(rc.study or {})
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    return experiments.StudySpec(kind=kind, base=rc.solver, **values), rc
 
 
 def _print_fits(report) -> None:
@@ -159,11 +154,8 @@ def cmd_sweep_delta(args) -> int:
     if not spec.orders:
         raise ConfigError("sweep-delta needs --orders or a [study] orders entry")
     report = experiments.run_study(spec)
-    os.makedirs(args.out, exist_ok=True)
-    written = tables.write_study_tables(args.out, report)
-    tables.write_manifest(args.out, written, rc.config_hash)
     _print_fits(report)
-    print(f"wrote {len(written) + 1} files to {args.out}")
+    _write_study(args.out, report, rc.config_hash)
     return 0
 
 
@@ -172,23 +164,20 @@ def cmd_sweep_n(args) -> int:
     if not spec.orders:
         raise ConfigError("sweep-n needs --orders or a [study] orders entry")
     report = experiments.run_study(spec)
-    os.makedirs(args.out, exist_ok=True)
-    written = tables.write_study_tables(args.out, report)
-    tables.write_manifest(args.out, written, rc.config_hash)
     table = report.tables["main"]
     for i, order in enumerate(table["order"]):
         print(f"order {order}: l2l2 {table['l2l2'][i]:.6e}  wall {table['wall_seconds'][i]:.4g}s")
     for flag in report.flags:
         print(f"flag: {flag}")
-    print(f"wrote {len(written) + 1} files to {args.out}")
+    _write_study(args.out, report, rc.config_hash)
     return 0
 
 
 def cmd_cutoff(args) -> int:
     spec = experiments.StudySpec(
         kind="cutoff_table",
-        deltas=_parse_float_list(args.deltas) if args.deltas else (),
-        orders=_parse_int_list(args.orders) if args.orders else (),
+        deltas=_parse_floats(args.deltas) if args.deltas else (),
+        orders=_parse_ints(args.orders) if args.orders else (),
     )
     report = experiments.run_study(spec)
     table = report.tables["main"]
@@ -199,33 +188,27 @@ def cmd_cutoff(args) -> int:
     for flag in report.flags:
         print(f"flag: {flag}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        written = tables.write_study_tables(args.out, report)
         digest = _args_hash({"cmd": "cutoff", "deltas": args.deltas, "orders": args.orders})
-        tables.write_manifest(args.out, written, digest)
-        print(f"wrote {len(written) + 1} files to {args.out}")
+        _write_study(args.out, report, digest)
     return 0
 
 
 def cmd_consistency(args) -> int:
     spec = experiments.StudySpec(
         kind="consistency_rate",
-        deltas=_parse_float_list(args.deltas) if args.deltas else (),
-        orders=_parse_int_list(args.orders) if args.orders else (),
+        deltas=_parse_floats(args.deltas) if args.deltas else (),
+        orders=_parse_ints(args.orders) if args.orders else (),
         grid_n=args.grid_n,
         fit_window=args.fit_window,
     )
     report = experiments.run_study(spec)
     _print_fits(report)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        written = tables.write_study_tables(args.out, report)
         digest = _args_hash({
             "cmd": "consistency", "deltas": args.deltas,
             "orders": args.orders, "grid_n": args.grid_n,
         })
-        tables.write_manifest(args.out, written, digest)
-        print(f"wrote {len(written) + 1} files to {args.out}")
+        _write_study(args.out, report, digest)
     return 1 if "bound_violated" in report.flags else 0
 
 

@@ -88,15 +88,11 @@ SCHEMA: dict = {
         "formats": (str, "csv,snapshot"),
     },
     "study": {
-        "kind": (str, None),
         "deltas": (_parse_floats, ()),
         "orders": (_parse_ints, ()),
         "delta": (float, 0.5),
         "fit_window": (int, None),
         "floor": (float, 1e-12),
-        "grid_n": (int, 16),
-        "k_max": (float, 10.0),
-        "k_points": (int, 201),
     },
 }
 
@@ -152,6 +148,8 @@ def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
 
     typed: dict = {}
     for section, keys in SCHEMA.items():
+        if section == "study" and section not in raw:
+            continue  # sweep defaults are honoured and echoed only when some are given
         typed[section] = {}
         for key, (convert, default) in keys.items():
             if key in raw.get(section, {}):
@@ -237,13 +235,12 @@ def parse_config_text(text: str, overrides=None) -> RunConfig:
     for fmt in formats:
         if fmt not in ("csv", "snapshot"):
             raise ConfigError(f"invalid value for output.formats: unknown format {fmt!r}")
-    study = values["study"] if values["study"]["kind"] is not None else None
     return RunConfig(
         solver=solver_config,
         out_dir=values["output"]["dir"],
         formats=formats,
         effective=values,
-        study=study,
+        study=values.get("study"),
     )
 
 
@@ -267,7 +264,7 @@ def render_effective(values: dict) -> str:
     """Canonical text of the effective configuration, defaults included."""
     lines = []
     for section, keys in SCHEMA.items():
-        if section == "study" and values.get("study", {}).get("kind") is None:
+        if section not in values:
             continue
         lines.append(f"[{section}]")
         for key in keys:

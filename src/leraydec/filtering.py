@@ -153,8 +153,6 @@ def van_cittert(fbar: SpectralField, spec: FilterSpec, iteration_hook=None) -> S
     cost grows linearly with the order.  iteration_hook, when given, is
     called once per iteration (used by performance accounting and tests).
     """
-    if spec.order > spec.max_order:
-        raise ValueError(f"order {spec.order} exceeds the configured max {spec.max_order}")
     g = transfer_g(fbar.grid.k_mag, spec)
     w = np.empty_like(fbar.coeffs)
     van_cittert_iterate(g, fbar.coeffs, w, np.empty_like(w), spec.order, iteration_hook)

@@ -86,6 +86,19 @@ class ModelKind:
         return self.family == "leray_deconv"
 
 
+def _check_model(model: ModelKind, filter_spec: FilterSpec | None, conv_form: str) -> None:
+    """Reject a model, filter and convective form the advection kernel cannot run."""
+    if conv_form not in CONVECTIVE_FORMS:
+        raise ValueError(f"conv_form must be one of {CONVECTIVE_FORMS}, got {conv_form!r}")
+    if model.is_regularized:
+        if filter_spec is None:
+            raise ValueError("regularized model requires a filter")
+        if filter_spec.order != model.order:
+            raise ValueError(
+                f"filter order {filter_spec.order} disagrees with model order {model.order}"
+            )
+
+
 @dataclass
 class SolverConfig:
     grid: Grid
@@ -109,17 +122,9 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < self.dt:
             raise ValueError(f"t_end must be at least one step, got {self.t_end} < dt {self.dt}")
-        if self.conv_form not in CONVECTIVE_FORMS:
-            raise ValueError(f"conv_form must be one of {CONVECTIVE_FORMS}, got {self.conv_form!r}")
+        _check_model(self.model, self.filter, self.conv_form)
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        if self.model.is_regularized:
-            if self.filter is None:
-                raise ValueError("regularized model requires a filter")
-            if self.filter.order != self.model.order:
-                raise ValueError(
-                    f"filter order {self.filter.order} disagrees with model order {self.model.order}"
-                )
         self.steps  # fail on a bad t_end/dt pair now, not at run time
 
     @property
@@ -162,51 +167,37 @@ def cfl_max_dt(state: SpectralField, courant: float = 1.0) -> float:
     return courant * dx / speed if speed > 0 else float("inf")
 
 
-class _Stepper:
-    """Precomputed multipliers, counters and the workspace of one run.
+class _Advection:
+    """The advection kernel: multipliers, counters and a workspace of its own.
 
     The workspace is three complex and three real (3, n, n, n) buffers,
-    allocated once; every right-hand side runs inside it with no field-sized
-    temporaries of its own.  Each operation keeps the operand order of the
-    plain array expression it replaces, so results are bit for bit those of
-    an allocate-per-operation evaluation.
+    allocated once by `allocate_workspace`; every evaluation runs inside it
+    with no field-sized temporaries of its own.  Each operation keeps the
+    operand order of the plain array expression it replaces, so results are
+    bit for bit those of an allocate-per-operation evaluation.
     """
 
-    def __init__(self, config: SolverConfig, stats: RunStats | None = None):
-        self.config = config
-        self.grid = config.grid
+    def __init__(self, grid: Grid, model: ModelKind, filter_spec: FilterSpec | None,
+                 dealias: bool, conv_form: str, stats: RunStats | None = None):
+        _check_model(model, filter_spec, conv_form)
+        self.grid = grid
+        self.conv_form = conv_form
         self.stats = stats if stats is not None else RunStats()
-        g = self.grid
 
-        self.mask = g.dealias_mask if config.dealias else g.negation_closed_mask
+        self.mask = grid.dealias_mask if dealias else grid.negation_closed_mask
         self.g_hat = (
-            filtering.transfer_g(g.k_mag, config.filter) if config.model.is_regularized else None
+            filtering.transfer_g(grid.k_mag, filter_spec) if model.is_regularized else None
         )
-        self.order = config.model.order if config.model.is_regularized else 0
-        self.ik = [1j * kj for kj in g.wavevectors()]
+        self.order = model.order if model.is_regularized else 0
+        self.ik = [1j * kj for kj in grid.wavevectors()]
 
-        if config.nu > 0:
-            gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
-            self.decays = [np.exp(-config.nu * g.k_sq * config.dt * gap) for gap in gaps]
-        else:
-            self.decays = None
-
-        f_raw = config.forcing.evaluate(g)
-        f = spectral.leray_project(f_raw).coeffs * self.mask
-        if config.model.is_regularized and config.filter_forcing:
-            f = f * filtering.transfer_hn(g.k_mag, config.filter)
-        self.f_eff = f if np.any(f) else None
-
-        shape = (3, g.n, g.n, g.n)
+    def allocate_workspace(self) -> None:
+        # Called last by whoever builds the kernel, while its set-up fields are
+        # still held: allocated first, the buffers raised the peak RSS of
+        # repeated 64^3 runs by 6 MiB.
+        shape = (3, self.grid.n, self.grid.n, self.grid.n)
         self.cwork = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
         self.rwork = [np.empty(shape) for _ in range(3)]
-
-    def initial_state(self) -> SpectralField:
-        ic = self.config.ic.evaluate(self.grid)
-        coeffs = spectral.leray_project(ic).coeffs * self.mask
-        if self.config.model.is_regularized and self.config.filter_ic:
-            coeffs = coeffs * filtering.transfer_hn(self.grid.k_mag, self.config.filter)
-        return SpectralField(self.grid, coeffs, 0.0)
 
     def advecting_velocity(self, w: np.ndarray) -> np.ndarray:
         """Deconvolved advecting velocity by van Cittert iteration, timed.
@@ -236,7 +227,7 @@ class _Stepper:
         adv = self.advecting_velocity(w)
         np.multiply(np.fft.ifftn(adv, axes=_AXES, out=c0).real, n3, out=adv_phys)
 
-        if self.config.conv_form == "advective":
+        if self.conv_form == "advective":
             conv = r2
             conv.fill(0.0)
             for j, ik in enumerate(self.ik):
@@ -263,6 +254,42 @@ class _Stepper:
             spectral.leray_project_inplace(out, self.grid, free[:2])
         return out
 
+
+class _Stepper(_Advection):
+    """The advection kernel plus what a run adds: integrating factors,
+    effective forcing, initial state and the RK3 update."""
+
+    def __init__(self, config: SolverConfig, stats: RunStats | None = None):
+        super().__init__(
+            config.grid, config.model, config.filter, config.dealias, config.conv_form, stats
+        )
+        self.config = config
+        g = self.grid
+
+        if config.nu > 0:
+            gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
+            self.decays = [np.exp(-config.nu * g.k_sq * config.dt * gap) for gap in gaps]
+        else:
+            self.decays = None
+
+        f_raw = config.forcing.evaluate(g)
+        f = self._prepared(f_raw, config.filter_forcing)
+        self.f_eff = f if np.any(f) else None
+        self.allocate_workspace()
+
+    def _prepared(self, field: SpectralField, smooth: bool) -> np.ndarray:
+        """Leray-project an evaluated field, truncate it to the mask and, for
+        a regularized model when asked, multiply by the transfer h_N."""
+        coeffs = spectral.leray_project(field).coeffs * self.mask
+        if self.config.model.is_regularized and smooth:
+            coeffs = coeffs * filtering.transfer_hn(self.grid.k_mag, self.config.filter)
+        return coeffs
+
+    def initial_state(self) -> SpectralField:
+        ic = self.config.ic.evaluate(self.grid)
+        coeffs = self._prepared(ic, self.config.filter_ic)
+        return SpectralField(self.grid, coeffs, 0.0)
+
     def rhs(self, w: np.ndarray) -> np.ndarray:
         out = self.nonlinear(w)
         if self.f_eff is not None:
@@ -287,6 +314,14 @@ class _Stepper:
             u *= self.decays[2]
 
 
+def _advection(state: SpectralField, model: ModelKind, filter_spec: FilterSpec | None,
+               dealias: bool, conv_form: str, project: bool) -> np.ndarray:
+    """The advection term of the state truncated to the mask, by a fresh kernel."""
+    kernel = _Advection(state.grid, model, filter_spec, dealias, conv_form)
+    kernel.allocate_workspace()
+    return kernel.nonlinear(state.coeffs * kernel.mask, project)
+
+
 def nonlinear_term(
     state: SpectralField,
     model: ModelKind,
@@ -300,22 +335,8 @@ def nonlinear_term(
     quadratic interactions are exactly the alias-free ones; with a
     solenoidal advecting velocity the result is L2-orthogonal to the state.
     """
-    config = SolverConfig(
-        grid=state.grid,
-        model=model,
-        nu=0.0,
-        dt=1.0,
-        t_end=1.0,
-        filter=filter_spec,
-        ic=FieldSpec(kind="zero"),
-        dealias=dealias,
-        conv_form=conv_form,
-        filter_ic=False,
-        filter_forcing=False,
-    )
-    stepper = _Stepper(config)
-    w = state.coeffs * stepper.mask
-    return state.with_coeffs(stepper.nonlinear(w))
+    adv = _advection(state, model, filter_spec, dealias, conv_form, project=True)
+    return state.with_coeffs(adv)
 
 
 def recover_pressure(
@@ -332,23 +353,8 @@ def recover_pressure(
     term plus forcing before projection; grad q is then exactly the
     non-solenoidal part of R, and q_hat(0) = 0.
     """
-    config = SolverConfig(
-        grid=state.grid,
-        model=model,
-        nu=0.0,
-        dt=1.0,
-        t_end=1.0,
-        filter=filter_spec,
-        ic=FieldSpec(kind="zero"),
-        dealias=dealias,
-        conv_form=conv_form,
-        filter_ic=False,
-        filter_forcing=False,
-    )
-    stepper = _Stepper(config)
     g = state.grid
-    w = state.coeffs * stepper.mask
-    rhs = stepper.nonlinear(w, project=False)
+    rhs = _advection(state, model, filter_spec, dealias, conv_form, project=False)
     if forcing is not None:
         rhs += forcing.coeffs
     q = np.empty((g.n, g.n, g.n), dtype=np.complex128)
@@ -362,7 +368,7 @@ def recover_pressure(
 def step(state: SpectralField, config: SolverConfig) -> SpectralField:
     """Advance a state by one step of the configured scheme."""
     stepper = _Stepper(config)
-    u = (state.coeffs * stepper.mask).astype(np.complex128)
+    u = state.coeffs * stepper.mask
     p = np.zeros_like(u)
     stepper.advance(u, p)
     return SpectralField(config.grid, u, state.t + config.dt)

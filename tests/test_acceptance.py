@@ -7,6 +7,7 @@ criteria take a few minutes combined.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,8 +322,8 @@ def test_criterion_12_reproducible_runs_and_exact_snapshots(tmp_path, grid16):
     assert cli.main(["run", "--config", str(cfg), "--out", out2]) == 0
     repeat_ok = True
     for name in ("diag.csv", "snap_000000.snap", "snap_000001.snap"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(out1, name).read_bytes()
+        b = Path(out2, name).read_bytes()
         if a != b:
             repeat_ok = False
 
@@ -330,8 +331,8 @@ def test_criterion_12_reproducible_runs_and_exact_snapshots(tmp_path, grid16):
     assert cli.main(["run", "--config", os.path.join(out1, "effective.cfg"),
                      "--out", echoed_out]) == 0
     echo_ok = (
-        open(os.path.join(out1, "diag.csv"), "rb").read()
-        == open(os.path.join(echoed_out, "diag.csv"), "rb").read()
+        Path(out1, "diag.csv").read_bytes()
+        == Path(echoed_out, "diag.csv").read_bytes()
     )
 
     ok = snap_ok and repeat_ok and echo_ok

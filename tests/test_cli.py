@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,11 +66,11 @@ def test_run_is_byte_reproducible(cfg_path, tmp_path):
     assert _run(["run", "--config", cfg_path, "--out", out1]) == 0
     assert _run(["run", "--config", cfg_path, "--out", out2]) == 0
     for name in ("diag.csv", "snap_000000.snap", "snap_000001.snap"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(out1, name).read_bytes()
+        b = Path(out2, name).read_bytes()
         assert a == b, name
     # the echoed configs differ only in the output directory they record
-    strip = lambda p: [ln for ln in open(p).read().splitlines() if not ln.startswith("dir =")]
+    strip = lambda p: [ln for ln in Path(p).read_text().splitlines() if not ln.startswith("dir =")]
     assert strip(os.path.join(out1, "effective.cfg")) == strip(os.path.join(out2, "effective.cfg"))
 
 
@@ -79,8 +80,8 @@ def test_effective_config_reproduces_run(cfg_path, tmp_path):
     echoed = os.path.join(out1, "effective.cfg")
     out2 = str(tmp_path / "echoed")
     assert _run(["run", "--config", echoed, "--out", out2]) == 0
-    a = open(os.path.join(out1, "diag.csv"), "rb").read()
-    b = open(os.path.join(out2, "diag.csv"), "rb").read()
+    a = Path(out1, "diag.csv").read_bytes()
+    b = Path(out2, "diag.csv").read_bytes()
     assert a == b
 
 
@@ -89,8 +90,8 @@ def test_set_override_changes_run(cfg_path, tmp_path):
     assert _run(["run", "--config", cfg_path, "--out", out1]) == 0
     assert _run(["run", "--config", cfg_path, "--out", out2,
                  "--set", "fluid.nu=0.4"]) == 0
-    a = open(os.path.join(out1, "diag.csv"), "rb").read()
-    b = open(os.path.join(out2, "diag.csv"), "rb").read()
+    a = Path(out1, "diag.csv").read_bytes()
+    b = Path(out2, "diag.csv").read_bytes()
     assert a != b
 
 
@@ -165,7 +166,7 @@ def test_compare_identical_dirs(cfg_path, tmp_path, capsys):
                  "--json", metrics]) == 0
     stdout = capsys.readouterr().out
     assert "l2l2:" in stdout
-    payload = json.loads(open(metrics).read())
+    payload = json.loads(Path(metrics).read_text())
     assert payload["l2_final"] == 0.0
     assert payload["l2l2"] == 0.0
     assert payload["h1_timeavg"] == 0.0
@@ -186,7 +187,7 @@ def test_sweep_delta(cfg_path, tmp_path, capsys):
     assert "order_0: slope" in stdout
     names = set(os.listdir(out))
     assert {"delta_rate_main.csv", "delta_rate_report.json", "manifest.json"} <= names
-    payload = json.loads(open(os.path.join(out, "delta_rate_report.json")).read())
+    payload = json.loads(Path(out, "delta_rate_report.json").read_text())
     assert payload["fits"]["order_0"]["expected"] == 2.0
 
 
@@ -195,6 +196,23 @@ def test_sweep_delta_needs_deltas(cfg_path, tmp_path, capsys):
                  "--orders", "0", "--out", str(tmp_path / "sw")])
     assert code == 1
     assert "needs --deltas" in capsys.readouterr().err
+
+
+def test_sweeps_read_study_section_without_kind(cfg_path, tmp_path, capsys):
+    path = tmp_path / "study.cfg"
+    path.write_text(BASE_CFG + "\n[study]\ndeltas = 0.4,0.2,0.1\norders = 0\n")
+    out = str(tmp_path / "sw")
+    assert _run(["sweep-delta", "--config", str(path), "--out", out]) == 0
+    assert "order_0: slope" in capsys.readouterr().out
+    assert _run(["sweep-n", "--config", str(path), "--out", str(tmp_path / "sn")]) == 0
+    assert "order 0: l2l2" in capsys.readouterr().out
+    assert _run(["sweep-n", "--config", cfg_path, "--set", "study.orders=1",
+                 "--out", str(tmp_path / "sn1")]) == 0
+    assert "order 1: l2l2" in capsys.readouterr().out
+    assert _run(["sweep-n", "--config", str(path), "--orders", "2",
+                 "--out", str(tmp_path / "sn2")]) == 0
+    stdout = capsys.readouterr().out
+    assert "order 2: l2l2" in stdout and "order 0:" not in stdout
 
 
 def test_sweep_n(cfg_path, tmp_path, capsys):

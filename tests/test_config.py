@@ -174,13 +174,29 @@ def test_config_hash_tracks_content():
 def test_study_section_parsed():
     text = MINIMAL + """
 [study]
-kind = cutoff_table
 deltas = 1.0, 0.5, 0.25
 orders = 0, 5, 10
 """
     rc = config.parse_config_text(text)
     assert rc.study is not None
-    assert rc.study["kind"] == "cutoff_table"
     assert rc.study["deltas"] == (1.0, 0.5, 0.25)
     assert rc.study["orders"] == (0, 5, 10)
     assert "[study]" in config.render_effective(rc.effective)
+
+
+def test_study_section_honoured_when_any_key_is_set():
+    rc = config.parse_config_text(MINIMAL, overrides=["study.orders=0,1"])
+    assert rc.study is not None
+    assert rc.study["orders"] == (0, 1)
+    assert rc.study["deltas"] == ()
+    text = config.render_effective(rc.effective)
+    assert "[study]" in text
+    assert config.parse_config_text(text).study == rc.study
+
+
+@pytest.mark.parametrize("key", ["kind", "grid_n", "k_max", "k_points"])
+def test_unread_study_keys_rejected(key):
+    with pytest.raises(config.ConfigError, match=f"unknown key study.{key}"):
+        config.parse_config_text(MINIMAL + f"\n[study]\n{key} = 1\n")
+    with pytest.raises(config.ConfigError, match=f"unknown key study.{key}"):
+        config.parse_config_text(MINIMAL, overrides=[f"study.{key}=1"])

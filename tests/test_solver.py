@@ -33,6 +33,22 @@ def test_config_validation(grid8):
                         nu=0.1, dt=0.01, t_end=0.1, filter=ld.FilterSpec(delta=0.5, order=3))
 
 
+@pytest.mark.parametrize("helper", [ld.nonlinear_term, recover_pressure])
+@pytest.mark.parametrize("model, fspec, conv_form, match", [
+    (ld.ModelKind.leray_deconvolution(2), None, "advective", "requires a filter"),
+    (ld.ModelKind.leray_deconvolution(2), ld.FilterSpec(delta=0.5, order=3), "advective",
+     "disagrees with model order"),
+    (ld.ModelKind.nse(), None, "rotational", "conv_form"),
+])
+def test_helpers_reject_what_solver_config_rejects(grid8, helper, model, fspec, conv_form, match):
+    with pytest.raises(ValueError, match=match) as from_config:
+        ld.SolverConfig(grid=grid8, model=model, nu=0.1, dt=0.01, t_end=0.1, filter=fspec,
+                        conv_form=conv_form)
+    with pytest.raises(ValueError) as from_helper:
+        helper(ld.taylor_green(grid8), model, fspec, conv_form=conv_form)
+    assert str(from_helper.value) == str(from_config.value)
+
+
 def test_steps_requires_integer_multiple(grid8):
     cfg = _cfg(grid8, dt=0.01, t_end=0.1)
     assert cfg.steps == 10

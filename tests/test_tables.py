@@ -1,6 +1,7 @@
 """CSV/JSON table IO: schema markers, exact round trips, manifests."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def test_study_tables_and_report(tmp_path):
     assert names == {"deconv_rate_main.csv", "deconv_rate_report.json"}
 
     report_path = [p for p in paths if p.endswith(".json")][0]
-    payload = json.loads(open(report_path).read())
+    payload = json.loads(Path(report_path).read_text())
     assert payload["schema"] == "study/1"
     assert payload["kind"] == "deconv_rate"
     assert payload["flags"] == []
@@ -90,7 +91,7 @@ def test_study_tables_and_report(tmp_path):
     json.dumps(payload)  # fully serializable, no numpy leftovers
 
     csv_path = [p for p in paths if p.endswith(".csv")][0]
-    text = open(csv_path).read()
+    text = Path(csv_path).read_text()
     assert text.startswith("# schema: study/1")
     assert "error_order_1" in text.splitlines()[2]
 
