@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .fields import FieldSpec
 from .filtering import DEFAULT_MAX_ORDER, FilterSpec
-from .solver import ModelKind, SolverConfig
+from .solver import CONVECTIVE_FORMS, ModelKind, SolverConfig, step_count
 from .spectral import Grid
 
 REQUIRED = object()
@@ -135,6 +135,14 @@ def apply_overrides(values: dict, overrides) -> None:
         values.setdefault(section, {})[key] = raw.strip()
 
 
+def _checked(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a rejected value reported against config key `key`."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"invalid value for {key}: {exc}") from exc
+
+
 def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
     raw: dict = {}
     for section in parser.sections():
@@ -153,11 +161,7 @@ def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
         typed[section] = {}
         for key, (convert, default) in keys.items():
             if key in raw.get(section, {}):
-                raw_value = raw[section][key]
-                try:
-                    typed[section][key] = convert(raw_value)
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(f"invalid value for {section}.{key}: {exc}") from exc
+                typed[section][key] = _checked(f"{section}.{key}", convert, raw[section][key])
             elif default is REQUIRED:
                 raise ConfigError(f"missing required key {section}.{key}")
             else:
@@ -166,10 +170,17 @@ def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
 
 
 def _build_solver_config(v: dict) -> SolverConfig:
-    if v["fluid"]["nu"] < 0:
+    if not v["fluid"]["nu"] >= 0:
         raise ConfigError("fluid.nu must be >= 0")
-    if v["time"]["dt"] <= 0:
+    if not v["time"]["dt"] > 0:
         raise ConfigError("time.dt must be positive")
+    _checked("time.t_end", step_count, v["time"]["t_end"], v["time"]["dt"])
+    if v["time"]["snapshot_every"] < 1:
+        raise ConfigError("time.snapshot_every must be >= 1")
+    conv_form = v["model"]["conv_form"]
+    if conv_form not in CONVECTIVE_FORMS:
+        raise ConfigError(f"invalid value for model.conv_form: {conv_form!r}, expected one of {CONVECTIVE_FORMS}")
+    grid = _checked("grid.n", Grid, v["grid"]["n"])
 
     kind = v["model"]["kind"]
     if kind == "nse":
@@ -180,35 +191,24 @@ def _build_solver_config(v: dict) -> SolverConfig:
             raise ConfigError("missing required key model.delta (required when model.kind = leray_deconv)")
         if v["model"]["delta"] <= 0:
             raise ConfigError("model.delta must be positive")
-        model = ModelKind.leray_deconvolution(v["model"]["order"])
-        try:
-            filter_spec = FilterSpec(
-                delta=v["model"]["delta"],
-                order=v["model"]["order"],
-                max_order=v["model"]["max_order"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid model filter: {exc}") from exc
+        model = _checked("model.order", ModelKind.leray_deconvolution, v["model"]["order"])
+        filter_spec = _checked(
+            "model.order",
+            FilterSpec,
+            delta=v["model"]["delta"],
+            order=v["model"]["order"],
+            max_order=v["model"]["max_order"],
+        )
     else:
         raise ConfigError(f"invalid value for model.kind: {kind!r} (expected nse or leray_deconv)")
 
     def field_spec(section: str) -> FieldSpec:
-        s = v[section]
         try:
-            return FieldSpec(
-                kind=s["kind"],
-                amplitude=s["amplitude"],
-                mode=tuple(s["mode"]),
-                slope=s["slope"],
-                seed=s["seed"],
-                band=s["band"],
-                expr=s["expr"],
-            )
+            return FieldSpec(**v[section])
         except ValueError as exc:
             raise ConfigError(f"invalid {section}.kind: {exc}") from exc
 
     try:
-        grid = Grid(v["grid"]["n"])
         return SolverConfig(
             grid=grid,
             model=model,
@@ -221,7 +221,7 @@ def _build_solver_config(v: dict) -> SolverConfig:
             filter_forcing=v["model"]["filter_forcing"],
             filter_ic=v["model"]["filter_ic"],
             dealias=v["grid"]["dealias"],
-            conv_form=v["model"]["conv_form"],
+            conv_form=conv_form,
             snapshot_every=v["time"]["snapshot_every"],
         )
     except ValueError as exc:

@@ -18,15 +18,6 @@ from . import diagnostics, fields, filtering, solver, spectral
 from .filtering import FilterSpec
 from .solver import ModelKind, SolverConfig
 
-STUDY_KINDS = (
-    "deconv_rate",
-    "delta_rate",
-    "n_limit",
-    "cutoff_table",
-    "consistency_rate",
-    "transfer_figures",
-)
-
 
 @dataclass
 class RateFit:
@@ -58,7 +49,6 @@ class StudySpec:
     k_max: float = 10.0
     k_points: int = 201
     smoother_orders: tuple = (0, 10, 50)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
@@ -411,6 +401,7 @@ _STUDY_RUNNERS = {
     "consistency_rate": consistency_rate_study,
     "transfer_figures": transfer_figures_study,
 }
+STUDY_KINDS = tuple(_STUDY_RUNNERS)
 
 
 def run_study(spec: StudySpec) -> StudyReport:

@@ -38,8 +38,6 @@ _RK_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 
 CONVECTIVE_FORMS = ("advective", "divergence")
 
-_AXES = (1, 2, 3)  # transform axes of a (3, n, n, n) field
-
 
 class CFLAdvisory(UserWarning):
     """Raised as a warning when dt exceeds the advisory CFL limit."""
@@ -116,23 +114,28 @@ class SolverConfig:
     snapshot_every: int = 10
 
     def __post_init__(self):
-        if self.nu < 0:
+        if not self.nu >= 0:
             raise ValueError(f"viscosity must be >= 0, got {self.nu}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end must be at least one step, got {self.t_end} < dt {self.dt}")
+        step_count(self.t_end, self.dt)  # fail on a bad t_end/dt pair now, not at run time
         _check_model(self.model, self.filter, self.conv_form)
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        self.steps  # fail on a bad t_end/dt pair now, not at run time
 
     @property
     def steps(self) -> int:
-        m = int(round(self.t_end / self.dt))
-        if abs(m * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError(f"t_end {self.t_end} is not an integer multiple of dt {self.dt}")
-        return max(m, 1)
+        return step_count(self.t_end, self.dt)
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of size dt to t_end, which must be a whole number of them."""
+    if t_end < dt:
+        raise ValueError(f"t_end must be at least one step, got {t_end} < dt {dt}")
+    m = int(round(t_end / dt))
+    if abs(m * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"t_end {t_end} is not an integer multiple of dt {dt}")
+    return m
 
 
 @dataclass
@@ -219,33 +222,31 @@ class _Advection:
 
         The result is a workspace buffer, overwritten by the next call.
         """
-        n3 = self.grid.n**3
         c0, c1, c2 = self.cwork
         adv_phys, r1, r2 = self.rwork
         self.stats.rhs_evals += 1
 
         adv = self.advecting_velocity(w)
-        np.multiply(np.fft.ifftn(adv, axes=_AXES, out=c0).real, n3, out=adv_phys)
+        spectral.inverse_transform(adv, out=adv_phys, work=c0)
 
         if self.conv_form == "advective":
             conv = r2
             conv.fill(0.0)
             for j, ik in enumerate(self.ik):
                 np.multiply(ik, w, out=c1)
-                np.multiply(np.fft.ifftn(c1, axes=_AXES, out=c2).real, n3, out=r1)
+                spectral.inverse_transform(c1, out=r1, work=c2)
                 conv += np.multiply(adv_phys[j], r1, out=r1)
-            out = np.fft.fftn(conv, axes=_AXES, out=c0)
-            out /= n3
+            out = spectral.forward_transform(conv, out=c0)
             np.negative(out, out=out)
             free = c1
         else:
             w_phys = r1
-            np.multiply(np.fft.ifftn(w, axes=_AXES, out=c2).real, n3, out=w_phys)
+            spectral.inverse_transform(w, out=w_phys, work=c2)
             out = c1
             out.fill(0.0)
             for j, ik in enumerate(self.ik):
-                flux = np.fft.fftn(np.multiply(adv_phys[j], w_phys, out=r2), axes=_AXES, out=c0)
-                flux /= n3
+                np.multiply(adv_phys[j], w_phys, out=r2)
+                flux = spectral.forward_transform(r2, out=c0)
                 out -= np.multiply(ik, flux, out=flux)
             free = c2
         out *= self.mask

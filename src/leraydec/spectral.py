@@ -26,6 +26,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 BOX_VOLUME = TWO_PI**3
+_AXES = (-3, -2, -1)  # transform axes: the three grid axes of a field
 
 
 class Grid:
@@ -111,10 +112,25 @@ def zeros(grid: Grid, t: float = 0.0) -> SpectralField:
     return SpectralField(grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=np.complex128), t)
 
 
+def inverse_transform(c: np.ndarray, out=None, work=None) -> np.ndarray:
+    """Real collocation samples of coefficients c, ifftn(c).real * n**3.
+
+    out (real, the samples) and work (complex, the unscaled transform) say
+    where results go, as numpy's out= does; None allocates a fresh array.
+    """
+    n3 = c.shape[-1] ** 3
+    return np.multiply(np.fft.ifftn(c, axes=_AXES, out=work).real, n3, out=out)
+
+
+def forward_transform(samples: np.ndarray, out=None) -> np.ndarray:
+    """Coefficients of real collocation samples, fftn(samples) / n**3, into out if given."""
+    n3 = samples.shape[-1] ** 3
+    return np.divide(np.fft.fftn(samples, axes=_AXES, out=out), n3, out=out)
+
+
 def to_physical(f: SpectralField) -> np.ndarray:
     """Collocation samples of the field, shape (3, n, n, n), real."""
-    n = f.grid.n
-    return np.fft.ifftn(f.coeffs, axes=(1, 2, 3)).real * n**3
+    return inverse_transform(f.coeffs)
 
 
 def from_physical(grid: Grid, samples: np.ndarray, t: float = 0.0) -> SpectralField:
@@ -124,8 +140,7 @@ def from_physical(grid: Grid, samples: np.ndarray, t: float = 0.0) -> SpectralFi
         raise ValueError(
             f"samples must have shape (3, {grid.n}, {grid.n}, {grid.n}), got {samples.shape}"
         )
-    coeffs = np.fft.fftn(samples, axes=(1, 2, 3)) / grid.n**3
-    return SpectralField(grid, coeffs, t)
+    return SpectralField(grid, forward_transform(samples), t)
 
 
 def _mode_energy_density(f: SpectralField) -> np.ndarray:
@@ -256,9 +271,9 @@ def curl(f: SpectralField) -> SpectralField:
 
 def divergence(f: SpectralField) -> np.ndarray:
     """Scalar coefficients of div f."""
-    g = f.grid
-    c = f.coeffs
-    return 1j * (g.kx * c[0] + g.ky * c[1] + g.kz * c[2])
+    out = np.empty(f.coeffs.shape[1:], dtype=np.complex128)
+    wavevector_dot(f.coeffs, f.grid, out, np.empty_like(out))
+    return np.multiply(1j, out, out=out)
 
 
 def reflected_conjugate(coeffs: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ which round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -60,18 +61,23 @@ def _check_schema(line: str, schema: tuple, path) -> None:
         raise TableError(f"{path}: schema major {major} is newer than supported ({schema[1]})")
 
 
+def _read_csv(path, schema: tuple):
+    """Header and a reader over the data rows of a CSV written by _write_csv."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        _check_schema(first, schema, path)
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    reader = csv.reader(io.StringIO("".join(lines)))
+    return next(reader), reader
+
+
 def write_diag_csv(path, records) -> None:
     _write_csv(path, DIAG_SCHEMA, DiagRecord.FIELDS,
                ([getattr(r, f) for f in DiagRecord.FIELDS] for r in records))
 
 
 def read_diag_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        _check_schema(first, DIAG_SCHEMA, path)
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(lines)))
-    header = next(reader)
+    header, reader = _read_csv(path, DIAG_SCHEMA)
     if tuple(header) != DiagRecord.FIELDS:
         raise TableError(f"{path}: unexpected columns {header}")
     return [DiagRecord(*(float(v) for v in row)) for row in reader if row]
@@ -85,12 +91,7 @@ def write_transfer_csv(path, table: TransferTable) -> None:
 
 def read_transfer_csv(path):
     """Read a transfer CSV back as a dict of float column arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        _check_schema(first, TRANSFER_SCHEMA, path)
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(lines)))
-    header = next(reader)
+    header, reader = _read_csv(path, TRANSFER_SCHEMA)
     columns = {name: [] for name in header}
     for row in reader:
         if not row:
@@ -129,17 +130,7 @@ def write_study_tables(out_dir, report) -> list:
                    extra_comments=(f"study: {report.kind}",))
         written.append(path)
 
-    fits = {
-        key: {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "expected": fit.expected,
-            "window": fit.window,
-            "degenerate": fit.degenerate,
-            "floor_limited": fit.floor_limited,
-        }
-        for key, fit in report.fits.items()
-    }
+    fits = {key: dataclasses.asdict(fit) for key, fit in report.fits.items()}
     report_path = os.path.join(out_dir, f"{report.kind}_report.json")
     payload = {
         "schema": f"{STUDY_SCHEMA[0]}/{STUDY_SCHEMA[1]}",

@@ -1,5 +1,7 @@
 """INI config parsing: schema, defaults, overrides, canonical echo."""
 
+import re
+
 import pytest
 
 import leraydec as ld
@@ -200,3 +202,21 @@ def test_unread_study_keys_rejected(key):
         config.parse_config_text(MINIMAL + f"\n[study]\n{key} = 1\n")
     with pytest.raises(config.ConfigError, match=f"unknown key study.{key}"):
         config.parse_config_text(MINIMAL, overrides=[f"study.{key}=1"])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid.n", "7"),
+    ("fluid.nu", "nan"),
+    ("time.t_end", "0.105"),
+    ("time.t_end", "0.005"),
+    ("time.t_end", "inf"),
+    ("time.snapshot_every", "0"),
+    ("model.conv_form", "rot"),
+    ("model.order", "-1"),
+])
+def test_rejected_values_name_their_key(key, value):
+    overrides = [f"{key}={value}"]
+    if key == "model.order":
+        overrides += ["model.kind=leray_deconv", "model.delta=0.5"]
+    with pytest.raises(config.ConfigError, match=re.escape(key)):
+        config.parse_config_text(MINIMAL, overrides=overrides)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,44 @@ def test_physical_roundtrip(grid16, rand16):
     u = ld.to_physical(rand16)
     back = ld.from_physical(grid16, u)
     np.testing.assert_allclose(back.coeffs, rand16.coeffs, rtol=0, atol=1e-15)
+
+
+def test_transforms_are_the_unnormalized_numpy_fft_scaled_by_n_cubed(grid16, rand16):
+    n = grid16.n
+    u = ld.to_physical(rand16)
+    assert np.array_equal(u, np.fft.ifftn(rand16.coeffs, axes=(1, 2, 3)).real * n**3)
+    back = ld.from_physical(grid16, u).coeffs
+    assert np.array_equal(back, np.fft.fftn(u, axes=(1, 2, 3)) / n**3)
+    # out= and work= choose where results go, never what they are
+    out, work = np.empty_like(u), np.empty_like(rand16.coeffs)
+    assert spectral.inverse_transform(rand16.coeffs, out=out, work=work) is out
+    assert np.array_equal(out, u)
+    assert spectral.forward_transform(u, out=work) is work
+    assert np.array_equal(work, back)
+
+
+def test_only_the_transform_functions_call_numpy_fft():
+    """numpy.fft is used by spectral.inverse_transform/forward_transform (and
+    fftfreq by Grid) alone, so one module fixes the FFT convention."""
+    uses = set()
+
+    def visit(node, module, scope, parent):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "fft":  # np.fft.<name> or np.fft
+            uses.add((module, scope, parent.attr if isinstance(parent, ast.Attribute) else "fft"))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node):
+            uses.add((module, scope, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope, node)
+
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "<module>", None)
+    assert uses == {
+        ("spectral", "inverse_transform", "ifftn"),
+        ("spectral", "forward_transform", "fftn"),
+        ("spectral", "__init__", "fftfreq"),
+    }
 
 
 def test_parseval(grid16, rand16):
