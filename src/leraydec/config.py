@@ -13,7 +13,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 
-from .fields import FieldSpec
+from .fields import FieldParameterError, FieldSpec
 from .filtering import DEFAULT_MAX_ORDER, FilterSpec
 from .solver import CONVECTIVE_FORMS, ModelKind, SolverConfig, step_count
 from .spectral import Grid
@@ -204,9 +204,14 @@ def _build_solver_config(v: dict) -> SolverConfig:
 
     def field_spec(section: str) -> FieldSpec:
         try:
-            return FieldSpec(**v[section])
+            spec = FieldSpec(**v[section])
         except ValueError as exc:
             raise ConfigError(f"invalid {section}.kind: {exc}") from exc
+        try:
+            spec.check(grid)  # what would otherwise fail only once the run evaluates it
+        except FieldParameterError as exc:
+            raise ConfigError(f"invalid value for {section}.{exc.parameter}: {exc}") from exc
+        return spec
 
     try:
         return SolverConfig(

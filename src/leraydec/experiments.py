@@ -218,28 +218,31 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
 
 
 def deconv_unit_cost(
-    grid: spectral.Grid, delta: float, order_hi: int = 8, repeats: int = 7
+    grid: spectral.Grid, delta: float, order_hi: int = 8, repeats: int = 7, dealias: bool = True
 ) -> float:
-    """Wall-clock cost of one van Cittert iteration on this grid.
+    """Wall-clock cost of one van Cittert iteration as the stepper runs it.
 
-    Measured as a difference of order-`order_hi` and order-0 applications so
-    setup cost cancels; the minimum over repeats rejects scheduler noise.
+    The kernel is timed on the stepper's band-shaped arrays
+    (solver.integration_band) with preallocated buffers, so the unit matches
+    what RunStats.deconv_seconds accumulates.  Measured as a difference of
+    order-`order_hi` and order-0 applications so setup cost cancels; the
+    minimum over repeats rejects scheduler noise.
     """
-    f = fields.random_solenoidal(grid, seed=973)
-    fbar = filtering.apply_filter(f, FilterSpec(delta=delta, order=0))
-    lo_spec = FilterSpec(delta=delta, order=0)
-    hi_spec = FilterSpec(delta=delta, order=order_hi)
+    band = solver.integration_band(grid, dealias)
+    g_hat = filtering.transfer_g(band.k_mag, FilterSpec(delta=delta))
+    fbar = g_hat * band.truncate(fields.random_solenoidal(grid, seed=973).coeffs)
+    out, scratch = np.empty_like(fbar), np.empty_like(fbar)
 
-    def best(spec_: FilterSpec) -> float:
+    def best(order: int) -> float:
         t_best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            filtering.van_cittert(fbar, spec_)
+            filtering.van_cittert_iterate(g_hat, fbar, out, scratch, order)
             t_best = min(t_best, time.perf_counter() - t0)
         return t_best
 
-    best(hi_spec)  # warm the caches before timing
-    return max((best(hi_spec) - best(lo_spec)) / order_hi, 1e-9)
+    best(order_hi)  # warm the caches before timing
+    return max((best(order_hi) - best(0)) / order_hi, 1e-9)
 
 
 def n_limit_study(spec: StudySpec) -> StudyReport:
@@ -273,7 +276,7 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
         table["filter_applications"].append(traj.stats.filter_applications)
         table["rhs_evals"].append(traj.stats.rhs_evals)
 
-    unit = deconv_unit_cost(spec.base.grid, spec.delta)
+    unit = deconv_unit_cost(spec.base.grid, spec.delta, dealias=spec.base.dealias)
     errs = table["l2l2"]
     flags = []
     if not all(b < a for a, b in zip(errs, errs[1:])):

@@ -17,6 +17,14 @@ from .spectral import Grid, SpectralField
 FIELD_KINDS = ("zero", "taylor_green", "single_mode", "random_solenoidal", "manufactured")
 
 
+class FieldParameterError(ValueError):
+    """A field parameter the grid cannot evaluate; `parameter` names the FieldSpec field."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Recipe for an analytic or seeded random field.
@@ -40,6 +48,16 @@ class FieldSpec:
     def evaluate(self, grid: Grid) -> SpectralField:
         return evaluate_field(self, grid)
 
+    def check(self, grid: Grid) -> None:
+        """Raise FieldParameterError for a parameter evaluate(grid) would reject,
+        without evaluating the field."""
+        if self.kind == "single_mode":
+            _checked_mode(grid, self.mode)
+        elif self.kind == "random_solenoidal":
+            _checked_band(grid, self.band)
+        elif self.kind == "manufactured":
+            _manufactured_builder(self.expr)
+
 
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """The classical Taylor-Green vortex, modes on the |k|^2 = 3 shell."""
@@ -58,11 +76,7 @@ def single_mode(grid: Grid, mode, amplitude: float = 1.0) -> SpectralField:
     component (lowest index on ties), projected perpendicular to k and
     normalized, so the construction is deterministic.
     """
-    k = np.asarray(mode, dtype=np.int64)
-    if k.shape != (3,) or not np.any(k):
-        raise ValueError(f"mode must be a nonzero integer triple, got {mode}")
-    if np.abs(k).max() > grid.n // 2 - 1:
-        raise ValueError(f"mode {mode} does not fit the negation-closed band of n={grid.n}")
+    k = _checked_mode(grid, mode)
     axis = int(np.argmin(np.abs(k)))
     e = np.zeros(3)
     e[axis] = 1.0
@@ -80,6 +94,17 @@ def single_mode(grid: Grid, mode, amplitude: float = 1.0) -> SpectralField:
     return f
 
 
+def _checked_mode(grid: Grid, mode) -> np.ndarray:
+    k = np.asarray(mode, dtype=np.int64)
+    if k.shape != (3,) or not np.any(k):
+        raise FieldParameterError("mode", f"mode must be a nonzero integer triple, got {mode}")
+    if np.abs(k).max() > grid.n // 2 - 1:
+        raise FieldParameterError(
+            "mode", f"mode {mode} does not fit the negation-closed band of n={grid.n}"
+        )
+    return k
+
+
 def random_solenoidal(
     grid: Grid,
     seed: int = 0,
@@ -94,6 +119,7 @@ def random_solenoidal(
     |k|^{(slope - 2)/2} to account for the |k|^2 growth of shell populations,
     band-limited, projected, and rescaled to the requested L2 norm.
     """
+    cut = _checked_band(grid, band)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((3, grid.n, grid.n, grid.n))
     f = spectral.from_physical(grid, noise)
@@ -101,8 +127,7 @@ def random_solenoidal(
     shaping = np.zeros_like(grid.k_sq)
     nonzero = grid.k_sq > 0
     shaping[nonzero] = grid.k_mag[nonzero] ** ((slope - 2.0) / 2.0)
-    cut = grid.dealias_cutoff if band is None else int(band)
-    shaping *= grid.k_linf <= min(cut, grid.n // 2 - 1)
+    shaping *= grid.k_linf <= cut
 
     f = f.with_coeffs(f.coeffs * shaping)
     f = spectral.leray_project(f)
@@ -110,6 +135,15 @@ def random_solenoidal(
     if norm == 0.0:
         raise ValueError("random field collapsed to zero; widen the band")
     return f.with_coeffs(f.coeffs * (amplitude / norm))
+
+
+def _checked_band(grid: Grid, band: int | None) -> int:
+    """The cube |k|_inf <= cut a random field fills: band, the dealias cutoff
+    when None, within the negation-closed band."""
+    cut = min(grid.dealias_cutoff if band is None else int(band), grid.n // 2 - 1)
+    if cut < 1:
+        raise FieldParameterError("band", f"band must be >= 1, got {band}")
+    return cut
 
 
 def abc_flow(grid: Grid, amplitude: float = 1.0) -> SpectralField:
@@ -148,10 +182,15 @@ def evaluate_field(spec: FieldSpec, grid: Grid) -> SpectralField:
     if spec.kind == "random_solenoidal":
         return random_solenoidal(grid, spec.seed, spec.slope, spec.amplitude, spec.band)
     if spec.kind == "manufactured":
-        try:
-            builder = MANUFACTURED_FIELDS[spec.expr]
-        except KeyError:
-            known = sorted(MANUFACTURED_FIELDS)
-            raise ValueError(f"unknown manufactured field {spec.expr!r}, expected one of {known}")
-        return builder(grid, spec.amplitude)
+        return _manufactured_builder(spec.expr)(grid, spec.amplitude)
     raise ValueError(f"unknown field kind {spec.kind!r}")
+
+
+def _manufactured_builder(expr: str):
+    try:
+        return MANUFACTURED_FIELDS[expr]
+    except KeyError:
+        known = sorted(MANUFACTURED_FIELDS)
+        raise FieldParameterError(
+            "expr", f"unknown manufactured field {expr!r}, expected one of {known}"
+        ) from None

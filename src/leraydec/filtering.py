@@ -164,8 +164,9 @@ def van_cittert_iterate(g, fbar, out, scratch, order: int, iteration_hook=None):
 
     g is the filter multiplier; out and scratch have the shape of fbar and
     overlap neither it nor each other.  Nothing is allocated, so the solver
-    runs this on its per-run workspace and van_cittert (with the unit-cost
-    microbenchmark on top of it) times the same operations.
+    runs this on its per-run band workspace, and the unit-cost
+    microbenchmark (experiments.deconv_unit_cost) times it on arrays of that
+    same shape.
     """
     np.copyto(out, fbar)
     for _ in range(order):

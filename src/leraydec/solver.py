@@ -8,6 +8,12 @@ the collocation grid, dealiases, and Leray-projects:
     dw/dt = -P[(u_adv . grad) w] + nu Lap w + f,
     u_adv = D_N(filtered w)  or  w.
 
+The stepper integrates only the modes that can be nonzero: the state,
+multipliers and forcing live on the compact dealias band (spectral.Band,
+|k|_inf <= n/3 by the two-thirds rule), which is zero-padded to the full
+grid for each inverse transform, and each forward transform is truncated
+back to it.  That truncation is the dealiasing; no mask is applied.
+
 Time stepping is the three-stage low-storage Runge-Kutta of Williamson
 combined with an exact integrating factor for the viscous term, so pure
 viscous decay is reproduced to rounding and only decaying exponentials ever
@@ -170,37 +176,60 @@ def cfl_max_dt(state: SpectralField, courant: float = 1.0) -> float:
     return courant * dx / speed if speed > 0 else float("inf")
 
 
+def integration_band(grid: Grid, dealias: bool) -> spectral.Band:
+    """The modes the stepper integrates: the dealias band, or with dealiasing
+    off every mode whose negation is representable (no Nyquist planes)."""
+    return spectral.Band(grid, grid.dealias_cutoff if dealias else grid.n // 2 - 1)
+
+
 class _Advection:
     """The advection kernel: multipliers, counters and a workspace of its own.
 
-    The workspace is three complex and three real (3, n, n, n) buffers,
-    allocated once by `allocate_workspace`; every evaluation runs inside it
+    Coefficients live on the integration band; only the transforms see the
+    full grid.  The workspace is three complex band buffers, plus for the
+    transforms one zero-padded complex (3, n, n, n) input, one complex
+    (3, n, n, n) transform buffer and three real (3, n, n, n) buffers, all
+    allocated once by `allocate_workspace`.  Every evaluation runs inside it
     with no field-sized temporaries of its own.  Each operation keeps the
-    operand order of the plain array expression it replaces, so results are
-    bit for bit those of an allocate-per-operation evaluation.
+    operand order of the plain full-grid array expression it replaces, so
+    results are bit for bit those of an allocate-per-operation evaluation
+    (up to the sign of a zero coefficient).
     """
 
     def __init__(self, grid: Grid, model: ModelKind, filter_spec: FilterSpec | None,
                  dealias: bool, conv_form: str, stats: RunStats | None = None):
         _check_model(model, filter_spec, conv_form)
         self.grid = grid
+        self.band = integration_band(grid, dealias)
         self.conv_form = conv_form
         self.stats = stats if stats is not None else RunStats()
 
-        self.mask = grid.dealias_mask if dealias else grid.negation_closed_mask
         self.g_hat = (
-            filtering.transfer_g(grid.k_mag, filter_spec) if model.is_regularized else None
+            filtering.transfer_g(self.band.k_mag, filter_spec) if model.is_regularized else None
         )
         self.order = model.order if model.is_regularized else 0
-        self.ik = [1j * kj for kj in grid.wavevectors()]
+        self.ik = [1j * kj for kj in self.band.wavevectors()]
 
     def allocate_workspace(self) -> None:
         # Called last by whoever builds the kernel, while its set-up fields are
         # still held: allocated first, the buffers raised the peak RSS of
         # repeated 64^3 runs by 6 MiB.
-        shape = (3, self.grid.n, self.grid.n, self.grid.n)
-        self.cwork = [np.empty(shape, dtype=np.complex128) for _ in range(3)]
-        self.rwork = [np.empty(shape) for _ in range(3)]
+        full = (3, self.grid.n, self.grid.n, self.grid.n)
+        self.cwork = [np.empty(self.band.shape, dtype=np.complex128) for _ in range(3)]
+        # written only inside the band by pad, so zero outside it for good
+        self.padded = np.zeros(full, dtype=np.complex128)
+        self.spectrum = np.empty(full, dtype=np.complex128)
+        self.rwork = [np.empty(full) for _ in range(3)]
+
+    def inverse(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Collocation samples of band coefficients c, into out."""
+        self.band.pad(c, self.padded)
+        return spectral.inverse_transform(self.padded, out=out, work=self.spectrum)
+
+    def forward(self, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Band coefficients of collocation samples, into out; the rest is dropped."""
+        spectral.forward_transform(samples, out=self.spectrum)
+        return self.band.truncate(self.spectrum, out)
 
     def advecting_velocity(self, w: np.ndarray) -> np.ndarray:
         """Deconvolved advecting velocity by van Cittert iteration, timed.
@@ -218,41 +247,42 @@ class _Advection:
         return adv
 
     def nonlinear(self, w: np.ndarray, project: bool = True) -> np.ndarray:
-        """-(u_adv . grad) w, dealiased, optionally Leray-projected.
+        """-(u_adv . grad) w on the band, optionally Leray-projected.
 
-        The result is a workspace buffer, overwritten by the next call.
+        w holds band coefficients; the result is a workspace buffer,
+        overwritten by the next call.  Truncating the product spectrum to the
+        band is the dealiasing.
         """
         c0, c1, c2 = self.cwork
         adv_phys, r1, r2 = self.rwork
         self.stats.rhs_evals += 1
 
         adv = self.advecting_velocity(w)
-        spectral.inverse_transform(adv, out=adv_phys, work=c0)
+        self.inverse(adv, adv_phys)
 
         if self.conv_form == "advective":
             conv = r2
             conv.fill(0.0)
             for j, ik in enumerate(self.ik):
                 np.multiply(ik, w, out=c1)
-                spectral.inverse_transform(c1, out=r1, work=c2)
+                self.inverse(c1, r1)
                 conv += np.multiply(adv_phys[j], r1, out=r1)
-            out = spectral.forward_transform(conv, out=c0)
+            out = self.forward(conv, c0)
             np.negative(out, out=out)
             free = c1
         else:
             w_phys = r1
-            spectral.inverse_transform(w, out=w_phys, work=c2)
+            self.inverse(w, w_phys)
             out = c1
             out.fill(0.0)
             for j, ik in enumerate(self.ik):
                 np.multiply(adv_phys[j], w_phys, out=r2)
-                flux = spectral.forward_transform(r2, out=c0)
+                flux = self.forward(r2, c0)
                 out -= np.multiply(ik, flux, out=flux)
             free = c2
-        out *= self.mask
 
         if project:
-            spectral.leray_project_inplace(out, self.grid, free[:2])
+            spectral.leray_project_inplace(out, self.band, free[:2])
         return out
 
 
@@ -265,23 +295,24 @@ class _Stepper(_Advection):
             config.grid, config.model, config.filter, config.dealias, config.conv_form, stats
         )
         self.config = config
-        g = self.grid
 
         if config.nu > 0:
             gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
-            self.decays = [np.exp(-config.nu * g.k_sq * config.dt * gap) for gap in gaps]
+            self.decays = [np.exp(-config.nu * self.band.k_sq * config.dt * gap) for gap in gaps]
         else:
             self.decays = None
 
-        f_raw = config.forcing.evaluate(g)
-        f = self._prepared(f_raw, config.filter_forcing)
-        self.f_eff = f if np.any(f) else None
+        f = self._prepared(config.forcing.evaluate(self.grid), config.filter_forcing)
+        # the full-grid forcing feeds the energy records; f_eff is its band part
+        self.forcing = SpectralField(self.grid, f, 0.0) if np.any(f) else None
+        self.f_eff = self.band.truncate(f) if self.forcing is not None else None
         self.allocate_workspace()
 
     def _prepared(self, field: SpectralField, smooth: bool) -> np.ndarray:
-        """Leray-project an evaluated field, truncate it to the mask and, for
+        """Leray-project an evaluated field, zero it outside the band and, for
         a regularized model when asked, multiply by the transfer h_N."""
-        coeffs = spectral.leray_project(field).coeffs * self.mask
+        in_band = self.grid.k_linf <= self.band.cutoff
+        coeffs = spectral.leray_project(field).coeffs * in_band
         if self.config.model.is_regularized and smooth:
             coeffs = coeffs * filtering.transfer_hn(self.grid.k_mag, self.config.filter)
         return coeffs
@@ -298,7 +329,7 @@ class _Stepper(_Advection):
         return out
 
     def advance(self, u: np.ndarray, p: np.ndarray) -> None:
-        """One full RK3 step in place; p is the low-storage carry buffer."""
+        """One full RK3 step in place on band coefficients; p is the low-storage carry."""
         dt = self.config.dt
         for s in range(3):
             if s > 0 and self.decays is not None:
@@ -317,10 +348,12 @@ class _Stepper(_Advection):
 
 def _advection(state: SpectralField, model: ModelKind, filter_spec: FilterSpec | None,
                dealias: bool, conv_form: str, project: bool) -> np.ndarray:
-    """The advection term of the state truncated to the mask, by a fresh kernel."""
+    """The advection term of the state truncated to the band, by a fresh kernel,
+    on the full grid."""
     kernel = _Advection(state.grid, model, filter_spec, dealias, conv_form)
     kernel.allocate_workspace()
-    return kernel.nonlinear(state.coeffs * kernel.mask, project)
+    w = kernel.band.truncate(state.coeffs)
+    return kernel.band.pad(kernel.nonlinear(w, project))
 
 
 def nonlinear_term(
@@ -369,10 +402,10 @@ def recover_pressure(
 def step(state: SpectralField, config: SolverConfig) -> SpectralField:
     """Advance a state by one step of the configured scheme."""
     stepper = _Stepper(config)
-    u = state.coeffs * stepper.mask
+    u = stepper.band.truncate(state.coeffs)
     p = np.zeros_like(u)
     stepper.advance(u, p)
-    return SpectralField(config.grid, u, state.t + config.dt)
+    return SpectralField(config.grid, stepper.band.pad(u), state.t + config.dt)
 
 
 def run(config: SolverConfig) -> Trajectory:
@@ -388,14 +421,11 @@ def run(config: SolverConfig) -> Trajectory:
     steps = config.steps
 
     state0 = stepper.initial_state()
-    u = state0.coeffs.copy()
+    u = stepper.band.truncate(state0.coeffs)
     p = np.zeros_like(u)
 
-    f_field = (
-        SpectralField(config.grid, stepper.f_eff, 0.0) if stepper.f_eff is not None else None
-    )
-    records = [diagnostics.energy_record(state0, config.nu, f_field)]
-    snapshots = [state0]  # u is the working copy
+    records = [diagnostics.energy_record(state0, config.nu, stepper.forcing)]
+    snapshots = [state0]
 
     stats.cfl_dt_max = cfl_max_dt(state0)
     if config.dt > stats.cfl_dt_max:
@@ -421,8 +451,9 @@ def run(config: SolverConfig) -> Trajectory:
     for m in range(1, steps + 1):
         stepper.advance(u, p)
         t = m * config.dt
-        state = SpectralField(config.grid, u, t)
-        record = diagnostics.energy_record(state, config.nu, f_field)
+        # the padded transform input is free between steps
+        state = SpectralField(config.grid, stepper.band.pad(u, stepper.padded), t)
+        record = diagnostics.energy_record(state, config.nu, stepper.forcing)
         # the energy is a sum over every coefficient, so a non-finite state
         # shows up in it (as does an overflowing finite one)
         if not np.isfinite([record.energy, record.h1_seminorm_sq, record.input_power]).all():

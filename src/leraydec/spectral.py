@@ -20,6 +20,7 @@ the active mode set is closed under negation as a real field requires.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,68 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n={self.n}, dealias_fraction={self.dealias_fraction:g})"
+
+
+class Band:
+    """The cube of modes |k|_inf <= cutoff of a grid, stored compactly.
+
+    Each axis holds the wavenumbers 0, 1, ..., c, -c, ..., -1 in FFT order,
+    side 2c + 1; a cutoff c >= n/2 keeps the whole axis (side n, Nyquist
+    plane included).  The wavenumber attributes carry Grid's names, so
+    wavevector_dot and leray_project_inplace run on band-shaped arrays as
+    they do on full ones, mode by mode with the same values.
+    """
+
+    def __init__(self, grid: Grid, cutoff: int):
+        n = grid.n
+        self.grid = grid
+        self.cutoff = int(cutoff)
+        if self.cutoff >= n // 2:
+            self.side = n
+            self._blocks = [(slice(None), slice(None))]
+        else:
+            c = self.cutoff
+            self.side = 2 * c + 1
+            # (full-grid slice, band slice) of the nonnegative and the negative wavenumbers
+            self._blocks = [(slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, self.side))]
+        k1 = np.concatenate([grid.kx.ravel()[full] for full, _ in self._blocks])
+        s = self.side
+        self.shape = (3, s, s, s)
+        self.kx = k1.reshape(s, 1, 1)
+        self.ky = k1.reshape(1, s, 1)
+        self.kz = k1.reshape(1, 1, s)
+        self.k_sq = self.kx**2 + self.ky**2 + self.kz**2
+        self.k_mag = np.sqrt(self.k_sq)
+        self._k_sq_safe = self.k_sq.copy()
+        self._k_sq_safe[0, 0, 0] = 1.0
+
+    def wavevectors(self):
+        return self.kx, self.ky, self.kz
+
+    def _block_pairs(self):
+        for bx, by, bz in itertools.product(self._blocks, repeat=3):
+            yield (..., bx[0], by[0], bz[0]), (..., bx[1], by[1], bz[1])
+
+    def pad(self, compact: np.ndarray, full: np.ndarray | None = None) -> np.ndarray:
+        """Copy band coefficients into their places on the full grid.
+
+        Only the in-band blocks of `full` are written, so whatever it holds
+        outside the band (zeros, for a buffer made by np.zeros) stays; None
+        allocates a zero array.
+        """
+        if full is None:
+            full = np.zeros(compact.shape[:-3] + (self.grid.n,) * 3, dtype=compact.dtype)
+        for f, c in self._block_pairs():
+            full[f] = compact[c]
+        return full
+
+    def truncate(self, full: np.ndarray, compact: np.ndarray | None = None) -> np.ndarray:
+        """The in-band coefficients of a full-grid array, into `compact` if given."""
+        if compact is None:
+            compact = np.empty(full.shape[:-3] + (self.side,) * 3, dtype=full.dtype)
+        for f, c in self._block_pairs():
+            compact[c] = full[f]
+        return compact
 
 
 @dataclass
@@ -194,10 +257,11 @@ def shell_spectrum(f: SpectralField) -> np.ndarray:
     return shells[1:]
 
 
-def wavevector_dot(c: np.ndarray, grid: Grid, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """k . c of 3-component coefficients, written into out (n, n, n).
+def wavevector_dot(c: np.ndarray, grid: Grid | Band, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """k . c of 3-component coefficients on a grid or band, written into out.
 
-    scratch is an (n, n, n) complex temporary; nothing else is allocated.
+    out and scratch have the shape of one component of c (scratch is a
+    complex temporary); nothing else is allocated.
     """
     np.multiply(grid.kx, c[0], out=out)
     np.multiply(grid.ky, c[1], out=scratch)
@@ -207,10 +271,11 @@ def wavevector_dot(c: np.ndarray, grid: Grid, out: np.ndarray, scratch: np.ndarr
     return out
 
 
-def leray_project_inplace(c: np.ndarray, grid: Grid, work: np.ndarray) -> np.ndarray:
-    """Leray projection of coefficients c (3, n, n, n) in place; k = 0 untouched.
+def leray_project_inplace(c: np.ndarray, grid: Grid | Band, work: np.ndarray) -> np.ndarray:
+    """Leray projection of 3-component coefficients c on a grid or band, in place.
 
-    work is a (2, n, n, n) complex scratch; nothing else is allocated.
+    k = 0 is untouched.  work is a complex scratch of two components of c's
+    shape; nothing else is allocated.
     """
     factor, scratch = work[0], work[1]
     wavevector_dot(c, grid, factor, scratch)

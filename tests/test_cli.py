@@ -102,6 +102,17 @@ def test_invalid_config_exits_one(cfg_path, tmp_path, capsys):
     assert "error: fluid.nu must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["ic", "forcing"])
+def test_bad_field_parameter_exits_one_before_creating_output(cfg_path, tmp_path, capsys, section):
+    out = tmp_path / "never"
+    for settings, key in ((["kind=single_mode", "mode=0,0,0"], "mode"),
+                          (["kind=manufactured", "expr=bogus"], "expr")):
+        sets = [arg for item in settings for arg in ("--set", f"{section}.{item}")]
+        assert _run(["run", "--config", cfg_path, "--out", str(out), *sets]) == 1
+        assert f"error: invalid value for {section}.{key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     code = _run(["run", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "x")])

@@ -145,6 +145,29 @@ amplitude = 0.2
         config.parse_config_text(MINIMAL, overrides=["ic.kind=vortex_sheet"])
 
 
+_BAD_FIELD_PARAMETERS = [
+    (["kind=single_mode", "mode=0,0,0"], "mode", "nonzero integer triple"),
+    (["kind=single_mode", "mode=0,8,0"], "mode", "does not fit"),
+    (["kind=manufactured", "expr=bogus"], "expr", "unknown manufactured field 'bogus'"),
+    (["kind=random_solenoidal", "band=0"], "band", "band must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("section", ["ic", "forcing"])
+@pytest.mark.parametrize("settings, key, message", _BAD_FIELD_PARAMETERS)
+def test_field_parameters_checked_against_the_grid(section, settings, key, message):
+    overrides = [f"{section}.{item}" for item in settings]
+    with pytest.raises(config.ConfigError, match=f"invalid value for {section}.{key}: .*{message}"):
+        config.parse_config_text(MINIMAL, overrides=overrides)
+
+
+def test_field_mode_checked_against_the_configured_grid():
+    mode = ["ic.kind=single_mode", "ic.mode=0,8,0"]
+    with pytest.raises(config.ConfigError, match="ic.mode"):
+        config.parse_config_text(MINIMAL, overrides=mode)  # n = 16 keeps |k| <= 7
+    assert config.parse_config_text(MINIMAL, overrides=mode + ["grid.n=18"]).solver.ic.mode == (0, 8, 0)
+
+
 def test_malformed_ini_rejected():
     with pytest.raises(config.ConfigError, match="cannot parse"):
         config.parse_config_text("grid]\nn = 16\n")

@@ -1,5 +1,7 @@
 """Sweep drivers: rate fits, study tables, flags, and dispatch."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,24 @@ def test_n_limit_study_counts_and_errors(grid8):
         assert apps == (order + 1) * rhs
     assert all(w > 0 for w in table["wall_seconds"])
     assert rep.metadata["unit_filter_seconds"] > 0
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_unit_cost_times_van_cittert_on_the_stepper_layout(grid8, monkeypatch, dealias):
+    # criterion 11 divides the stepper's deconvolution seconds by the study's
+    # microbenchmarked unit, so both must run the kernel on arrays of one shape
+    seen = set()
+    kernel = ld.filtering.van_cittert_iterate
+
+    def spy(g_hat, fbar, out, scratch, order, iteration_hook=None):
+        seen.add((g_hat.shape, fbar.shape, out.shape, scratch.shape))
+        return kernel(g_hat, fbar, out, scratch, order, iteration_hook)
+
+    monkeypatch.setattr(ld.filtering, "van_cittert_iterate", spy)
+    base = replace(_small_base(grid8), dealias=dealias)
+    experiments.run_study(experiments.StudySpec(kind="n_limit", delta=0.5, orders=(0, 2), base=base))
+    band = ld.solver.integration_band(grid8, dealias).shape
+    assert seen == {(band[1:], band, band, band)}
 
 
 # ------------------------------------------------------------ cutoff_table

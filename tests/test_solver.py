@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import leraydec as ld
-from leraydec import spectral
+from leraydec import diagnostics, spectral
 from leraydec.solver import recover_pressure
 
 from conftest import rel_l2
@@ -351,25 +351,92 @@ def test_workspace_kernel_is_bit_identical_to_allocating_one(grid16, model, fspe
     assert np.array_equal(nl, nl_kept) and np.array_equal(q, q_kept)
 
 
-def test_step_is_bit_identical_and_leaves_its_input_alone(grid16):
-    model, fspec = _MODELS[1]
-    cfg = _cfg(grid16, model="leray_deconv", order=3, nu=0.05, dt=0.01, t_end=0.01)
-    state = ld.random_solenoidal(grid16, seed=23)
-    kept = state.coeffs.copy()
-    out = ld.step(state, cfg).coeffs
-    assert np.array_equal(state.coeffs, kept)
-
-    # the low-storage RK3 step with the integrating factor, allocating as it goes
+def _reference_advance(u, cfg, forcing=None):
+    """The low-storage RK3 step with the integrating factor on full-grid
+    coefficients, allocating as it goes."""
+    g = cfg.grid
     a, b, c = ld.solver._RK_A, ld.solver._RK_B, ld.solver._RK_C
-    decays = [np.exp(-cfg.nu * grid16.k_sq * cfg.dt * gap) for gap in (c[1], c[2] - c[1], 1.0 - c[2])]
-    u = state.coeffs * grid16.dealias_mask
+    decays = [np.exp(-cfg.nu * g.k_sq * cfg.dt * gap) for gap in (c[1], c[2] - c[1], 1.0 - c[2])]
     p = np.zeros_like(u)
     for s in range(3):
         if s > 0:
             u *= decays[s - 1]
             p *= decays[s - 1]
-        rhs = _reference_nonlinear(state.with_coeffs(u), model, fspec, True, "advective")
+        rhs = _reference_nonlinear(ld.SpectralField(g, u), cfg.model, cfg.filter, cfg.dealias,
+                                   cfg.conv_form)
+        if forcing is not None:
+            rhs += forcing
         p = cfg.dt * rhs if s == 0 else a[s] * p + cfg.dt * rhs
         u = u + b[s] * p
     u *= decays[2]
-    assert np.array_equal(out, u)
+    return u
+
+
+def test_step_is_bit_identical_and_leaves_its_input_alone(grid16):
+    cfg = _cfg(grid16, model="leray_deconv", order=3, nu=0.05, dt=0.01, t_end=0.01)
+    state = ld.random_solenoidal(grid16, seed=23)
+    kept = state.coeffs.copy()
+    out = ld.step(state, cfg).coeffs
+    assert np.array_equal(state.coeffs, kept)
+    assert np.array_equal(out, _reference_advance(state.coeffs * grid16.dealias_mask, cfg))
+
+
+def _reference_run(cfg):
+    """Snapshots and records of a run integrated on the full grid with a
+    mask multiply for the dealiasing, as the stepper did before it kept only
+    the band."""
+    g = cfg.grid
+    mask = g.dealias_mask if cfg.dealias else g.negation_closed_mask
+
+    def prepared(spec, smooth):
+        coeffs = ld.leray_project(spec.evaluate(g)).coeffs * mask
+        if cfg.model.is_regularized and smooth:
+            coeffs = coeffs * ld.transfer_hn(g.k_mag, cfg.filter)
+        return coeffs
+
+    u = prepared(cfg.ic, cfg.filter_ic)
+    f = prepared(cfg.forcing, cfg.filter_forcing)
+    forcing = ld.SpectralField(g, f)
+    snapshots = [u.copy()]
+    records = [ld.energy_record(ld.SpectralField(g, u), cfg.nu, forcing)]
+    for m in range(1, cfg.steps + 1):
+        u = _reference_advance(u, cfg, f)
+        records.append(ld.energy_record(ld.SpectralField(g, u, m * cfg.dt), cfg.nu, forcing))
+        if m % cfg.snapshot_every == 0 or m == cfg.steps:
+            snapshots.append(u.copy())
+    return snapshots, diagnostics.attach_balance_residuals(records)
+
+
+@pytest.mark.parametrize("conv_form", ld.solver.CONVECTIVE_FORMS)
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("model,fspec", _MODELS, ids=["nse", "order3"])
+def test_run_is_bit_identical_to_the_full_layout_reference(grid16, model, fspec, dealias, conv_form):
+    cfg = ld.SolverConfig(grid=grid16, model=model, filter=fspec, nu=0.05, dt=0.01, t_end=0.03,
+                          ic=ld.FieldSpec(kind="random_solenoidal", seed=24),
+                          forcing=ld.FieldSpec(kind="taylor_green", amplitude=0.5),
+                          dealias=dealias, conv_form=conv_form, snapshot_every=2)
+    traj = ld.run(cfg)
+    snapshots, records = _reference_run(cfg)
+    assert len(traj.snapshots) == len(snapshots) == 3
+    assert all(np.array_equal(got.coeffs, want) for got, want in zip(traj.snapshots, snapshots))
+    assert traj.records == records
+
+
+def test_padded_transform_input_stays_zero_outside_the_band(grid8, monkeypatch):
+    made = []
+
+    class Recorded(ld.solver._Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(ld.solver, "_Stepper", Recorded)
+    cfg = _cfg(grid8, model="leray_deconv", order=2, t_end=0.03,
+               ic=ld.FieldSpec(kind="random_solenoidal", seed=25),
+               forcing=ld.FieldSpec(kind="taylor_green", amplitude=0.5))
+    ld.run(cfg)
+    (stepper,) = made
+    outside = stepper.padded[:, grid8.k_linf > stepper.band.cutoff]
+    assert outside.size > 0
+    assert np.all(outside == 0)
+    assert not (np.signbit(outside.real).any() or np.signbit(outside.imag).any())

@@ -35,6 +35,37 @@ def test_dealias_cutoff_values():
     assert ld.Grid(48).dealias_cutoff == 16
 
 
+@pytest.mark.parametrize("fraction, dealias, side", [
+    (2.0 / 3.0, True, 5), (2.0 / 3.0, False, 7), (1.0, True, 8), (1.0, False, 7),
+])
+def test_band_side_and_wavenumbers(fraction, dealias, side):
+    g = ld.Grid(8, dealias_fraction=fraction)
+    band = ld.solver.integration_band(g, dealias)
+    assert band.side == side and band.shape == (3, side, side, side)
+    # each band mode carries the wavenumbers of the grid mode it stands for
+    for name in ("kx", "ky", "kz", "k_sq", "k_mag", "_k_sq_safe"):
+        full = np.broadcast_to(getattr(g, name), (3, 8, 8, 8))
+        assert np.array_equal(band.truncate(full), np.broadcast_to(getattr(band, name), band.shape))
+    in_band = g.dealias_mask if dealias else g.negation_closed_mask
+    assert np.array_equal(band.pad(np.ones(band.shape)) == 1, np.broadcast_to(in_band, (3, 8, 8, 8)))
+
+
+def test_band_pad_truncate_roundtrip(grid8):
+    rng = np.random.default_rng(0)
+    full = rng.standard_normal((3, 8, 8, 8)) + 1j * rng.standard_normal((3, 8, 8, 8))
+    band = spectral.Band(grid8, grid8.dealias_cutoff)
+    compact = band.truncate(full)
+    assert compact.shape == (3, 5, 5, 5)
+    padded = band.pad(compact)
+    assert np.array_equal(padded, full * grid8.dealias_mask)
+    assert np.array_equal(band.truncate(padded), compact)
+    # pad writes only inside the band
+    into = np.full_like(full, 7.0)
+    band.pad(compact, into)
+    assert np.array_equal(into[:, grid8.dealias_mask], full[:, grid8.dealias_mask])
+    assert np.all(into[:, ~grid8.dealias_mask] == 7.0)
+
+
 def test_mode_index_roundtrip(grid16):
     g = grid16
     assert g.mode_index((1, 0, 0)) == (1, 0, 0)
