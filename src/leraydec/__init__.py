@@ -14,6 +14,7 @@ The package is organized around a handful of small modules:
 from .spectral import (
     BOX_VOLUME,
     Grid,
+    ParameterError,
     SpectralField,
     curl,
     divergence,

@@ -92,9 +92,11 @@ def cmd_transfer(args) -> int:
     orders = _parse_ints(args.orders)
     if not orders:
         raise ConfigError("transfer needs at least one order")
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-
+    digest = _args_hash({
+        "cmd": "transfer", "delta": args.delta, "orders": list(orders),
+        "k_max": args.k_max, "points": args.points, "figures": args.figures,
+        "smoother_orders": args.smoother_orders,
+    })
     if args.figures:
         spec = experiments.StudySpec(
             kind="transfer_figures",
@@ -103,21 +105,17 @@ def cmd_transfer(args) -> int:
             k_max=args.k_max,
             k_points=args.points,
         )
-        report = experiments.run_study(spec)
-        written += tables.write_study_tables(args.out, report)
-    else:
-        ks = np.linspace(0.0, args.k_max, args.points)
-        for order in orders:
-            table = filtering.TransferTable.build(FilterSpec(delta=args.delta, order=order), ks)
-            path = os.path.join(args.out, f"transfer_order_{order}.csv")
-            tables.write_transfer_csv(path, table)
-            written.append(path)
+        _write_study(args.out, experiments.run_study(spec), digest)
+        return 0
 
-    digest = _args_hash({
-        "cmd": "transfer", "delta": args.delta, "orders": list(orders),
-        "k_max": args.k_max, "points": args.points, "figures": args.figures,
-        "smoother_orders": args.smoother_orders,
-    })
+    ks = np.linspace(0.0, args.k_max, args.points)
+    built = [filtering.TransferTable.build(FilterSpec(delta=args.delta, order=order), ks) for order in orders]
+    os.makedirs(args.out, exist_ok=True)  # only once every table is built
+    written = []
+    for order, table in zip(orders, built):
+        path = os.path.join(args.out, f"transfer_order_{order}.csv")
+        tables.write_transfer_csv(path, table)
+        written.append(path)
     tables.write_manifest(args.out, written, digest)
     print(f"wrote {len(written) + 1} files to {args.out}")
     return 0

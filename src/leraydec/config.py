@@ -13,10 +13,10 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 
-from .fields import FieldParameterError, FieldSpec
+from .fields import FieldSpec
 from .filtering import DEFAULT_MAX_ORDER, FilterSpec
-from .solver import CONVECTIVE_FORMS, ModelKind, SolverConfig, step_count
-from .spectral import Grid
+from .solver import ModelKind, SolverConfig
+from .spectral import Grid, ParameterError
 
 REQUIRED = object()
 
@@ -135,14 +135,6 @@ def apply_overrides(values: dict, overrides) -> None:
         values.setdefault(section, {})[key] = raw.strip()
 
 
-def _checked(key: str, build, *args, **kwargs):
-    """build(*args, **kwargs), with a rejected value reported against config key `key`."""
-    try:
-        return build(*args, **kwargs)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"invalid value for {key}: {exc}") from exc
-
-
 def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
     raw: dict = {}
     for section in parser.sections():
@@ -161,7 +153,10 @@ def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
         typed[section] = {}
         for key, (convert, default) in keys.items():
             if key in raw.get(section, {}):
-                typed[section][key] = _checked(f"{section}.{key}", convert, raw[section][key])
+                try:
+                    typed[section][key] = convert(raw[section][key])
+                except (ValueError, TypeError, OverflowError) as exc:
+                    raise ConfigError(f"invalid value for {section}.{key}: {exc}") from exc
             elif default is REQUIRED:
                 raise ConfigError(f"missing required key {section}.{key}")
             else:
@@ -169,68 +164,58 @@ def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
     return typed
 
 
-def _build_solver_config(v: dict) -> SolverConfig:
-    if not v["fluid"]["nu"] >= 0:
-        raise ConfigError("fluid.nu must be >= 0")
-    if not v["time"]["dt"] > 0:
-        raise ConfigError("time.dt must be positive")
-    _checked("time.t_end", step_count, v["time"]["t_end"], v["time"]["dt"])
-    if v["time"]["snapshot_every"] < 1:
-        raise ConfigError("time.snapshot_every must be >= 1")
-    conv_form = v["model"]["conv_form"]
-    if conv_form not in CONVECTIVE_FORMS:
-        raise ConfigError(f"invalid value for model.conv_form: {conv_form!r}, expected one of {CONVECTIVE_FORMS}")
-    grid = _checked("grid.n", Grid, v["grid"]["n"])
+# The config key of each constructor argument a run is built from; FieldSpec's
+# arguments are keys of the [ic] or [forcing] section they are read from.
+_ARGUMENT_KEYS = {
+    "n": "grid.n",
+    "family": "model.kind", "delta": "model.delta", "order": "model.order",
+    "max_order": "model.max_order", "conv_form": "model.conv_form",
+    "nu": "fluid.nu",
+    "dt": "time.dt", "t_end": "time.t_end", "snapshot_every": "time.snapshot_every",
+}
 
-    kind = v["model"]["kind"]
-    if kind == "nse":
-        model = ModelKind.nse()
-        filter_spec = None
-    elif kind == "leray_deconv":
-        if v["model"]["delta"] is None:
+
+def _built(build, *args, section: str | None = None, **kwargs):
+    """build(*args, **kwargs), with a rejected argument reported against its config key."""
+    try:
+        return build(*args, **kwargs)
+    except ParameterError as exc:
+        key = f"{section}.{exc.parameter}" if section else _ARGUMENT_KEYS[exc.parameter]
+        raise ConfigError(f"invalid value for {key}: {exc}") from exc
+
+
+def _build_solver_config(v: dict) -> SolverConfig:
+    m = v["model"]
+    grid = _built(Grid, v["grid"]["n"])
+    model = _built(ModelKind, m["kind"])
+    filter_spec = None
+    if model.is_regularized:
+        if m["delta"] is None:
             raise ConfigError("missing required key model.delta (required when model.kind = leray_deconv)")
-        if v["model"]["delta"] <= 0:
-            raise ConfigError("model.delta must be positive")
-        model = _checked("model.order", ModelKind.leray_deconvolution, v["model"]["order"])
-        filter_spec = _checked(
-            "model.order",
-            FilterSpec,
-            delta=v["model"]["delta"],
-            order=v["model"]["order"],
-            max_order=v["model"]["max_order"],
-        )
-    else:
-        raise ConfigError(f"invalid value for model.kind: {kind!r} (expected nse or leray_deconv)")
+        model = _built(ModelKind.leray_deconvolution, m["order"])
+        filter_spec = _built(FilterSpec, delta=m["delta"], order=m["order"], max_order=m["max_order"])
 
     def field_spec(section: str) -> FieldSpec:
-        try:
-            spec = FieldSpec(**v[section])
-        except ValueError as exc:
-            raise ConfigError(f"invalid {section}.kind: {exc}") from exc
-        try:
-            spec.check(grid)  # what would otherwise fail only once the run evaluates it
-        except FieldParameterError as exc:
-            raise ConfigError(f"invalid value for {section}.{exc.parameter}: {exc}") from exc
+        spec = _built(FieldSpec, section=section, **v[section])
+        _built(spec.check, grid, section=section)  # now, not once the run evaluates the field
         return spec
 
-    try:
-        return SolverConfig(
-            grid=grid,
-            model=model,
-            nu=v["fluid"]["nu"],
-            dt=v["time"]["dt"],
-            t_end=v["time"]["t_end"],
-            filter=filter_spec,
-            ic=field_spec("ic"),
-            forcing=field_spec("forcing"),
-            filter_forcing=v["model"]["filter_forcing"],
-            filter_ic=v["model"]["filter_ic"],
-            dealias=v["grid"]["dealias"],
-            conv_form=conv_form,
-            snapshot_every=v["time"]["snapshot_every"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _built(
+        SolverConfig,
+        grid=grid,
+        model=model,
+        nu=v["fluid"]["nu"],
+        dt=v["time"]["dt"],
+        t_end=v["time"]["t_end"],
+        filter=filter_spec,
+        ic=field_spec("ic"),
+        forcing=field_spec("forcing"),
+        filter_forcing=m["filter_forcing"],
+        filter_ic=m["filter_ic"],
+        dealias=v["grid"]["dealias"],
+        conv_form=m["conv_form"],
+        snapshot_every=v["time"]["snapshot_every"],
+    )
 
 
 def parse_config_text(text: str, overrides=None) -> RunConfig:

@@ -55,7 +55,11 @@ class StudySpec:
             raise ValueError(f"unknown study kind {self.kind!r}, expected one of {STUDY_KINDS}")
         ds = tuple(float(d) for d in self.deltas)
         if ds and any(b >= a for a, b in zip(ds, ds[1:])):
-            raise ValueError("deltas must be strictly decreasing")
+            raise spectral.ParameterError("deltas", "deltas must be strictly decreasing")
+        if self.kind in ("deconv_rate", "delta_rate", "consistency_rate") and 0 < len(ds) < 3:
+            raise spectral.ParameterError("deltas", "a rate fit needs at least three sweep points")
+        if self.fit_window is not None and self.fit_window < 3:
+            raise spectral.ParameterError("fit_window", f"fit_window must be >= 3, got {self.fit_window}")
         self.deltas = ds
         self.orders = tuple(int(n) for n in self.orders)
 

@@ -12,17 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .spectral import Grid, SpectralField
+from .spectral import Grid, ParameterError, SpectralField, check_finite
 
 FIELD_KINDS = ("zero", "taylor_green", "single_mode", "random_solenoidal", "manufactured")
-
-
-class FieldParameterError(ValueError):
-    """A field parameter the grid cannot evaluate; `parameter` names the FieldSpec field."""
-
-    def __init__(self, parameter: str, message: str):
-        super().__init__(message)
-        self.parameter = parameter
 
 
 @dataclass(frozen=True)
@@ -43,13 +35,17 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}, expected one of {FIELD_KINDS}")
+            raise ParameterError("kind", f"unknown field kind {self.kind!r}, expected one of {FIELD_KINDS}")
+        check_finite("amplitude", self.amplitude)
+        check_finite("slope", self.slope)
+        if self.seed < 0:
+            raise ParameterError("seed", f"seed must be >= 0, got {self.seed}")
 
     def evaluate(self, grid: Grid) -> SpectralField:
         return evaluate_field(self, grid)
 
     def check(self, grid: Grid) -> None:
-        """Raise FieldParameterError for a parameter evaluate(grid) would reject,
+        """Raise ParameterError for a parameter evaluate(grid) would reject,
         without evaluating the field."""
         if self.kind == "single_mode":
             _checked_mode(grid, self.mode)
@@ -97,11 +93,9 @@ def single_mode(grid: Grid, mode, amplitude: float = 1.0) -> SpectralField:
 def _checked_mode(grid: Grid, mode) -> np.ndarray:
     k = np.asarray(mode, dtype=np.int64)
     if k.shape != (3,) or not np.any(k):
-        raise FieldParameterError("mode", f"mode must be a nonzero integer triple, got {mode}")
+        raise ParameterError("mode", f"mode must be a nonzero integer triple, got {mode}")
     if np.abs(k).max() > grid.n // 2 - 1:
-        raise FieldParameterError(
-            "mode", f"mode {mode} does not fit the negation-closed band of n={grid.n}"
-        )
+        raise ParameterError("mode", f"mode {mode} does not fit the negation-closed band of n={grid.n}")
     return k
 
 
@@ -142,7 +136,7 @@ def _checked_band(grid: Grid, band: int | None) -> int:
     when None, within the negation-closed band."""
     cut = min(grid.dealias_cutoff if band is None else int(band), grid.n // 2 - 1)
     if cut < 1:
-        raise FieldParameterError("band", f"band must be >= 1, got {band}")
+        raise ParameterError("band", f"band must be >= 1, got {band}")
     return cut
 
 
@@ -181,9 +175,7 @@ def evaluate_field(spec: FieldSpec, grid: Grid) -> SpectralField:
         return single_mode(grid, spec.mode, spec.amplitude)
     if spec.kind == "random_solenoidal":
         return random_solenoidal(grid, spec.seed, spec.slope, spec.amplitude, spec.band)
-    if spec.kind == "manufactured":
-        return _manufactured_builder(spec.expr)(grid, spec.amplitude)
-    raise ValueError(f"unknown field kind {spec.kind!r}")
+    return _manufactured_builder(spec.expr)(grid, spec.amplitude)  # FieldSpec admits no other kind
 
 
 def _manufactured_builder(expr: str):
@@ -191,6 +183,4 @@ def _manufactured_builder(expr: str):
         return MANUFACTURED_FIELDS[expr]
     except KeyError:
         known = sorted(MANUFACTURED_FIELDS)
-        raise FieldParameterError(
-            "expr", f"unknown manufactured field {expr!r}, expected one of {known}"
-        ) from None
+        raise ParameterError("expr", f"unknown manufactured field {expr!r}, expected one of {known}") from None

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField
+from .spectral import ParameterError, SpectralField, check_finite
 
 DEFAULT_MAX_ORDER = 64
 
@@ -42,12 +42,15 @@ class FilterSpec:
 
     def __post_init__(self):
         if not self.delta > 0.0:
-            raise ValueError(f"filter radius must be positive, got {self.delta}")
+            raise ParameterError("delta", f"filter radius must be positive, got {self.delta}")
+        check_finite("delta", self.delta)
         if self.order < 0:
-            raise ValueError(f"deconvolution order must be >= 0, got {self.order}")
+            raise ParameterError("order", f"deconvolution order must be >= 0, got {self.order}")
+        if self.max_order < 0:
+            raise ParameterError("max_order", f"max_order must be >= 0, got {self.max_order}")
         if self.order > self.max_order:
-            raise ValueError(
-                f"deconvolution order {self.order} exceeds the configured max {self.max_order}"
+            raise ParameterError(
+                "order", f"deconvolution order {self.order} exceeds the configured max {self.max_order}"
             )
 
 

@@ -35,7 +35,7 @@ from . import diagnostics, filtering, spectral
 from .diagnostics import DiagRecord
 from .fields import FieldSpec
 from .filtering import FilterSpec
-from .spectral import Grid, SpectralField
+from .spectral import Grid, ParameterError, SpectralField, check_finite
 
 # Williamson low-storage RK3 coefficients (carry, weight, abscissa).
 _RK_A = (0.0, -5.0 / 9.0, -153.0 / 128.0)
@@ -73,9 +73,11 @@ class ModelKind:
 
     def __post_init__(self):
         if self.family not in ("nse", "leray_deconv"):
-            raise ValueError(f"unknown model family {self.family!r}")
+            raise ParameterError(
+                "family", f"unknown model family {self.family!r} (expected nse or leray_deconv)"
+            )
         if self.order < 0:
-            raise ValueError(f"deconvolution order must be >= 0, got {self.order}")
+            raise ParameterError("order", f"deconvolution order must be >= 0, got {self.order}")
 
     @classmethod
     def nse(cls) -> "ModelKind":
@@ -93,13 +95,13 @@ class ModelKind:
 def _check_model(model: ModelKind, filter_spec: FilterSpec | None, conv_form: str) -> None:
     """Reject a model, filter and convective form the advection kernel cannot run."""
     if conv_form not in CONVECTIVE_FORMS:
-        raise ValueError(f"conv_form must be one of {CONVECTIVE_FORMS}, got {conv_form!r}")
+        raise ParameterError("conv_form", f"conv_form must be one of {CONVECTIVE_FORMS}, got {conv_form!r}")
     if model.is_regularized:
         if filter_spec is None:
-            raise ValueError("regularized model requires a filter")
+            raise ParameterError("filter", "regularized model requires a filter")
         if filter_spec.order != model.order:
-            raise ValueError(
-                f"filter order {filter_spec.order} disagrees with model order {model.order}"
+            raise ParameterError(
+                "filter", f"filter order {filter_spec.order} disagrees with model order {model.order}"
             )
 
 
@@ -121,13 +123,15 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.nu >= 0:
-            raise ValueError(f"viscosity must be >= 0, got {self.nu}")
+            raise ParameterError("nu", f"viscosity must be >= 0, got {self.nu}")
+        check_finite("nu", self.nu)
         if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ParameterError("dt", f"dt must be positive, got {self.dt}")
+        check_finite("dt", self.dt)
         step_count(self.t_end, self.dt)  # fail on a bad t_end/dt pair now, not at run time
         _check_model(self.model, self.filter, self.conv_form)
         if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
+            raise ParameterError("snapshot_every", "snapshot_every must be >= 1")
 
     @property
     def steps(self) -> int:
@@ -137,10 +141,11 @@ class SolverConfig:
 def step_count(t_end: float, dt: float) -> int:
     """Number of steps of size dt to t_end, which must be a whole number of them."""
     if t_end < dt:
-        raise ValueError(f"t_end must be at least one step, got {t_end} < dt {dt}")
+        raise ParameterError("t_end", f"t_end must be at least one step, got {t_end} < dt {dt}")
+    check_finite("t_end", t_end)
     m = int(round(t_end / dt))
     if abs(m * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end {t_end} is not an integer multiple of dt {dt}")
+        raise ParameterError("t_end", f"t_end {t_end} is not an integer multiple of dt {dt}")
     return m
 
 

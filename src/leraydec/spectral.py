@@ -30,7 +30,38 @@ BOX_VOLUME = TWO_PI**3
 _AXES = (-3, -2, -1)  # transform axes: the three grid axes of a field
 
 
-class Grid:
+class ParameterError(ValueError):
+    """A rejected constructor argument; `parameter` names it."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
+def check_finite(parameter: str, value: float) -> None:
+    """Raise ParameterError unless value is a finite number."""
+    if not np.isfinite(value):
+        raise ParameterError(parameter, f"{parameter} must be finite, got {value}")
+
+
+class _Wavenumbers:
+    """Wavenumber arrays of a cube whose every axis holds the wavenumbers k1."""
+
+    def __init__(self, k1: np.ndarray):
+        s = k1.size
+        self.kx = k1.reshape(s, 1, 1)
+        self.ky = k1.reshape(1, s, 1)
+        self.kz = k1.reshape(1, 1, s)
+        self.k_sq = self.kx**2 + self.ky**2 + self.kz**2
+        self.k_mag = np.sqrt(self.k_sq)
+        self._k_sq_safe = self.k_sq.copy()
+        self._k_sq_safe[0, 0, 0] = 1.0
+
+    def wavevectors(self):
+        return self.kx, self.ky, self.kz
+
+
+class Grid(_Wavenumbers):
     """Uniform n^3 Fourier grid with cached wavenumber arrays.
 
     The dealias cutoff retains modes with |k|_inf <= floor(dealias_fraction
@@ -40,30 +71,20 @@ class Grid:
 
     def __init__(self, n: int, dealias_fraction: float = 2.0 / 3.0):
         if n % 2 != 0 or n < 4:
-            raise ValueError(f"grid size must be even and >= 4, got {n}")
+            raise ParameterError("n", f"grid size must be even and >= 4, got {n}")
         if not 0.0 < dealias_fraction <= 1.0:
-            raise ValueError(f"dealias_fraction must lie in (0, 1], got {dealias_fraction}")
+            raise ParameterError(
+                "dealias_fraction", f"dealias_fraction must lie in (0, 1], got {dealias_fraction}"
+            )
         self.n = int(n)
         self.dealias_fraction = float(dealias_fraction)
-
-        k1 = np.fft.fftfreq(n, 1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-        self.kx = k1.reshape(n, 1, 1)
-        self.ky = k1.reshape(1, n, 1)
-        self.kz = k1.reshape(1, 1, n)
-        self.k_sq = self.kx**2 + self.ky**2 + self.kz**2
-        self.k_mag = np.sqrt(self.k_sq)
+        super().__init__(np.fft.fftfreq(n, 1.0 / n))  # 0, 1, ..., n/2-1, -n/2, ..., -1
         self.k_linf = np.maximum(np.abs(self.kx), np.maximum(np.abs(self.ky), np.abs(self.kz)))
 
         self.dealias_cutoff = int(np.floor(self.dealias_fraction * (n // 2)))
         self.dealias_mask = self.k_linf <= self.dealias_cutoff
         # Modes whose negation is also representable; excludes the -n/2 planes.
         self.negation_closed_mask = self.k_linf <= (n // 2 - 1)
-
-        self._k_sq_safe = self.k_sq.copy()
-        self._k_sq_safe[0, 0, 0] = 1.0
-
-    def wavevectors(self):
-        return self.kx, self.ky, self.kz
 
     def mode_index(self, k) -> tuple[int, int, int]:
         """Storage index of integer wavevector k (components may be negative)."""
@@ -85,7 +106,7 @@ class Grid:
         return f"Grid(n={self.n}, dealias_fraction={self.dealias_fraction:g})"
 
 
-class Band:
+class Band(_Wavenumbers):
     """The cube of modes |k|_inf <= cutoff of a grid, stored compactly.
 
     Each axis holds the wavenumbers 0, 1, ..., c, -c, ..., -1 in FFT order,
@@ -107,19 +128,8 @@ class Band:
             self.side = 2 * c + 1
             # (full-grid slice, band slice) of the nonnegative and the negative wavenumbers
             self._blocks = [(slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, self.side))]
-        k1 = np.concatenate([grid.kx.ravel()[full] for full, _ in self._blocks])
-        s = self.side
-        self.shape = (3, s, s, s)
-        self.kx = k1.reshape(s, 1, 1)
-        self.ky = k1.reshape(1, s, 1)
-        self.kz = k1.reshape(1, 1, s)
-        self.k_sq = self.kx**2 + self.ky**2 + self.kz**2
-        self.k_mag = np.sqrt(self.k_sq)
-        self._k_sq_safe = self.k_sq.copy()
-        self._k_sq_safe[0, 0, 0] = 1.0
-
-    def wavevectors(self):
-        return self.kx, self.ky, self.kz
+        super().__init__(np.concatenate([grid.kx.ravel()[full] for full, _ in self._blocks]))
+        self.shape = (3,) + (self.side,) * 3
 
     def _block_pairs(self):
         for bx, by, bz in itertools.product(self._blocks, repeat=3):

@@ -99,7 +99,7 @@ def test_invalid_config_exits_one(cfg_path, tmp_path, capsys):
     code = _run(["run", "--config", cfg_path, "--out", str(tmp_path / "x"),
                  "--set", "fluid.nu=-1"])
     assert code == 1
-    assert "error: fluid.nu must be >= 0" in capsys.readouterr().err
+    assert "error: invalid value for fluid.nu: viscosity must be >= 0, got -1.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section", ["ic", "forcing"])
@@ -111,6 +111,15 @@ def test_bad_field_parameter_exits_one_before_creating_output(cfg_path, tmp_path
         assert _run(["run", "--config", cfg_path, "--out", str(out), *sets]) == 1
         assert f"error: invalid value for {section}.{key}:" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["model.delta=nan", "fluid.nu=inf", "ic.amplitude=nan"])
+def test_nonfinite_value_exits_one_before_creating_output(cfg_path, tmp_path, capsys, setting):
+    out = tmp_path / "never"
+    assert _run(["run", "--config", cfg_path, "--out", str(out), "--set", setting]) == 1
+    key = setting.split("=")[0]
+    assert f"error: invalid value for {key}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -157,6 +166,14 @@ def test_transfer_tables(tmp_path):
     assert len(cols["k"]) == 9
     assert os.path.exists(os.path.join(out, "transfer_order_0.csv"))
     assert os.path.exists(os.path.join(out, "manifest.json"))
+
+
+@pytest.mark.parametrize("flag, value", [("--points", "0"), ("--delta", "0"), ("--orders", "-1")])
+def test_transfer_rejects_before_creating_output(tmp_path, capsys, flag, value):
+    out = tmp_path / "tf"
+    assert _run(["transfer", flag, value, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transfer_figures_mode(tmp_path):

@@ -81,13 +81,16 @@ def test_boolean_spellings():
 
 
 def test_semantic_validation_messages():
-    with pytest.raises(config.ConfigError, match="fluid.nu must be >= 0"):
+    with pytest.raises(config.ConfigError,
+                       match=re.escape("invalid value for fluid.nu: viscosity must be >= 0, got -1.0")):
         config.parse_config_text(MINIMAL, overrides=["fluid.nu=-1"])
-    with pytest.raises(config.ConfigError, match="time.dt must be positive"):
+    with pytest.raises(config.ConfigError,
+                       match=re.escape("invalid value for time.dt: dt must be positive, got 0.0")):
         config.parse_config_text(MINIMAL, overrides=["time.dt=0"])
     with pytest.raises(config.ConfigError, match="model.delta"):
         config.parse_config_text(MINIMAL, overrides=["model.kind=leray_deconv"])
-    with pytest.raises(config.ConfigError, match="model.delta must be positive"):
+    with pytest.raises(config.ConfigError,
+                       match=re.escape("invalid value for model.delta: filter radius must be positive, got -0.5")):
         config.parse_config_text(
             MINIMAL, overrides=["model.kind=leray_deconv", "model.delta=-0.5"]
         )
@@ -141,7 +144,8 @@ amplitude = 0.2
     assert cfg.ic.mode == (0, 2, 0)
     assert cfg.ic.amplitude == 0.5
     assert cfg.forcing.amplitude == 0.2
-    with pytest.raises(config.ConfigError, match="invalid ic.kind"):
+    with pytest.raises(config.ConfigError,
+                       match="invalid value for ic.kind: unknown field kind 'vortex_sheet', expected one of"):
         config.parse_config_text(MINIMAL, overrides=["ic.kind=vortex_sheet"])
 
 
@@ -243,3 +247,24 @@ def test_rejected_values_name_their_key(key, value):
         overrides += ["model.kind=leray_deconv", "model.delta=0.5"]
     with pytest.raises(config.ConfigError, match=re.escape(key)):
         config.parse_config_text(MINIMAL, overrides=overrides)
+
+
+@pytest.mark.parametrize("settings, key, reason", [
+    (["model.delta=nan"], "model.delta", "filter radius must be positive, got nan"),
+    (["model.delta=inf"], "model.delta", "delta must be finite, got inf"),
+    (["model.max_order=-1"], "model.max_order", "max_order must be >= 0, got -1"),
+    (["fluid.nu=inf"], "fluid.nu", "nu must be finite, got inf"),
+    (["time.dt=inf"], "time.dt", "dt must be finite, got inf"),
+    (["time.t_end=inf"], "time.t_end", "t_end must be finite, got inf"),
+    (["ic.amplitude=nan"], "ic.amplitude", "amplitude must be finite, got nan"),
+    (["forcing.kind=single_mode", "forcing.amplitude=inf"], "forcing.amplitude",
+     "amplitude must be finite, got inf"),
+    (["ic.kind=random_solenoidal", "ic.slope=nan"], "ic.slope", "slope must be finite, got nan"),
+    (["ic.kind=random_solenoidal", "ic.seed=-1"], "ic.seed", "seed must be >= 0, got -1"),
+])
+def test_rejected_values_report_key_and_reason(settings, key, reason):
+    # a value the run cannot use is reported under its own key, in one format
+    leray = ["model.kind=leray_deconv", "model.delta=0.5"]
+    with pytest.raises(config.ConfigError) as info:
+        config.parse_config_text(MINIMAL, overrides=leray + settings)
+    assert str(info.value) == f"invalid value for {key}: {reason}"

@@ -90,6 +90,23 @@ def test_study_spec_rejects_nondecreasing_deltas():
         experiments.StudySpec(kind="deconv_rate", deltas=(0.1, 0.2))
 
 
+@pytest.mark.parametrize("kind", ["delta_rate", "deconv_rate", "consistency_rate"])
+def test_rate_studies_fail_before_running(grid8, monkeypatch, kind):
+    runs = []
+    monkeypatch.setattr(ld.solver, "run", lambda config: runs.append(config))
+    base = _small_base(grid8)
+    with pytest.raises(ValueError, match="at least three sweep points"):
+        experiments.run_study(experiments.StudySpec(kind=kind, deltas=(0.4, 0.2), base=base))
+    with pytest.raises(ValueError, match="fit_window must be >= 3, got 2"):
+        experiments.run_study(experiments.StudySpec(kind=kind, fit_window=2, base=base))
+    assert runs == []
+
+
+def test_cutoff_table_takes_fewer_than_three_deltas():
+    rep = experiments.run_study(experiments.StudySpec(kind="cutoff_table", deltas=(1.0, 0.5), orders=(0, 1)))
+    assert {"k_c_delta_1", "k_c_delta_0.5"} <= set(rep.tables["main"])
+
+
 # ------------------------------------------------------------- deconv_rate
 
 
