@@ -45,7 +45,6 @@ class StudySpec:
     floor: float = 1e-12
     base: SolverConfig | None = None
     grid_n: int = 16
-    mode: tuple = (1, 0, 0)
     k_max: float = 10.0
     k_points: int = 201
     smoother_orders: tuple = (0, 10, 50)
@@ -122,13 +121,13 @@ def fit_rate(
 
 
 def deconv_rate_study(spec: StudySpec) -> StudyReport:
-    """Deconvolution error of a single-mode field across delta, per order.
+    """Deconvolution error of the single-mode field k = (1, 0, 0) across delta, per order.
 
     The error is measured end to end: filter, then iterative van Cittert
     deconvolution, then the L2 norm of the difference from the original.
     """
-    grid = spectral.Grid(spec.grid_n)
-    phi = fields.single_mode(grid, spec.mode)
+    mode = (1, 0, 0)
+    phi = fields.single_mode(spectral.Grid(spec.grid_n), mode)
     orders = spec.orders or (0, 1, 2)
     deltas = spec.deltas or (0.2, 0.1, 0.05, 0.025)
 
@@ -149,7 +148,7 @@ def deconv_rate_study(spec: StudySpec) -> StudyReport:
     flags = [k for k, f in fits.items() if f.degenerate or f.floor_limited]
     return StudyReport(
         kind="deconv_rate",
-        params={"mode": spec.mode, "orders": orders, "deltas": deltas, "grid_n": spec.grid_n},
+        params={"mode": mode, "orders": orders, "deltas": deltas, "grid_n": spec.grid_n},
         tables={"main": table},
         fits=fits,
         flags=flags,
@@ -221,17 +220,16 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
     )
 
 
-def deconv_unit_cost(
-    grid: spectral.Grid, delta: float, order_hi: int = 8, repeats: int = 7, dealias: bool = True
-) -> float:
+def deconv_unit_cost(grid: spectral.Grid, delta: float, dealias: bool = True) -> float:
     """Wall-clock cost of one van Cittert iteration as the stepper runs it.
 
     The kernel is timed on the stepper's band-shaped arrays
     (solver.integration_band) with preallocated buffers, so the unit matches
     what RunStats.deconv_seconds accumulates.  Measured as a difference of
-    order-`order_hi` and order-0 applications so setup cost cancels; the
-    minimum over repeats rejects scheduler noise.
+    order-8 and order-0 applications so setup cost cancels; the minimum
+    over 7 repeats rejects scheduler noise.
     """
+    order_hi, repeats = 8, 7
     band = solver.integration_band(grid, dealias)
     g_hat = filtering.transfer_g(band.k_mag, FilterSpec(delta=delta))
     fbar = g_hat * band.truncate(fields.random_solenoidal(grid, seed=973).coeffs)

@@ -7,6 +7,7 @@ satisfy the representation invariants by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ class FieldSpec:
         if self.kind == "single_mode":
             _checked_mode(grid, self.mode)
         elif self.kind == "random_solenoidal":
-            _checked_band(grid, self.band)
+            _checked_slope(self.slope, _checked_band(grid, self.band))
         elif self.kind == "manufactured":
             _manufactured_builder(self.expr)
 
@@ -114,14 +115,14 @@ def random_solenoidal(
     band-limited, projected, and rescaled to the requested L2 norm.
     """
     cut = _checked_band(grid, band)
+    _checked_slope(slope, cut)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((3, grid.n, grid.n, grid.n))
     f = spectral.from_physical(grid, noise)
 
     shaping = np.zeros_like(grid.k_sq)
-    nonzero = grid.k_sq > 0
-    shaping[nonzero] = grid.k_mag[nonzero] ** ((slope - 2.0) / 2.0)
-    shaping *= grid.k_linf <= cut
+    shaped = (grid.k_sq > 0) & (grid.k_linf <= cut)
+    shaping[shaped] = grid.k_mag[shaped] ** ((slope - 2.0) / 2.0)
 
     f = f.with_coeffs(f.coeffs * shaping)
     f = spectral.leray_project(f)
@@ -138,6 +139,15 @@ def _checked_band(grid: Grid, band: int | None) -> int:
     if cut < 1:
         raise ParameterError("band", f"band must be >= 1, got {band}")
     return cut
+
+
+def _checked_slope(slope: float, cut: int) -> None:
+    """Reject a slope whose shaping |k|^((slope - 2)/2) on |k| <= sqrt(3) * cut, or the sum of
+    its squares (at most 3 (2 cut + 1)^3 times the peak square, taken in logs), overflows."""
+    k_max = math.sqrt(3.0) * cut
+    log_peak = max((slope - 2.0) / 2.0, 0.0) * math.log(k_max)
+    if 2.0 * log_peak + math.log(3 * (2 * cut + 1) ** 3) >= math.log(np.finfo(np.float64).max):
+        raise ParameterError("slope", f"slope {slope} overflows the spectral shaping on |k| <= {k_max:.4g}")
 
 
 def abc_flow(grid: Grid, amplitude: float = 1.0) -> SpectralField:

@@ -147,22 +147,21 @@ def apply_hn(f: SpectralField, spec: FilterSpec) -> SpectralField:
     return f.with_coeffs(f.coeffs * transfer_hn(f.grid.k_mag, spec))
 
 
-def van_cittert(fbar: SpectralField, spec: FilterSpec, iteration_hook=None) -> SpectralField:
+def van_cittert(fbar: SpectralField, spec: FilterSpec) -> SpectralField:
     """Order-N deconvolution by fixed-point iteration.
 
     Starting from w_0 = fbar, each step adds the filtered residual,
     w_{m+1} = w_m + (fbar - G w_m); after N steps this equals the closed-form
     operator applied by apply_dn.  One filter application per iteration, so
-    cost grows linearly with the order.  iteration_hook, when given, is
-    called once per iteration (used by performance accounting and tests).
+    cost grows linearly with the order.
     """
     g = transfer_g(fbar.grid.k_mag, spec)
     w = np.empty_like(fbar.coeffs)
-    van_cittert_iterate(g, fbar.coeffs, w, np.empty_like(w), spec.order, iteration_hook)
+    van_cittert_iterate(g, fbar.coeffs, w, np.empty_like(w), spec.order)
     return fbar.with_coeffs(w)
 
 
-def van_cittert_iterate(g, fbar, out, scratch, order: int, iteration_hook=None):
+def van_cittert_iterate(g, fbar, out, scratch, order: int):
     """The van Cittert kernel on coefficient arrays: out <- D_N fbar, in place.
 
     g is the filter multiplier; out and scratch have the shape of fbar and
@@ -176,8 +175,6 @@ def van_cittert_iterate(g, fbar, out, scratch, order: int, iteration_hook=None):
         np.multiply(g, out, out=scratch)
         np.subtract(fbar, scratch, out=scratch)
         out += scratch
-        if iteration_hook is not None:
-            iteration_hook()
     return out
 
 
@@ -217,13 +214,14 @@ def cutoff_frequency(spec: FilterSpec) -> int:
     return int(np.floor(cutoff_root(spec) + 1e-9))
 
 
-def operator_norm_dn(spec: FilterSpec, k_max: float, samples: int = 4096) -> float:
+def operator_norm_dn(spec: FilterSpec, k_max: float) -> float:
     """Supremum of the deconvolution multiplier over 0 <= k <= k_max.
 
     d_N is nondecreasing in k and approaches N + 1 from below, so the sup
-    sits at k_max; a sampled sweep is kept as a guard on that monotonicity.
+    sits at k_max; a sweep of 4096 equal steps is kept as a guard on that
+    monotonicity.
     """
-    ks = np.linspace(0.0, k_max, samples + 1)
+    ks = np.linspace(0.0, k_max, 4097)
     return float(transfer_dn(ks, spec).max())
 
 

@@ -173,12 +173,12 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def cfl_max_dt(state: SpectralField, courant: float = 1.0) -> float:
-    """Advisory step limit courant * dx / max |u| at the given state."""
+def cfl_max_dt(state: SpectralField) -> float:
+    """Advisory step limit dx / max |u| (Courant number 1) at the given state."""
     u = spectral.to_physical(state)
     speed = float(np.sqrt((u**2).sum(axis=0)).max())
     dx = spectral.TWO_PI / state.grid.n
-    return courant * dx / speed if speed > 0 else float("inf")
+    return dx / speed if speed > 0 else float("inf")
 
 
 def integration_band(grid: Grid, dealias: bool) -> spectral.Band:

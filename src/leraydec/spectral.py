@@ -65,19 +65,16 @@ class Grid(_Wavenumbers):
     """Uniform n^3 Fourier grid with cached wavenumber arrays.
 
     The dealias cutoff retains modes with |k|_inf <= floor(dealias_fraction
-    * n/2); the default fraction 2/3 is the classical rule that keeps
+    * n/2); the fraction is fixed at 2/3, the classical rule that keeps
     quadratic products alias-free on the retained band.
     """
 
-    def __init__(self, n: int, dealias_fraction: float = 2.0 / 3.0):
+    dealias_fraction = 2.0 / 3.0
+
+    def __init__(self, n: int):
         if n % 2 != 0 or n < 4:
             raise ParameterError("n", f"grid size must be even and >= 4, got {n}")
-        if not 0.0 < dealias_fraction <= 1.0:
-            raise ParameterError(
-                "dealias_fraction", f"dealias_fraction must lie in (0, 1], got {dealias_fraction}"
-            )
         self.n = int(n)
-        self.dealias_fraction = float(dealias_fraction)
         super().__init__(np.fft.fftfreq(n, 1.0 / n))  # 0, 1, ..., n/2-1, -n/2, ..., -1
         self.k_linf = np.maximum(np.abs(self.kx), np.maximum(np.abs(self.ky), np.abs(self.kz)))
 
@@ -96,38 +93,33 @@ class Grid(_Wavenumbers):
         return np.meshgrid(x1, x1, x1, indexing="ij")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.n == other.n
-            and self.dealias_fraction == other.dealias_fraction
-        )
+        return isinstance(other, Grid) and self.n == other.n
 
     def __repr__(self):
-        return f"Grid(n={self.n}, dealias_fraction={self.dealias_fraction:g})"
+        return f"Grid(n={self.n})"
 
 
 class Band(_Wavenumbers):
     """The cube of modes |k|_inf <= cutoff of a grid, stored compactly.
 
     Each axis holds the wavenumbers 0, 1, ..., c, -c, ..., -1 in FFT order,
-    side 2c + 1; a cutoff c >= n/2 keeps the whole axis (side n, Nyquist
-    plane included).  The wavenumber attributes carry Grid's names, so
-    wavevector_dot and leray_project_inplace run on band-shaped arrays as
-    they do on full ones, mode by mode with the same values.
+    side 2c + 1.  The cutoff lies in [0, n/2), so the band is closed under
+    negation and never holds a Nyquist plane.  The wavenumber attributes
+    carry Grid's names, so wavevector_dot and leray_project_inplace run on
+    band-shaped arrays as they do on full ones, mode by mode with the same
+    values.
     """
 
     def __init__(self, grid: Grid, cutoff: int):
         n = grid.n
+        c = int(cutoff)
+        if not 0 <= c < n // 2:
+            raise ParameterError("cutoff", f"band cutoff must lie in [0, {n // 2}), got {cutoff}")
         self.grid = grid
-        self.cutoff = int(cutoff)
-        if self.cutoff >= n // 2:
-            self.side = n
-            self._blocks = [(slice(None), slice(None))]
-        else:
-            c = self.cutoff
-            self.side = 2 * c + 1
-            # (full-grid slice, band slice) of the nonnegative and the negative wavenumbers
-            self._blocks = [(slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, self.side))]
+        self.cutoff = c
+        self.side = 2 * c + 1
+        # (full-grid slice, band slice) of the nonnegative and the negative wavenumbers
+        self._blocks = [(slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, self.side))]
         super().__init__(np.concatenate([grid.kx.ravel()[full] for full, _ in self._blocks]))
         self.shape = (3,) + (self.side,) * 3
 

@@ -106,7 +106,9 @@ def test_invalid_config_exits_one(cfg_path, tmp_path, capsys):
 def test_bad_field_parameter_exits_one_before_creating_output(cfg_path, tmp_path, capsys, section):
     out = tmp_path / "never"
     for settings, key in ((["kind=single_mode", "mode=0,0,0"], "mode"),
-                          (["kind=manufactured", "expr=bogus"], "expr")):
+                          (["kind=manufactured", "expr=bogus"], "expr"),
+                          (["kind=random_solenoidal", "slope=700"], "slope"),
+                          (["kind=random_solenoidal", "slope=1000"], "slope")):
         sets = [arg for item in settings for arg in ("--set", f"{section}.{item}")]
         assert _run(["run", "--config", cfg_path, "--out", str(out), *sets]) == 1
         assert f"error: invalid value for {section}.{key}:" in capsys.readouterr().err

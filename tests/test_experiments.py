@@ -204,9 +204,9 @@ def test_unit_cost_times_van_cittert_on_the_stepper_layout(grid8, monkeypatch, d
     seen = set()
     kernel = ld.filtering.van_cittert_iterate
 
-    def spy(g_hat, fbar, out, scratch, order, iteration_hook=None):
+    def spy(g_hat, fbar, out, scratch, order):
         seen.add((g_hat.shape, fbar.shape, out.shape, scratch.shape))
-        return kernel(g_hat, fbar, out, scratch, order, iteration_hook)
+        return kernel(g_hat, fbar, out, scratch, order)
 
     monkeypatch.setattr(ld.filtering, "van_cittert_iterate", spy)
     base = replace(_small_base(grid8), dealias=dealias)

@@ -98,6 +98,23 @@ def test_random_solenoidal_spectrum_slope(grid32):
     assert sf[hi].sum() / sf.sum() > ss[hi].sum() / ss.sum()
 
 
+@pytest.mark.parametrize("slope, finite", [(700.0, False), (1000.0, False), (500.0, True), (-5.0 / 3.0, True)])
+def test_random_solenoidal_slope_bound(grid8, slope, finite):
+    # at 700 the norm overflowed and scaled the field to zero; at 1000 the
+    # shaping itself overflowed into a non-finite field
+    spec = ld.FieldSpec(kind="random_solenoidal", slope=slope)
+    if finite:
+        spec.check(grid8)
+        f = spec.evaluate(grid8)
+        ld.validate_field(f, solenoidal=True)
+        assert ld.hs_norm(f, 0) == pytest.approx(1.0, rel=1e-12)
+        return
+    for check in (spec.check, spec.evaluate):
+        with pytest.raises(ld.ParameterError) as err:
+            check(grid8)
+        assert err.value.parameter == "slope"
+
+
 def test_abc_flow_is_beltrami(grid16):
     f = ld.abc_flow(grid16, amplitude=1.3)
     np.testing.assert_allclose(ld.curl(f).coeffs, f.coeffs, rtol=0, atol=1e-13)

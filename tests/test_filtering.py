@@ -115,14 +115,6 @@ def test_van_cittert_matches_closed_form(rand16):
         assert rel_l2(ld.van_cittert(fb, spec), ld.apply_dn(fb, spec)) < 1e-12
 
 
-def test_van_cittert_iteration_hook_counts(rand16):
-    spec = ld.FilterSpec(delta=0.5, order=6)
-    fb = ld.apply_filter(rand16, spec)
-    calls = []
-    ld.van_cittert(fb, spec, iteration_hook=lambda: calls.append(1))
-    assert len(calls) == 6
-
-
 def test_deconv_error_field_matches_difference(rand16):
     spec = ld.FilterSpec(delta=0.4, order=3)
     reconstructed = ld.apply_dn(ld.apply_filter(rand16, spec), spec)

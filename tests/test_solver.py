@@ -203,10 +203,12 @@ def test_step_matches_run(grid16):
         assert state.t == pytest.approx(expected.t, abs=1e-12)
 
 
-def test_solenoidal_preserved(grid16):
+@pytest.mark.parametrize("dealias", [True, False])
+def test_solenoidal_preserved(grid16, dealias):
     cfg = _cfg(grid16, model="leray_deconv", order=1, nu=0.01, dt=0.01, t_end=0.1,
                ic=ld.FieldSpec(kind="random_solenoidal", seed=12),
-               forcing=ld.FieldSpec(kind="single_mode", mode=(0, 1, 0), amplitude=0.3))
+               forcing=ld.FieldSpec(kind="single_mode", mode=(0, 1, 0), amplitude=0.3),
+               dealias=dealias)
     traj = ld.run(cfg)
     assert ld.solenoidal_defect(traj.terminal) < 1e-13
     ld.validate_field(traj.terminal, solenoidal=True)
