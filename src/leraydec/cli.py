@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import diagnostics, experiments, filtering, tables
-from .config import ConfigError, _parse_floats, _parse_ints, parse_config, render_effective
+from .config import ConfigError, _built, _parse_floats, _parse_ints, parse_config, render_effective
 from .filtering import FilterSpec
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
 from .solver import BlowUpError, run
@@ -132,7 +132,7 @@ def _study_from_config(args, kind: str):
     }
     values = dict(rc.study or {})
     values.update((key, value) for key, value in flags.items() if value is not None)
-    return experiments.StudySpec(kind=kind, base=rc.solver, **values), rc
+    return _built(experiments.StudySpec, kind=kind, base=rc.solver, section="study", **values), rc
 
 
 def _print_fits(report) -> None:

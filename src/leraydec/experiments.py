@@ -5,6 +5,11 @@ log-log rate by least squares.  Rates are asymptotic statements, so the
 default fit window is the three finest sweep points; the raw table is always
 retained alongside the fit, and fits are flagged instead of silently
 truncated when errors sit at the integrator floor or degenerate to zero.
+
+The three rate studies (deconv_rate, delta_rate, consistency_rate) are each
+a `measure(delta, order)` closure run by one kernel, `_rate_study`, which
+owns the sweep, the `<name>_order_<N>` table, the fit against delta^(2N+2)
+and the flags; it is the only caller of `fit_rate`.
 """
 
 from __future__ import annotations
@@ -53,14 +58,27 @@ class StudySpec:
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}, expected one of {STUDY_KINDS}")
         ds = tuple(float(d) for d in self.deltas)
+        if not all(np.isfinite(d) and d >= 0 for d in ds):
+            raise spectral.ParameterError("deltas", f"deltas must be finite and >= 0, got {ds}")
         if ds and any(b >= a for a, b in zip(ds, ds[1:])):
             raise spectral.ParameterError("deltas", "deltas must be strictly decreasing")
         if self.kind in ("deconv_rate", "delta_rate", "consistency_rate") and 0 < len(ds) < 3:
             raise spectral.ParameterError("deltas", "a rate fit needs at least three sweep points")
         if self.fit_window is not None and self.fit_window < 3:
             raise spectral.ParameterError("fit_window", f"fit_window must be >= 3, got {self.fit_window}")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise spectral.ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
+        if not (np.isfinite(self.floor) and self.floor >= 0):
+            raise spectral.ParameterError("floor", f"floor must be finite and >= 0, got {self.floor}")
+        orders = tuple(int(n) for n in self.orders)
+        if any(n < 0 for n in orders):
+            raise spectral.ParameterError("orders", f"orders must be >= 0, got {orders}")
+        if not (np.isfinite(self.k_max) and self.k_max > 0):
+            raise spectral.ParameterError("k_max", f"k_max must be positive and finite, got {self.k_max}")
+        if self.k_points < 1:
+            raise spectral.ParameterError("k_points", f"k_points must be >= 1, got {self.k_points}")
         self.deltas = ds
-        self.orders = tuple(int(n) for n in self.orders)
+        self.orders = orders
 
 
 @dataclass
@@ -120,6 +138,28 @@ def fit_rate(
     )
 
 
+def _rate_study(kind, spec, orders, deltas, measure, floor, params, metadata) -> StudyReport:
+    """Sweep delta per order; fit the first measured quantity against delta^(2N+2).
+
+    measure(delta, order) returns {name: value}; each name becomes the
+    column `<name>_order_<N>`, in the order measure returns them.  Fits
+    that are degenerate or floor-limited are flagged by their order key.
+    """
+    table: dict = {"delta": list(deltas)}
+    fits = {}
+    for order in orders:
+        rows = [measure(d, order) for d in deltas]
+        columns = {name: [row[name] for row in rows] for name in rows[0]}
+        table.update((f"{name}_order_{order}", col) for name, col in columns.items())
+        fits[f"order_{order}"] = fit_rate(
+            deltas, next(iter(columns.values())), expected=2.0 * (order + 1),
+            window=spec.fit_window, floor=floor,
+        )
+    flags = [k for k, f in fits.items() if f.degenerate or f.floor_limited]
+    return StudyReport(kind=kind, params=params, tables={"main": table}, fits=fits,
+                       flags=flags, metadata=metadata)
+
+
 def deconv_rate_study(spec: StudySpec) -> StudyReport:
     """Deconvolution error of the single-mode field k = (1, 0, 0) across delta, per order.
 
@@ -131,29 +171,14 @@ def deconv_rate_study(spec: StudySpec) -> StudyReport:
     orders = spec.orders or (0, 1, 2)
     deltas = spec.deltas or (0.2, 0.1, 0.05, 0.025)
 
-    table: dict = {"delta": list(deltas)}
-    fits = {}
-    for order in orders:
-        errs = []
-        for d in deltas:
-            fspec = FilterSpec(delta=d, order=order)
-            recovered = filtering.van_cittert(filtering.apply_filter(phi, fspec), fspec)
-            diff = phi.with_coeffs(phi.coeffs - recovered.coeffs)
-            errs.append(spectral.hs_norm(diff, 0))
-        table[f"error_order_{order}"] = errs
-        fits[f"order_{order}"] = fit_rate(
-            deltas, errs, expected=2.0 * (order + 1), window=spec.fit_window, floor=0.0
-        )
+    def measure(d, order):
+        fspec = FilterSpec(delta=d, order=order)
+        recovered = filtering.van_cittert(filtering.apply_filter(phi, fspec), fspec)
+        return {"error": spectral.hs_norm(phi.with_coeffs(phi.coeffs - recovered.coeffs), 0)}
 
-    flags = [k for k, f in fits.items() if f.degenerate or f.floor_limited]
-    return StudyReport(
-        kind="deconv_rate",
-        params={"mode": mode, "orders": orders, "deltas": deltas, "grid_n": spec.grid_n},
-        tables={"main": table},
-        fits=fits,
-        flags=flags,
-        metadata={"field": "single_mode"},
-    )
+    params = {"mode": mode, "orders": orders, "deltas": deltas, "grid_n": spec.grid_n}
+    return _rate_study("deconv_rate", spec, orders, deltas, measure, 0.0, params,
+                       {"field": "single_mode"})
 
 
 def _nse_reference(base: SolverConfig) -> SolverConfig:
@@ -168,6 +193,15 @@ def _model_config(base: SolverConfig, delta: float, order: int) -> SolverConfig:
     )
 
 
+def _reference(spec: StudySpec, study: str):
+    """The NSE reference trajectory of the study's base scenario, and its metadata."""
+    base = spec.base
+    if base is None:
+        raise ValueError(f"{study} requires a base SolverConfig")
+    metadata = {"n": base.grid.n, "nu": base.nu, "dt": base.dt, "t_end": base.t_end}
+    return solver.run(_nse_reference(base)), metadata
+
+
 def delta_rate_study(spec: StudySpec) -> StudyReport:
     """Model-vs-reference trajectory error across filter radii at fixed order.
 
@@ -176,48 +210,19 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
     degenerates to the reference path and the error row is zero, which the
     fit then reports as degenerate rather than crashing.
     """
-    if spec.base is None:
-        raise ValueError("delta_rate_study requires a base SolverConfig")
     orders = spec.orders or (0,)
     deltas = spec.deltas or (0.4, 0.2, 0.1)
-    reference = solver.run(_nse_reference(spec.base))
-
-    table: dict = {"delta": list(deltas)}
-    fits = {}
+    reference, metadata = _reference(spec, "delta_rate_study")
     wall = {}
-    for order in orders:
-        errs_l2l2, errs_final, errs_h1 = [], [], []
-        for d in deltas:
-            cfg = _nse_reference(spec.base) if d == 0 else _model_config(spec.base, d, order)
-            traj = solver.run(cfg)
-            err = diagnostics.model_error(traj, reference)
-            errs_l2l2.append(err.l2l2)
-            errs_final.append(err.l2_final)
-            errs_h1.append(err.h1_timeavg)
-            wall[f"order_{order}_delta_{d:g}"] = traj.stats.wall_seconds
-        table[f"l2l2_order_{order}"] = errs_l2l2
-        table[f"l2_final_order_{order}"] = errs_final
-        table[f"h1_avg_order_{order}"] = errs_h1
-        fits[f"order_{order}"] = fit_rate(
-            deltas, errs_l2l2, expected=2.0 * (order + 1),
-            window=spec.fit_window, floor=spec.floor,
-        )
 
-    flags = [k for k, f in fits.items() if f.degenerate or f.floor_limited]
-    return StudyReport(
-        kind="delta_rate",
-        params={"orders": orders, "deltas": deltas},
-        tables={"main": table},
-        fits=fits,
-        flags=flags,
-        metadata={
-            "n": spec.base.grid.n,
-            "nu": spec.base.nu,
-            "dt": spec.base.dt,
-            "t_end": spec.base.t_end,
-            "wall_seconds": wall,
-        },
-    )
+    def measure(d, order):
+        traj = solver.run(_nse_reference(spec.base) if d == 0 else _model_config(spec.base, d, order))
+        err = diagnostics.model_error(traj, reference)
+        wall[f"order_{order}_delta_{d:g}"] = traj.stats.wall_seconds
+        return {"l2l2": err.l2l2, "l2_final": err.l2_final, "h1_avg": err.h1_timeavg}
+
+    return _rate_study("delta_rate", spec, orders, deltas, measure, spec.floor,
+                       {"orders": orders, "deltas": deltas}, {**metadata, "wall_seconds": wall})
 
 
 def deconv_unit_cost(grid: spectral.Grid, delta: float, dealias: bool = True) -> float:
@@ -254,10 +259,8 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
     the exact filter-application counts, the deconvolution wall time, and a
     microbenchmarked per-iteration unit cost for the cost-model comparison.
     """
-    if spec.base is None:
-        raise ValueError("n_limit_study requires a base SolverConfig")
     orders = spec.orders or (0, 1, 2, 4, 8)
-    reference = solver.run(_nse_reference(spec.base))
+    reference, metadata = _reference(spec, "n_limit_study")
 
     table: dict = {
         "order": list(orders),
@@ -289,13 +292,7 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
         params={"orders": orders, "delta": spec.delta},
         tables={"main": table},
         flags=flags,
-        metadata={
-            "n": spec.base.grid.n,
-            "nu": spec.base.nu,
-            "dt": spec.base.dt,
-            "t_end": spec.base.t_end,
-            "unit_filter_seconds": unit,
-        },
+        metadata={**metadata, "unit_filter_seconds": unit},
     )
 
 
@@ -332,38 +329,21 @@ def consistency_rate_study(spec: StudySpec) -> StudyReport:
     v = fields.taylor_green(grid)
     orders = spec.orders or (0, 1)
     deltas = spec.deltas or (0.2, 0.1, 0.05, 0.025)
+    violated = []
 
-    table: dict = {"delta": list(deltas)}
-    fits = {}
-    dominance_ok = True
-    for order in orders:
-        l1s, sharps, crudes, ratios = [], [], [], []
-        for d in deltas:
-            rep = diagnostics.consistency_report(v, FilterSpec(delta=d, order=order))
-            l1s.append(rep.l1_tau)
-            sharps.append(rep.bound_sharp)
-            crudes.append(rep.bound_crude)
-            ratios.append(rep.ratio)
-            if rep.l1_tau > rep.bound_sharp * (1.0 + 1e-12):
-                dominance_ok = False
-        table[f"l1_tau_order_{order}"] = l1s
-        table[f"bound_sharp_order_{order}"] = sharps
-        table[f"bound_crude_order_{order}"] = crudes
-        table[f"ratio_order_{order}"] = ratios
-        fits[f"order_{order}"] = fit_rate(
-            deltas, l1s, expected=2.0 * (order + 1), window=spec.fit_window, floor=0.0
-        )
+    def measure(d, order):
+        rep = diagnostics.consistency_report(v, FilterSpec(delta=d, order=order))
+        if rep.l1_tau > rep.bound_sharp * (1.0 + 1e-12):
+            violated.append((d, order))
+        return {"l1_tau": rep.l1_tau, "bound_sharp": rep.bound_sharp,
+                "bound_crude": rep.bound_crude, "ratio": rep.ratio}
 
-    flags = [] if dominance_ok else ["bound_violated"]
-    flags += [k for k, f in fits.items() if f.degenerate or f.floor_limited]
-    return StudyReport(
-        kind="consistency_rate",
-        params={"orders": orders, "deltas": deltas, "grid_n": spec.grid_n},
-        tables={"main": table},
-        fits=fits,
-        flags=flags,
-        metadata={"field": "taylor_green"},
-    )
+    params = {"orders": orders, "deltas": deltas, "grid_n": spec.grid_n}
+    report = _rate_study("consistency_rate", spec, orders, deltas, measure, 0.0, params,
+                         {"field": "taylor_green"})
+    if violated:
+        report.flags.insert(0, "bound_violated")
+    return report
 
 
 def transfer_figures_study(spec: StudySpec) -> StudyReport:

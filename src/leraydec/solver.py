@@ -301,11 +301,9 @@ class _Stepper(_Advection):
         )
         self.config = config
 
-        if config.nu > 0:
-            gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
-            self.decays = [np.exp(-config.nu * self.band.k_sq * config.dt * gap) for gap in gaps]
-        else:
-            self.decays = None
+        gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
+        # with nu = 0 every factor is exactly 1.0, so the update keeps every bit
+        self.decays = [np.exp(-config.nu * self.band.k_sq * config.dt * gap) for gap in gaps]
 
         f = self._prepared(config.forcing.evaluate(self.grid), config.filter_forcing)
         # the full-grid forcing feeds the energy records; f_eff is its band part
@@ -315,12 +313,11 @@ class _Stepper(_Advection):
 
     def _prepared(self, field: SpectralField, smooth: bool) -> np.ndarray:
         """Leray-project an evaluated field, zero it outside the band and, for
-        a regularized model when asked, multiply by the transfer h_N."""
-        in_band = self.grid.k_linf <= self.band.cutoff
-        coeffs = spectral.leray_project(field).coeffs * in_band
+        a regularized model when asked, apply the smoother h_N."""
+        f = spectral.project_pn(spectral.leray_project(field), self.band.cutoff)
         if self.config.model.is_regularized and smooth:
-            coeffs = coeffs * filtering.transfer_hn(self.grid.k_mag, self.config.filter)
-        return coeffs
+            f = filtering.apply_hn(f, self.config.filter)
+        return f.coeffs
 
     def initial_state(self) -> SpectralField:
         ic = self.config.ic.evaluate(self.grid)
@@ -337,7 +334,7 @@ class _Stepper(_Advection):
         """One full RK3 step in place on band coefficients; p is the low-storage carry."""
         dt = self.config.dt
         for s in range(3):
-            if s > 0 and self.decays is not None:
+            if s > 0:
                 u *= self.decays[s - 1]
                 p *= self.decays[s - 1]
             r = self.rhs(u)
@@ -347,8 +344,7 @@ class _Stepper(_Advection):
                 p *= _RK_A[s]
                 p += np.multiply(dt, r, out=r)
             u += np.multiply(_RK_B[s], p, out=r)
-        if self.decays is not None:
-            u *= self.decays[2]
+        u *= self.decays[2]
 
 
 def _advection(state: SpectralField, model: ModelKind, filter_spec: FilterSpec | None,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leraydec import cli, tables
+from leraydec import cli, solver, tables
 
 BASE_CFG = """
 [grid]
@@ -170,10 +170,13 @@ def test_transfer_tables(tmp_path):
     assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
-@pytest.mark.parametrize("flag, value", [("--points", "0"), ("--delta", "0"), ("--orders", "-1")])
-def test_transfer_rejects_before_creating_output(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("args", [
+    ["--points", "0"], ["--delta", "0"], ["--orders", "-1"],
+    ["--figures", "--k-max", "-1"], ["--figures", "--points", "0"],
+], ids="-".join)
+def test_transfer_rejects_before_creating_output(tmp_path, capsys, args):
     out = tmp_path / "tf"
-    assert _run(["transfer", flag, value, "--out", str(out)]) == 1
+    assert _run(["transfer", *args, "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -243,6 +246,26 @@ def test_sweeps_read_study_section_without_kind(cfg_path, tmp_path, capsys):
                  "--out", str(tmp_path / "sn2")]) == 0
     stdout = capsys.readouterr().out
     assert "order 2: l2l2" in stdout and "order 0:" not in stdout
+
+
+@pytest.mark.parametrize("args, key", [
+    (["sweep-n", "--delta", "-1", "--orders", "0"], "delta"),
+    (["sweep-n", "--delta", "nan", "--orders", "0"], "delta"),
+    (["sweep-n", "--orders", "0,-1"], "orders"),
+    (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "-1"], "orders"),
+    (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0", "--set", "study.floor=nan"], "floor"),
+    (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0", "--set", "study.floor=-1"], "floor"),
+    (["sweep-delta", "--orders", "0", "--set", "study.deltas=0.1,0.2,0.3"], "deltas"),
+    (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0", "--fit-window", "2"], "fit_window"),
+])
+def test_sweep_rejects_before_any_run_or_output(cfg_path, tmp_path, capsys, monkeypatch, args, key):
+    runs = []
+    monkeypatch.setattr(solver, "run", lambda config: runs.append(config))
+    out = tmp_path / "never"
+    assert _run([args[0], "--config", cfg_path, *args[1:], "--out", str(out)]) == 1
+    assert f"error: invalid value for study.{key}:" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
 
 
 def test_sweep_n(cfg_path, tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Sweep drivers: rate fits, study tables, flags, and dispatch."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,6 +93,35 @@ def test_study_spec_rejects_nondecreasing_deltas():
         experiments.StudySpec(kind="deconv_rate", deltas=(0.1, 0.2))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("delta", -1.0), ("delta", 0.0), ("delta", float("nan")), ("delta", float("inf")),
+    ("floor", float("nan")), ("floor", -1.0), ("floor", float("inf")),
+    ("orders", (0, -1)), ("deltas", (0.4, float("nan"), 0.1)), ("deltas", (0.2, 0.1, -0.1)),
+    ("k_max", -1.0), ("k_max", 0.0), ("k_max", float("nan")), ("k_points", 0),
+])
+def test_study_spec_rejects_each_bad_value_by_its_field(name, value):
+    with pytest.raises(ld.ParameterError) as err:
+        experiments.StudySpec(kind="n_limit", **{name: value})
+    assert err.value.parameter == name
+
+
+def test_only_the_rate_kernel_fits_rates():
+    """Every rate study runs through experiments._rate_study, which alone calls fit_rate."""
+    callers = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and "fit_rate" in ast.unparse(node.func):
+            callers.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "<module>")
+    assert callers == {("experiments", "_rate_study")}
+
+
 @pytest.mark.parametrize("kind", ["delta_rate", "deconv_rate", "consistency_rate"])
 def test_rate_studies_fail_before_running(grid8, monkeypatch, kind):
     runs = []
@@ -105,6 +137,35 @@ def test_rate_studies_fail_before_running(grid8, monkeypatch, kind):
 def test_cutoff_table_takes_fewer_than_three_deltas():
     rep = experiments.run_study(experiments.StudySpec(kind="cutoff_table", deltas=(1.0, 0.5), orders=(0, 1)))
     assert {"k_c_delta_1", "k_c_delta_0.5"} <= set(rep.tables["main"])
+
+
+def _columns(measures, orders):
+    return ["delta"] + [f"{m}_order_{o}" for o in orders for m in measures]
+
+
+def test_rate_studies_keep_their_column_and_flag_order(grid8, monkeypatch):
+    # the CSV header is list(table); flags list bound_violated, then each
+    # flagged fit in sweep order
+    rep = experiments.run_study(experiments.StudySpec(kind="deconv_rate", orders=(2, 0)))
+    assert list(rep.tables["main"]) == _columns(["error"], (2, 0))
+    assert rep.flags == []
+
+    spec = experiments.StudySpec(kind="delta_rate", deltas=(0.4, 0.2, 0.1, 0.0), orders=(1, 0),
+                                 base=_small_base(grid8))
+    rep = experiments.run_study(spec)
+    assert list(rep.tables["main"]) == _columns(["l2l2", "l2_final", "h1_avg"], (1, 0))
+    assert rep.flags == ["order_1", "order_0"]
+
+    measures = ["l1_tau", "bound_sharp", "bound_crude", "ratio"]
+    rep = experiments.run_study(experiments.StudySpec(kind="consistency_rate", grid_n=8))
+    assert list(rep.tables["main"]) == _columns(measures, (0, 1))
+    assert rep.flags == []
+    inf = float("inf")
+    over = SimpleNamespace(l1_tau=inf, bound_sharp=1.0, bound_crude=1.0, ratio=inf)
+    monkeypatch.setattr(ld.diagnostics, "consistency_report", lambda v, fs: over)
+    rep = experiments.run_study(experiments.StudySpec(kind="consistency_rate", grid_n=8))
+    assert list(rep.tables["main"]) == _columns(measures, (0, 1))
+    assert rep.flags == ["bound_violated", "order_0", "order_1"]
 
 
 # ------------------------------------------------------------- deconv_rate
