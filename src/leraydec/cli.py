@@ -39,7 +39,6 @@ def _write_effective(rc, out_dir) -> str:
 
 
 def _write_study(out_dir, report, digest: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     written = tables.write_study_tables(out_dir, report)
     tables.write_manifest(out_dir, written, digest)
     print(f"wrote {len(written) + 1} files to {out_dir}")
@@ -50,6 +49,37 @@ def _load_run_config(args):
     if getattr(args, "out", None):
         overrides.append(f"output.dir={args.out}")
     return parse_config(args.config, overrides)
+
+
+# StudySpec field: (flag, argparse keywords, parser of a list flag).  A flag's dest is its field.
+_STUDY_FLAGS = {
+    "deltas": ("--deltas", {"help": "comma-separated, strictly decreasing"}, _parse_floats),
+    "orders": ("--orders", {}, _parse_ints),
+    "delta": ("--delta", {"type": float}, None),
+    "fit_window": ("--fit-window", {"type": int}, None),
+    "grid_n": ("--grid-n", {"type": int, "default": 16}, None),
+    "k_max": ("--k-max", {"type": float, "default": 10.0}, None),
+    "k_points": ("--points", {"type": int, "default": 201}, None),
+    "smoother_orders": ("--smoother-orders", {"default": "0,10,50"}, _parse_ints),
+}
+
+
+def _study_spec(args, kind: str, rc=None):
+    """The command's StudySpec: the run config's [study] values, given flags on top.
+
+    Every value, from the config or a flag, is checked by StudySpec and a
+    rejected one is reported against its `study.<field>` key.
+    """
+    values = dict(rc.study or {}, base=rc.solver) if rc is not None else {}
+    for name, (_, _, parse) in _STUDY_FLAGS.items():
+        raw = getattr(args, name, None)
+        if raw is None or raw == "":
+            continue
+        try:
+            values[name] = parse(raw) if parse else raw
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for study.{name}: {exc}") from exc
+    return _built(experiments.StudySpec, kind=kind, section="study", **values)
 
 
 def cmd_run(args) -> int:
@@ -89,30 +119,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    orders = _parse_ints(args.orders)
-    if not orders:
+    spec = _study_spec(args, "transfer_figures")
+    if not spec.orders:
         raise ConfigError("transfer needs at least one order")
     digest = _args_hash({
-        "cmd": "transfer", "delta": args.delta, "orders": list(orders),
-        "k_max": args.k_max, "points": args.points, "figures": args.figures,
+        "cmd": "transfer", "delta": args.delta, "orders": list(spec.orders),
+        "k_max": args.k_max, "points": args.k_points, "figures": args.figures,
         "smoother_orders": args.smoother_orders,
     })
     if args.figures:
-        spec = experiments.StudySpec(
-            kind="transfer_figures",
-            orders=orders,
-            smoother_orders=_parse_ints(args.smoother_orders),
-            k_max=args.k_max,
-            k_points=args.points,
-        )
         _write_study(args.out, experiments.run_study(spec), digest)
         return 0
 
-    ks = np.linspace(0.0, args.k_max, args.points)
-    built = [filtering.TransferTable.build(FilterSpec(delta=args.delta, order=order), ks) for order in orders]
+    ks = np.linspace(0.0, spec.k_max, spec.k_points)
+    built = [filtering.TransferTable.build(FilterSpec(delta=spec.delta, order=order), ks) for order in spec.orders]
     os.makedirs(args.out, exist_ok=True)  # only once every table is built
     written = []
-    for order, table in zip(orders, built):
+    for order, table in zip(spec.orders, built):
         path = os.path.join(args.out, f"transfer_order_{order}.csv")
         tables.write_transfer_csv(path, table)
         written.append(path)
@@ -121,91 +144,58 @@ def cmd_transfer(args) -> int:
     return 0
 
 
-def _study_from_config(args, kind: str):
-    """The sweep's [study] values (keys named as StudySpec fields), flags taking precedence."""
-    rc = _load_run_config(args)
-    flags = {
-        "deltas": _parse_floats(args.deltas) if args.deltas else None,
-        "orders": _parse_ints(args.orders) if args.orders else None,
-        "delta": args.delta,
-        "fit_window": args.fit_window,
-    }
-    values = dict(rc.study or {})
-    values.update((key, value) for key, value in flags.items() if value is not None)
-    return _built(experiments.StudySpec, kind=kind, base=rc.solver, section="study", **values), rc
-
-
 def _print_fits(report) -> None:
     for key, fit in sorted(report.fits.items()):
         if fit.degenerate:
             print(f"{key}: degenerate (errors at floor or nonpositive)")
         else:
             print(f"{key}: slope {fit.slope:.4f} (expected {fit.expected:g}, window {len(fit.window)})")
-    for flag in report.flags:
-        print(f"flag: {flag}")
 
 
-def cmd_sweep_delta(args) -> int:
-    spec, rc = _study_from_config(args, "delta_rate")
-    if not spec.deltas:
-        raise ConfigError("sweep-delta needs --deltas or a [study] deltas entry")
-    if not spec.orders:
-        raise ConfigError("sweep-delta needs --orders or a [study] orders entry")
-    report = experiments.run_study(spec)
-    _print_fits(report)
-    _write_study(args.out, report, rc.config_hash)
-    return 0
-
-
-def cmd_sweep_n(args) -> int:
-    spec, rc = _study_from_config(args, "n_limit")
-    if not spec.orders:
-        raise ConfigError("sweep-n needs --orders or a [study] orders entry")
-    report = experiments.run_study(spec)
+def _print_orders(report) -> None:
     table = report.tables["main"]
     for i, order in enumerate(table["order"]):
         print(f"order {order}: l2l2 {table['l2l2'][i]:.6e}  wall {table['wall_seconds'][i]:.4g}s")
-    for flag in report.flags:
-        print(f"flag: {flag}")
-    _write_study(args.out, report, rc.config_hash)
-    return 0
 
 
-def cmd_cutoff(args) -> int:
-    spec = experiments.StudySpec(
-        kind="cutoff_table",
-        deltas=_parse_floats(args.deltas) if args.deltas else (),
-        orders=_parse_ints(args.orders) if args.orders else (),
-    )
-    report = experiments.run_study(spec)
+def _print_table(report) -> None:
     table = report.tables["main"]
     headers = list(table.keys())
     print("  ".join(f"{h:>16s}" for h in headers))
     for i in range(len(table["order"])):
         print("  ".join(f"{table[h][i]:>16}" for h in headers))
+
+
+# command: (study kind, help, printer, flags, required fields, manifest-digest flags).
+# A command without digest flags reads the scenario from --config, records
+# the config hash and must be given --out.
+_STUDY_COMMANDS = {
+    "sweep-delta": ("delta_rate", "model-vs-reference error as the filter radius shrinks",
+                    _print_fits, ("deltas", "orders", "fit_window"), ("deltas", "orders"), None),
+    "sweep-n": ("n_limit", "model error and cost as deconvolution order grows",
+                _print_orders, ("delta", "orders"), ("orders",), None),
+    "cutoff": ("cutoff_table", "smoother cutoff wavenumber table",
+               _print_table, ("deltas", "orders"), (), ("deltas", "orders")),
+    "consistency": ("consistency_rate", "consistency-tensor size and bounds on an analytic field",
+                    _print_fits, ("deltas", "orders", "grid_n", "fit_window"), (),
+                    ("deltas", "orders", "grid_n")),
+}
+
+
+def cmd_study(args) -> int:
+    kind, _, printer, _, required, digest_flags = _STUDY_COMMANDS[args.command]
+    rc = _load_run_config(args) if digest_flags is None else None
+    spec = _study_spec(args, kind, rc)
+    for name in required:
+        if not getattr(spec, name):
+            raise ConfigError(f"{args.command} needs {_STUDY_FLAGS[name][0]} or a [study] {name} entry")
+    report = experiments.run_study(spec)
+    printer(report)
     for flag in report.flags:
         print(f"flag: {flag}")
     if args.out:
-        digest = _args_hash({"cmd": "cutoff", "deltas": args.deltas, "orders": args.orders})
-        _write_study(args.out, report, digest)
-    return 0
-
-
-def cmd_consistency(args) -> int:
-    spec = experiments.StudySpec(
-        kind="consistency_rate",
-        deltas=_parse_floats(args.deltas) if args.deltas else (),
-        orders=_parse_ints(args.orders) if args.orders else (),
-        grid_n=args.grid_n,
-        fit_window=args.fit_window,
-    )
-    report = experiments.run_study(spec)
-    _print_fits(report)
-    if args.out:
-        digest = _args_hash({
-            "cmd": "consistency", "deltas": args.deltas,
-            "orders": args.orders, "grid_n": args.grid_n,
-        })
+        digest = rc.config_hash if rc is not None else _args_hash(
+            {"cmd": args.command, **{name: getattr(args, name) for name in digest_flags}})
         _write_study(args.out, report, digest)
     return 1 if "bound_violated" in report.flags else 0
 
@@ -238,6 +228,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _add_study_flags(parser, names) -> None:
+    for name in names:
+        flag, keywords, _ = _STUDY_FLAGS[name]
+        parser.add_argument(flag, dest=name, **keywords)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leraydec",
@@ -253,46 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("transfer", help="tabulate filter/deconvolution transfer functions")
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--orders", default="0,1,2")
-    p.add_argument("--smoother-orders", default="0,10,50")
-    p.add_argument("--k-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=201)
+    _add_study_flags(p, ("delta", "orders", "smoother_orders", "k_max", "k_points"))
     p.add_argument("--figures", action="store_true",
                    help="write combined curve tables on the rescaled axis instead")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_transfer)
+    p.set_defaults(func=cmd_transfer, delta=1.0, orders="0,1,2")  # over the flags' defaults
 
-    p = sub.add_parser("sweep-delta", help="model-vs-reference error as the filter radius shrinks")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    p.add_argument("--deltas", help="comma-separated, strictly decreasing")
-    p.add_argument("--orders")
-    p.add_argument("--fit-window", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep_delta, delta=None)
-
-    p = sub.add_parser("sweep-n", help="model error and cost as deconvolution order grows")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--orders")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep_n, deltas=None, fit_window=None)
-
-    p = sub.add_parser("cutoff", help="smoother cutoff wavenumber table")
-    p.add_argument("--deltas")
-    p.add_argument("--orders")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_cutoff)
-
-    p = sub.add_parser("consistency", help="consistency-tensor size and bounds on an analytic field")
-    p.add_argument("--deltas")
-    p.add_argument("--orders")
-    p.add_argument("--grid-n", type=int, default=16)
-    p.add_argument("--fit-window", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_consistency)
+    for command, (_, help_text, _, flags, _, digest_flags) in _STUDY_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if digest_flags is None:
+            p.add_argument("--config", required=True)
+            p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
+        _add_study_flags(p, flags)
+        p.add_argument("--out", required=digest_flags is None)
+        p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("compare", help="error norms between two snapshot directories")
     p.add_argument("--model", required=True, help="directory of model .snap files")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics, fields, filtering, solver, spectral
-from .filtering import FilterSpec
+from .filtering import DEFAULT_MAX_ORDER, FilterSpec
 from .solver import ModelKind, SolverConfig
 
 
@@ -70,15 +70,18 @@ class StudySpec:
             raise spectral.ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
         if not (np.isfinite(self.floor) and self.floor >= 0):
             raise spectral.ParameterError("floor", f"floor must be finite and >= 0, got {self.floor}")
-        orders = tuple(int(n) for n in self.orders)
-        if any(n < 0 for n in orders):
-            raise spectral.ParameterError("orders", f"orders must be >= 0, got {orders}")
+        for name in ("orders", "smoother_orders"):
+            orders = tuple(int(n) for n in getattr(self, name))
+            if any(n < 0 or n > DEFAULT_MAX_ORDER for n in orders):  # FilterSpec's cap, before any run
+                raise spectral.ParameterError(name, f"{name} must be in [0, {DEFAULT_MAX_ORDER}], got {orders}")
+            setattr(self, name, orders)
+        if self.grid_n % 2 != 0 or self.grid_n < 4:  # Grid's rule, checked before any grid is built
+            raise spectral.ParameterError("grid_n", f"grid size must be even and >= 4, got {self.grid_n}")
         if not (np.isfinite(self.k_max) and self.k_max > 0):
             raise spectral.ParameterError("k_max", f"k_max must be positive and finite, got {self.k_max}")
         if self.k_points < 1:
             raise spectral.ParameterError("k_points", f"k_points must be >= 1, got {self.k_points}")
         self.deltas = ds
-        self.orders = orders
 
 
 @dataclass

@@ -250,6 +250,8 @@ class TransferTable:
         ks = np.asarray(k, dtype=np.float64)
         if ks.ndim != 1 or ks.size == 0:
             raise ValueError("k must be a non-empty 1-d array")
+        if not np.all(np.isfinite(ks)):
+            raise ValueError("k must be finite")
         if np.any(np.diff(ks) <= 0):
             raise ValueError("k must be strictly increasing")
         if ks[0] < 0:

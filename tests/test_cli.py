@@ -1,7 +1,10 @@
 """CLI end to end: artifacts on disk, reproducibility, exit codes."""
 
+import ast
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -173,12 +176,63 @@ def test_transfer_tables(tmp_path):
 @pytest.mark.parametrize("args", [
     ["--points", "0"], ["--delta", "0"], ["--orders", "-1"],
     ["--figures", "--k-max", "-1"], ["--figures", "--points", "0"],
+    ["--k-max", "inf"], ["--k-max", "nan"],
 ], ids="-".join)
 def test_transfer_rejects_before_creating_output(tmp_path, capsys, args):
     out = tmp_path / "tf"
     assert _run(["transfer", *args, "--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
+    key = {"--points": "k_points", "--delta": "delta", "--orders": "orders", "--k-max": "k_max"}[args[-2]]
+    assert f"error: invalid value for study.{key}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["consistency", "--orders", "-1"], "orders"),
+    (["consistency", "--grid-n", "7"], "grid_n"),
+    (["consistency", "--fit-window", "2"], "fit_window"),
+    (["cutoff", "--orders", "-1"], "orders"),
+    (["cutoff", "--deltas", "1,2"], "deltas"),
+    (["transfer", "--delta", "-1"], "delta"),
+])
+def test_study_commands_reject_by_study_key(tmp_path, capsys, args, key):
+    out = tmp_path / "never"
+    assert _run([*args, "--out", str(out)]) == 1
+    assert f"error: invalid value for study.{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_only_study_spec_builds_study_specs():
+    """Every study command builds its StudySpec through cli._study_spec."""
+    users = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Name) and node.id == "StudySpec") or (
+                isinstance(node, ast.Attribute) and node.attr == "StudySpec"):
+            users.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(Path(cli.__file__).read_text()), "<module>")
+    assert users == {"_study_spec"}
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(), flags=re.M | re.S)
+    lines = (ln.split(" #")[0].strip() for block in blocks for ln in block.splitlines())
+    return [ln for ln in lines if ln.startswith("leraydec ")]
+
+
+def test_readme_commands_parse():
+    """Each documented command line parses with the current flags and dests."""
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def test_transfer_figures_mode(tmp_path):

@@ -190,6 +190,9 @@ def test_transfer_table_build_and_validate():
         ld.TransferTable.build(spec, np.array([1.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         ld.TransferTable.build(spec, np.array([-1.0, 0.0, 1.0]))
+    for bad in (np.array([0.0, 1.0, np.inf]), np.array([0.0, np.nan, 1.0])):
+        with pytest.raises(ValueError, match="k must be finite"):
+            ld.TransferTable.build(spec, bad)
     broken = ld.TransferTable(spec, table.k, table.g_hat, table.d_hat, table.h_hat * 1.1)
     with pytest.raises(ValueError):
         broken.validate()
