@@ -167,8 +167,9 @@ def _print_table(report) -> None:
 
 
 # command: (study kind, help, printer, flags, required fields, manifest-digest flags).
-# A command without digest flags reads the scenario from --config, records
-# the config hash and must be given --out.
+# A command without digest flags reads the scenario from --config and must be
+# given --out; its manifest digest covers the config hash and the resolved
+# values of its flags' study fields.
 _STUDY_COMMANDS = {
     "sweep-delta": ("delta_rate", "model-vs-reference error as the filter radius shrinks",
                     _print_fits, ("deltas", "orders", "fit_window"), ("deltas", "orders"), None),
@@ -183,7 +184,7 @@ _STUDY_COMMANDS = {
 
 
 def cmd_study(args) -> int:
-    kind, _, printer, _, required, digest_flags = _STUDY_COMMANDS[args.command]
+    kind, _, printer, flags, required, digest_flags = _STUDY_COMMANDS[args.command]
     rc = _load_run_config(args) if digest_flags is None else None
     spec = _study_spec(args, kind, rc)
     for name in required:
@@ -194,8 +195,11 @@ def cmd_study(args) -> int:
     for flag in report.flags:
         print(f"flag: {flag}")
     if args.out:
-        digest = rc.config_hash if rc is not None else _args_hash(
-            {"cmd": args.command, **{name: getattr(args, name) for name in digest_flags}})
+        if rc is not None:
+            digest = _args_hash({"cmd": args.command, "config_sha256": rc.config_hash,
+                                 **{name: getattr(spec, name) for name in flags}})
+        else:
+            digest = _args_hash({"cmd": args.command, **{name: getattr(args, name) for name in digest_flags}})
         _write_study(args.out, report, digest)
     return 1 if "bound_violated" in report.flags else 0
 

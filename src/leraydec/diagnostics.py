@@ -41,14 +41,21 @@ class DiagRecord:
 
 def energy_record(state: SpectralField, nu: float, forcing: SpectralField | None) -> DiagRecord:
     """Instantaneous diagnostics; the balance residual is filled in by the run loop."""
-    h1_sq = spectral.hs_norm(state, 1) ** 2
-    power = 0.0 if forcing is None else spectral.inner(forcing, state)
+    return _record(state.coeffs, state.grid, state.t, nu, None if forcing is None else forcing.coeffs)
+
+
+def _record(c: np.ndarray, modes: spectral.Grid | spectral.Band, t: float, nu: float,
+            f: np.ndarray | None) -> DiagRecord:
+    """energy_record's sums over the coefficients c of a grid or band `modes`;
+    the forcing coefficients f, if any, share that layout."""
+    density = c.real**2 + c.imag**2
+    h1_sq = float((density.sum(axis=0) * modes.k_sq).sum())
     return DiagRecord(
-        t=state.t,
-        energy=spectral.energy(state),
+        t=t,
+        energy=float(0.5 * density.sum()),
         h1_seminorm_sq=h1_sq,
         dissipation=nu * h1_sq,
-        input_power=power,
+        input_power=0.0 if f is None else float((f.real * c.real + f.imag * c.imag).sum()),
         balance_residual=0.0,
     )
 

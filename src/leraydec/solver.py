@@ -175,9 +175,13 @@ class Trajectory:
 
 def cfl_max_dt(state: SpectralField) -> float:
     """Advisory step limit dx / max |u| (Courant number 1) at the given state."""
-    u = spectral.to_physical(state)
-    speed = float(np.sqrt((u**2).sum(axis=0)).max())
-    dx = spectral.TWO_PI / state.grid.n
+    return _cfl_limit(spectral.to_physical(state))
+
+
+def _cfl_limit(samples: np.ndarray) -> float:
+    """dx / max |u| of collocation samples of a velocity, shape (3, n, n, n)."""
+    speed = float(np.sqrt((samples**2).sum(axis=0)).max())
+    dx = spectral.TWO_PI / samples.shape[-1]
     return dx / speed if speed > 0 else float("inf")
 
 
@@ -293,9 +297,16 @@ class _Advection:
 
 class _Stepper(_Advection):
     """The advection kernel plus what a run adds: integrating factors,
-    effective forcing, initial state and the RK3 update."""
+    effective forcing, the band state `u` with its low-storage carry `p`,
+    and the RK3 update.
 
-    def __init__(self, config: SolverConfig, stats: RunStats | None = None):
+    The state starts from `state` truncated to the band, or without one from
+    the configured initial condition.  Nothing full-grid is kept but the
+    transform workspace, allocated last, once the evaluated fields are gone.
+    """
+
+    def __init__(self, config: SolverConfig, stats: RunStats | None = None,
+                 state: SpectralField | None = None):
         super().__init__(
             config.grid, config.model, config.filter, config.dealias, config.conv_form, stats
         )
@@ -305,24 +316,23 @@ class _Stepper(_Advection):
         # with nu = 0 every factor is exactly 1.0, so the update keeps every bit
         self.decays = [np.exp(-config.nu * self.band.k_sq * config.dt * gap) for gap in gaps]
 
-        f = self._prepared(config.forcing.evaluate(self.grid), config.filter_forcing)
-        # the full-grid forcing feeds the energy records; f_eff is its band part
-        self.forcing = SpectralField(self.grid, f, 0.0) if np.any(f) else None
-        self.f_eff = self.band.truncate(f) if self.forcing is not None else None
+        f = self._prepared(config.forcing, config.filter_forcing)
+        self.f_eff = f if np.any(f) else None
+        if state is None:
+            self.u = self._prepared(config.ic, config.filter_ic)
+        else:
+            self.u = self.band.truncate(state.coeffs)
+        self.p = np.zeros_like(self.u)
         self.allocate_workspace()
 
-    def _prepared(self, field: SpectralField, smooth: bool) -> np.ndarray:
-        """Leray-project an evaluated field, zero it outside the band and, for
-        a regularized model when asked, apply the smoother h_N."""
-        f = spectral.project_pn(spectral.leray_project(field), self.band.cutoff)
+    def _prepared(self, spec: FieldSpec, smooth: bool) -> np.ndarray:
+        """Band coefficients of an evaluated field, Leray-projected and, for a
+        regularized model when asked, smoothed by h_N."""
+        c = self.band.truncate(spec.evaluate(self.grid).coeffs)
+        spectral.leray_project_inplace(c, self.band, np.empty_like(c[:2]))
         if self.config.model.is_regularized and smooth:
-            f = filtering.apply_hn(f, self.config.filter)
-        return f.coeffs
-
-    def initial_state(self) -> SpectralField:
-        ic = self.config.ic.evaluate(self.grid)
-        coeffs = self._prepared(ic, self.config.filter_ic)
-        return SpectralField(self.grid, coeffs, 0.0)
+            c *= filtering.transfer_hn(self.band.k_mag, self.config.filter)
+        return c
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
         out = self.nonlinear(w)
@@ -402,33 +412,32 @@ def recover_pressure(
 
 def step(state: SpectralField, config: SolverConfig) -> SpectralField:
     """Advance a state by one step of the configured scheme."""
-    stepper = _Stepper(config)
-    u = stepper.band.truncate(state.coeffs)
-    p = np.zeros_like(u)
-    stepper.advance(u, p)
-    return SpectralField(config.grid, stepper.band.pad(u), state.t + config.dt)
+    stepper = _Stepper(config, state=state)
+    stepper.advance(stepper.u, stepper.p)
+    return SpectralField(config.grid, stepper.band.pad(stepper.u), state.t + config.dt)
 
 
 def run(config: SolverConfig) -> Trajectory:
     """Integrate from the configured initial condition to t_end.
 
-    Diagnostics are recorded every step; spectral snapshots are retained
-    every `snapshot_every` steps and always at t = 0 and t_end.  A
-    non-finite state raises BlowUpError carrying the partial trajectory.
+    Diagnostics are recorded every step, as sums over the band coefficients;
+    spectral snapshots are retained every `snapshot_every` steps and always
+    at t = 0 and t_end.  A non-finite state raises BlowUpError carrying the
+    partial trajectory.
     """
     wall_start = time.perf_counter()
     stats = RunStats()
     stepper = _Stepper(config, stats)
+    band, u, p = stepper.band, stepper.u, stepper.p
     steps = config.steps
 
-    state0 = stepper.initial_state()
-    u = stepper.band.truncate(state0.coeffs)
-    p = np.zeros_like(u)
+    def record(t: float) -> DiagRecord:
+        return diagnostics._record(u, band, t, config.nu, stepper.f_eff)
 
-    records = [diagnostics.energy_record(state0, config.nu, stepper.forcing)]
-    snapshots = [state0]
+    records = [record(0.0)]
+    snapshots = [SpectralField(config.grid, band.pad(u), 0.0)]
 
-    stats.cfl_dt_max = cfl_max_dt(state0)
+    stats.cfl_dt_max = _cfl_limit(stepper.inverse(u, stepper.rwork[0]))
     if config.dt > stats.cfl_dt_max:
         stats.cfl_violated = True
         warnings.warn(
@@ -452,15 +461,13 @@ def run(config: SolverConfig) -> Trajectory:
     for m in range(1, steps + 1):
         stepper.advance(u, p)
         t = m * config.dt
-        # the padded transform input is free between steps
-        state = SpectralField(config.grid, stepper.band.pad(u, stepper.padded), t)
-        record = diagnostics.energy_record(state, config.nu, stepper.forcing)
-        # the energy is a sum over every coefficient, so a non-finite state
-        # shows up in it (as does an overflowing finite one)
-        if not np.isfinite([record.energy, record.h1_seminorm_sq, record.input_power]).all():
+        rec = record(t)
+        # the energy is a sum over every band coefficient, so a non-finite
+        # state shows up in it (as does an overflowing finite one)
+        if not np.isfinite([rec.energy, rec.h1_seminorm_sq, rec.input_power]).all():
             raise BlowUpError(m, t, build_trajectory())
-        records.append(record)
+        records.append(rec)
         if m % config.snapshot_every == 0 or m == steps:
-            snapshots.append(state.copy())
+            snapshots.append(SpectralField(config.grid, band.pad(u), t))
 
     return build_trajectory()

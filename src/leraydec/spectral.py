@@ -79,9 +79,6 @@ class Grid(_Wavenumbers):
         self.k_linf = np.maximum(np.abs(self.kx), np.maximum(np.abs(self.ky), np.abs(self.kz)))
 
         self.dealias_cutoff = int(np.floor(self.dealias_fraction * (n // 2)))
-        self.dealias_mask = self.k_linf <= self.dealias_cutoff
-        # Modes whose negation is also representable; excludes the -n/2 planes.
-        self.negation_closed_mask = self.k_linf <= (n // 2 - 1)
 
     def mode_index(self, k) -> tuple[int, int, int]:
         """Storage index of integer wavevector k (components may be negative)."""

@@ -34,3 +34,9 @@ def rel_l2(a, b):
     diff = a.with_coeffs(a.coeffs - b.coeffs)
     denom = ld.hs_norm(b, 0)
     return ld.hs_norm(diff, 0) / denom if denom else ld.hs_norm(diff, 0)
+
+
+def band_mask(grid, dealias=True):
+    """Full-grid mask of the integrated modes: the dealias band |k|_inf <= n/3,
+    or with dealiasing off every mode whose negation is representable."""
+    return grid.k_linf <= (grid.dealias_cutoff if dealias else grid.n // 2 - 1)

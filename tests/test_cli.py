@@ -331,6 +331,23 @@ def test_sweep_n(cfg_path, tmp_path, capsys):
     assert "n_limit_main.csv" in set(os.listdir(out))
 
 
+@pytest.mark.parametrize("first, second", [
+    (["sweep-n", "--orders", "0"], ["sweep-n", "--orders", "0,1,2", "--delta", "0.3"]),
+    (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0"],
+     ["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "1"]),
+], ids=["sweep-n", "sweep-delta"])
+def test_sweep_digest_covers_the_study_flags(cfg_path, tmp_path, capsys, first, second):
+    out = str(tmp_path / "sw")
+
+    def digest(args):
+        assert _run([args[0], "--config", cfg_path, *args[1:], "--out", out]) == 0
+        return tables.read_manifest(os.path.join(out, "manifest.json"))["config_sha256"]
+
+    a = digest(first)
+    assert digest(second) != a
+    assert digest(first) == a
+
+
 def test_consistency_command(tmp_path, capsys):
     assert _run(["consistency", "--deltas", "0.2,0.1,0.05",
                  "--orders", "0", "--grid-n", "8",

@@ -30,6 +30,22 @@ def test_energy_record_values(grid16):
     assert rec.input_power == pytest.approx(0.25, rel=1e-13)
 
 
+def test_band_and_full_grid_records_agree(grid16):
+    # a run forms its records on the band; the full-grid record of the same
+    # state sums the same terms (plus zeros) in another order
+    traj = _viscous_tg_run(grid16, dt=0.01, t_end=0.03, order=2)
+    band = ld.solver.integration_band(grid16, dealias=True)
+    state = traj.terminal
+    forcing = ld.SpectralField(grid16, band.pad(band.truncate(ld.random_solenoidal(grid16, seed=14).coeffs)))
+    full = diagnostics.energy_record(state, 0.1, forcing)
+    on_band = diagnostics._record(band.truncate(state.coeffs), band, state.t, 0.1,
+                                  band.truncate(forcing.coeffs))
+    assert full.input_power != 0.0
+    for name in ("energy", "h1_seminorm_sq", "dissipation", "input_power"):
+        assert getattr(on_band, name) == pytest.approx(getattr(full, name), rel=1e-14, abs=0)
+    assert on_band.t == full.t
+
+
 def test_balance_residual_zero_for_exact_decay(grid16):
     # single transverse mode: energy decays as exp(-2 nu t) exactly, and the
     # trapezoid applied to the recorded exponential leaves the O(dt^2) defect

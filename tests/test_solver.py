@@ -5,7 +5,7 @@ import leraydec as ld
 from leraydec import diagnostics, spectral
 from leraydec.solver import recover_pressure
 
-from conftest import rel_l2
+from conftest import band_mask, rel_l2
 
 
 def _cfg(grid, model="nse", order=0, delta=0.5, nu=0.05, dt=0.01, t_end=0.1, **kw):
@@ -120,7 +120,7 @@ def test_nonlinear_orthogonality(grid16):
     ]:
         for form in ("advective", "divergence"):
             nl = ld.nonlinear_term(w, model, fspec, conv_form=form)
-            wb = w.with_coeffs(w.coeffs * grid16.dealias_mask)
+            wb = w.with_coeffs(w.coeffs * band_mask(grid16))
             scale = ld.hs_norm(wb, 0) * ld.hs_norm(nl, 0)
             assert abs(ld.inner(nl, wb)) < 1e-12 * max(scale, 1.0)
 
@@ -146,7 +146,7 @@ def test_dealias_toggle_changes_result(grid16):
     off = ld.nonlinear_term(w, ld.ModelKind.nse(), dealias=False)
     assert ld.hs_norm(on.with_coeffs(on.coeffs - off.coeffs), 0) > 1e-8
     # the dealiased result carries nothing beyond the cutoff
-    assert np.all(on.coeffs[:, ~grid16.dealias_mask] == 0)
+    assert np.all(on.coeffs[:, ~band_mask(grid16)] == 0)
 
 
 def test_taylor_green_pressure(grid16):
@@ -169,13 +169,13 @@ def test_pressure_completes_projection(grid16):
     g = grid16
     n = g.n
 
-    wb = w.coeffs * g.dealias_mask
+    wb = w.coeffs * band_mask(g)
     adv_phys = spectral.to_physical(ld.apply_hn(ld.SpectralField(g, wb), spec))
     conv = np.zeros((3, n, n, n))
     for j, kj in enumerate(g.wavevectors()):
         dw_j = np.fft.ifftn(1j * kj * wb, axes=(1, 2, 3)).real * n**3
         conv += adv_phys[j] * dw_j
-    unprojected = -(np.fft.fftn(conv, axes=(1, 2, 3)) / n**3) * g.dealias_mask
+    unprojected = -(np.fft.fftn(conv, axes=(1, 2, 3)) / n**3) * band_mask(g)
 
     grad_q = np.stack([1j * g.kx * q, 1j * g.ky * q, 1j * g.kz * q])
     resid = ld.SpectralField(g, unprojected - grad_q)
@@ -285,7 +285,7 @@ def _reference_nonlinear(w, model, fspec, dealias, conv_form, project=True):
     """The allocate-per-operation right-hand side the workspace kernel replaced."""
     g = w.grid
     n3 = g.n**3
-    mask = g.dealias_mask if dealias else g.negation_closed_mask
+    mask = band_mask(g, dealias)
     w = w.coeffs * mask
     if model.is_regularized:
         g_hat = ld.transfer_g(g.k_mag, fspec)
@@ -380,15 +380,15 @@ def test_step_is_bit_identical_and_leaves_its_input_alone(grid16):
     kept = state.coeffs.copy()
     out = ld.step(state, cfg).coeffs
     assert np.array_equal(state.coeffs, kept)
-    assert np.array_equal(out, _reference_advance(state.coeffs * grid16.dealias_mask, cfg))
+    assert np.array_equal(out, _reference_advance(state.coeffs * band_mask(grid16), cfg))
 
 
 def _reference_run(cfg):
     """Snapshots and records of a run integrated on the full grid with a
     mask multiply for the dealiasing, as the stepper did before it kept only
-    the band."""
+    the band; the records are formed by the run's own sum core."""
     g = cfg.grid
-    mask = g.dealias_mask if cfg.dealias else g.negation_closed_mask
+    mask = band_mask(g, cfg.dealias)
 
     def prepared(spec, smooth):
         coeffs = ld.leray_project(spec.evaluate(g)).coeffs * mask
@@ -396,14 +396,19 @@ def _reference_run(cfg):
             coeffs = coeffs * ld.transfer_hn(g.k_mag, cfg.filter)
         return coeffs
 
+    band = ld.solver.integration_band(g, cfg.dealias)
+
+    def record(u, t):
+        # the run's records are sums over the band, in the band's order
+        return diagnostics._record(band.truncate(u), band, t, cfg.nu, band.truncate(f))
+
     u = prepared(cfg.ic, cfg.filter_ic)
     f = prepared(cfg.forcing, cfg.filter_forcing)
-    forcing = ld.SpectralField(g, f)
     snapshots = [u.copy()]
-    records = [ld.energy_record(ld.SpectralField(g, u), cfg.nu, forcing)]
+    records = [record(u, 0.0)]
     for m in range(1, cfg.steps + 1):
         u = _reference_advance(u, cfg, f)
-        records.append(ld.energy_record(ld.SpectralField(g, u, m * cfg.dt), cfg.nu, forcing))
+        records.append(record(u, m * cfg.dt))
         if m % cfg.snapshot_every == 0 or m == cfg.steps:
             snapshots.append(u.copy())
     return snapshots, diagnostics.attach_balance_residuals(records)
@@ -424,7 +429,8 @@ def test_run_is_bit_identical_to_the_full_layout_reference(grid16, model, fspec,
     assert traj.records == records
 
 
-def test_padded_transform_input_stays_zero_outside_the_band(grid8, monkeypatch):
+def _stepper_of_a_forced_run(grid, monkeypatch):
+    """The stepper of a forced order-2 run, as the run left it."""
     made = []
 
     class Recorded(ld.solver._Stepper):
@@ -433,12 +439,32 @@ def test_padded_transform_input_stays_zero_outside_the_band(grid8, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(ld.solver, "_Stepper", Recorded)
-    cfg = _cfg(grid8, model="leray_deconv", order=2, t_end=0.03,
+    cfg = _cfg(grid, model="leray_deconv", order=2, t_end=0.03,
                ic=ld.FieldSpec(kind="random_solenoidal", seed=25),
                forcing=ld.FieldSpec(kind="taylor_green", amplitude=0.5))
     ld.run(cfg)
     (stepper,) = made
+    return stepper
+
+
+def test_padded_transform_input_stays_zero_outside_the_band(grid8, monkeypatch):
+    stepper = _stepper_of_a_forced_run(grid8, monkeypatch)
     outside = stepper.padded[:, grid8.k_linf > stepper.band.cutoff]
     assert outside.size > 0
     assert np.all(outside == 0)
     assert not (np.signbit(outside.real).any() or np.signbit(outside.imag).any())
+
+
+def test_stepper_holds_nothing_full_grid_but_its_transform_workspace(grid8, monkeypatch):
+    stepper = _stepper_of_a_forced_run(grid8, monkeypatch)
+    assert stepper.f_eff is not None
+    full = []
+    for name, value in vars(stepper).items():
+        if name in ("padded", "spectrum", "rwork"):
+            continue
+        for i, a in enumerate(value if isinstance(value, list) else [value]):
+            a = a.coeffs if isinstance(a, ld.SpectralField) else a
+            # elements per component: the product of the three grid axes
+            if isinstance(a, np.ndarray) and np.prod(a.shape[-3:]) >= grid8.n**3:
+                full.append((name, i, a.shape))
+    assert full == []
