@@ -16,18 +16,12 @@ from .spectral import (
     Grid,
     ParameterError,
     SpectralField,
-    curl,
-    divergence,
     energy,
     from_physical,
-    gradient,
     hs_norm,
     inner,
-    laplacian,
     leray_project,
-    project_ball,
     project_pn,
-    shell_spectrum,
     solenoidal_defect,
     symmetry_defect,
     to_physical,
@@ -45,7 +39,6 @@ from .filtering import (
     deconv_error_field,
     deconv_error_multiplier,
     operator_norm_dn,
-    smoothing_constant,
     transfer_dn,
     transfer_exact,
     transfer_g,
@@ -62,7 +55,6 @@ from .solver import (
     Trajectory,
     cfl_max_dt,
     nonlinear_term,
-    recover_pressure,
     run,
     step,
 )
@@ -70,14 +62,10 @@ from .diagnostics import (
     ConsistencyReport,
     DiagRecord,
     ModelError,
-    ReynoldsReport,
     consistency_report,
-    energy_inequality_monitor,
     energy_record,
     model_error,
-    reynolds_report,
     tau_tensor,
-    time_average,
 )
 from .experiments import RateFit, StudyReport, StudySpec, fit_rate, run_study
 from .config import ConfigError, RunConfig, parse_config, parse_config_text, render_effective

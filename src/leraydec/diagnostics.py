@@ -14,15 +14,13 @@ ones, so Cauchy-Schwarz bounds hold with constant one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import filtering, spectral
 from .filtering import FilterSpec
 from .spectral import BOX_VOLUME, SpectralField
-
-L_BOX = spectral.TWO_PI
 
 
 @dataclass
@@ -74,11 +72,6 @@ def attach_balance_residuals(records: list[DiagRecord]) -> list[DiagRecord]:
         acc_power += 0.5 * dt * (prev.input_power + cur.input_power)
         cur.balance_residual = cur.energy - e0 + acc_diss - acc_power
     return records
-
-
-def energy_inequality_monitor(records: list[DiagRecord]) -> float:
-    """Largest signed balance residual; positive values mean energy surplus."""
-    return max(r.balance_residual for r in records)
 
 
 def l2_box_norm(f: SpectralField) -> float:
@@ -196,32 +189,6 @@ def filter_error_bounds_check(
     return rows
 
 
-def time_average(ts, values, horizon: float | None = None) -> float:
-    """Finite-horizon time average by the trapezoidal rule.
-
-    A surrogate for the long-time limit average; the horizon actually used
-    is always part of any report built on this.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    vals = np.asarray(values, dtype=np.float64)
-    if ts.ndim != 1 or ts.shape != vals.shape or ts.size < 2:
-        raise ValueError("need matching 1-d arrays with at least two samples")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    t_end = ts[-1] if horizon is None else float(horizon)
-    if t_end <= ts[0] or t_end > ts[-1] + 1e-12 * max(1.0, abs(ts[-1])):
-        raise ValueError(f"horizon {t_end} is outside the recorded interval [{ts[0]}, {ts[-1]}]")
-    t_end = min(t_end, ts[-1])
-    m = int(np.searchsorted(ts, t_end, side="right"))
-    tt = ts[:m]
-    vv = vals[:m]
-    if tt[-1] < t_end:
-        v_end = np.interp(t_end, ts, vals)
-        tt = np.append(tt, t_end)
-        vv = np.append(vv, v_end)
-    return float(np.trapezoid(vv, tt) / (tt[-1] - tt[0]))
-
-
 @dataclass
 class ModelError:
     l2_final: float
@@ -249,47 +216,3 @@ def model_error(traj_model, traj_reference) -> ModelError:
     l2l2 = float(np.sqrt(np.trapezoid(l2_sq, ts)))
     h1_avg = float(np.sqrt(np.trapezoid(h1_sq, ts) / span)) if span > 0 else float("nan")
     return ModelError(l2_final=float(np.sqrt(l2_sq[-1])), l2l2=l2l2, h1_timeavg=h1_avg)
-
-
-@dataclass
-class ReynoldsReport:
-    """Large-scale flow characterization and the consistency-scaling comparison.
-
-    measured_tau is the time average of (1/(U^2 L^3)) int |tau_0| dx; the
-    scaling estimate is (delta / L) sqrt(Re) / sqrt(U).  Both are reported
-    side by side without a verdict, together with the averaging horizon.
-    """
-
-    length: float
-    velocity: float
-    reynolds: float
-    dissipation_avg: float
-    measured_tau: float
-    scaling_estimate: float
-    horizon: float
-
-
-def reynolds_report(traj, nu: float, delta: float, horizon: float | None = None) -> ReynoldsReport:
-    ts = [r.t for r in traj.records]
-    e2 = [2.0 * r.energy for r in traj.records]
-    diss = [r.dissipation for r in traj.records]
-    u_scale = float(np.sqrt(time_average(ts, e2, horizon)))
-    eps_avg = time_average(ts, diss, horizon)
-    reynolds = u_scale * L_BOX / nu
-
-    spec0 = FilterSpec(delta=delta, order=0)
-    snap_ts = [s.t for s in traj.snapshots]
-    tau_vals = [tau_tensor(s, spec0)[1] for s in traj.snapshots]
-    tau_norm = [tv / (u_scale**2 * BOX_VOLUME) for tv in tau_vals]
-    h = snap_ts[-1] if horizon is None else min(horizon, snap_ts[-1])
-    measured = time_average(snap_ts, tau_norm, h)
-    estimate = (delta / L_BOX) * np.sqrt(reynolds) / np.sqrt(u_scale)
-    return ReynoldsReport(
-        length=L_BOX,
-        velocity=u_scale,
-        reynolds=reynolds,
-        dissipation_avg=eps_avg,
-        measured_tau=measured,
-        scaling_estimate=float(estimate),
-        horizon=float(h if horizon is None else horizon),
-    )

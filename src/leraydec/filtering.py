@@ -225,16 +225,6 @@ def operator_norm_dn(spec: FilterSpec, k_max: float) -> float:
     return float(transfer_dn(ks, spec).max())
 
 
-def smoothing_constant(spec: FilterSpec, k) -> float:
-    """sup over the given wavenumbers of h_N(k) * k^2.
-
-    This is the norm gain of the smoother from H^s to H^{s+2} on the grid:
-    two derivatives are absorbed at the price of this constant.
-    """
-    arr = np.asarray(k, dtype=np.float64)
-    return float((transfer_hn(arr, spec) * arr**2).max())
-
-
 @dataclass
 class TransferTable:
     """Sampled transfer functions of filter, deconvolution, and smoother."""

@@ -13,8 +13,8 @@ Layout (little-endian throughout):
     40      --    3*n^3 complex128  coefficients, C order, component-major
 
 The payload is the raw coefficient array, so a write/read round trip is
-bit-exact.  Readers reject unknown magic, newer layout versions, and
-truncated payloads.
+bit-exact.  Readers reject unknown magic, a layout version outside
+1..LAYOUT_VERSION, a grid size Grid rejects, and truncated payloads.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField
+from .spectral import Grid, ParameterError, SpectralField
 
 MAGIC = b"LDSNAP01"
 LAYOUT_VERSION = 1
@@ -72,20 +72,21 @@ def read_snapshot(path, expected_grid: Grid | None = None):
             raise SnapshotError(f"{path}: bad magic {magic!r}")
         if version > LAYOUT_VERSION:
             raise SnapshotError(f"{path}: layout version {version} is newer than supported ({LAYOUT_VERSION})")
+        if version < 1:
+            raise SnapshotError(f"{path}: invalid layout version {version}")
         if tag not in _MODEL_FAMILIES:
             raise SnapshotError(f"{path}: unknown model tag {tag}")
+        if expected_grid is not None and expected_grid.n != n:
+            raise SnapshotError(f"{path}: grid n={n} does not match expected n={expected_grid.n}")
+        try:
+            grid = expected_grid or Grid(n)
+        except ParameterError as exc:
+            raise SnapshotError(f"{path}: {exc}") from None
         payload = fh.read()
 
     expected_bytes = 3 * n * n * n * 16
     if len(payload) != expected_bytes:
         raise SnapshotError(f"{path}: payload is {len(payload)} bytes, expected {expected_bytes}")
-
-    if expected_grid is not None:
-        if expected_grid.n != n:
-            raise SnapshotError(f"{path}: grid n={n} does not match expected n={expected_grid.n}")
-        grid = expected_grid
-    else:
-        grid = Grid(n)
 
     coeffs = np.frombuffer(payload, dtype="<c16").astype(np.complex128).reshape(3, n, n, n)
     meta = SnapshotMeta(n=n, t=t, delta=delta, order=order,

@@ -255,8 +255,8 @@ class _Advection:
         self.stats.filter_applications += self.order + 1
         return adv
 
-    def nonlinear(self, w: np.ndarray, project: bool = True) -> np.ndarray:
-        """-(u_adv . grad) w on the band, optionally Leray-projected.
+    def nonlinear(self, w: np.ndarray) -> np.ndarray:
+        """-P[(u_adv . grad) w] on the band, P the Leray projection.
 
         w holds band coefficients; the result is a workspace buffer,
         overwritten by the next call.  Truncating the product spectrum to the
@@ -290,9 +290,7 @@ class _Advection:
                 out -= np.multiply(ik, flux, out=flux)
             free = c2
 
-        if project:
-            spectral.leray_project_inplace(out, self.band, free[:2])
-        return out
+        return spectral.leray_project_inplace(out, self.band, free[:2])
 
 
 class _Stepper(_Advection):
@@ -357,16 +355,6 @@ class _Stepper(_Advection):
         u *= self.decays[2]
 
 
-def _advection(state: SpectralField, model: ModelKind, filter_spec: FilterSpec | None,
-               dealias: bool, conv_form: str, project: bool) -> np.ndarray:
-    """The advection term of the state truncated to the band, by a fresh kernel,
-    on the full grid."""
-    kernel = _Advection(state.grid, model, filter_spec, dealias, conv_form)
-    kernel.allocate_workspace()
-    w = kernel.band.truncate(state.coeffs)
-    return kernel.band.pad(kernel.nonlinear(w, project))
-
-
 def nonlinear_term(
     state: SpectralField,
     model: ModelKind,
@@ -379,35 +367,12 @@ def nonlinear_term(
     The input is truncated to the dealias band first, so the retained
     quadratic interactions are exactly the alias-free ones; with a
     solenoidal advecting velocity the result is L2-orthogonal to the state.
+    The term is evaluated by a fresh kernel and returned on the full grid.
     """
-    adv = _advection(state, model, filter_spec, dealias, conv_form, project=True)
-    return state.with_coeffs(adv)
-
-
-def recover_pressure(
-    state: SpectralField,
-    model: ModelKind,
-    filter_spec: FilterSpec | None = None,
-    forcing: SpectralField | None = None,
-    dealias: bool = True,
-    conv_form: str = "advective",
-) -> np.ndarray:
-    """Scalar pressure coefficients from the unprojected right-hand side.
-
-    q_hat(k) = -i k . R_hat(k) / |k|^2 where R is the dealiased advection
-    term plus forcing before projection; grad q is then exactly the
-    non-solenoidal part of R, and q_hat(0) = 0.
-    """
-    g = state.grid
-    rhs = _advection(state, model, filter_spec, dealias, conv_form, project=False)
-    if forcing is not None:
-        rhs += forcing.coeffs
-    q = np.empty((g.n, g.n, g.n), dtype=np.complex128)
-    spectral.wavevector_dot(rhs, g, q, np.empty_like(q))
-    np.multiply(-1j, q, out=q)
-    q /= g._k_sq_safe
-    q[0, 0, 0] = 0.0
-    return q
+    kernel = _Advection(state.grid, model, filter_spec, dealias, conv_form)
+    kernel.allocate_workspace()
+    w = kernel.band.truncate(state.coeffs)
+    return state.with_coeffs(kernel.band.pad(kernel.nonlinear(w)))
 
 
 def step(state: SpectralField, config: SolverConfig) -> SpectralField:

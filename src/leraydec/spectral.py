@@ -243,19 +243,6 @@ def inner(f: SpectralField, g: SpectralField) -> float:
     return float((c.real * d.real + c.imag * d.imag).sum())
 
 
-def shell_spectrum(f: SpectralField) -> np.ndarray:
-    """Shell energies E(m), m = 1, 2, ..., with shell m holding m-1 < |k| <= m.
-
-    The shell count follows the largest |k| present on the grid (the cube
-    corners reach beyond n/2), so the shell energies regroup exactly the same
-    summands as energy(): sum(shell_spectrum(f)) == energy(f) up to rounding.
-    """
-    density = 0.5 * _mode_energy_density(f).sum(axis=0)
-    idx = np.ceil(f.grid.k_mag).astype(np.int64)
-    shells = np.bincount(idx.ravel(), weights=density.ravel())
-    return shells[1:]
-
-
 def wavevector_dot(c: np.ndarray, grid: Grid | Band, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """k . c of 3-component coefficients on a grid or band, written into out.
 
@@ -300,44 +287,6 @@ def project_pn(f: SpectralField, m: int) -> SpectralField:
     if m >= f.grid.n // 2:
         return f.copy()
     return f.with_coeffs(f.coeffs * (f.grid.k_linf <= m))
-
-
-def project_ball(f: SpectralField, k_max: float) -> SpectralField:
-    """Truncation to the ball of modes with Euclidean |k| <= k_max."""
-    if k_max < 0:
-        raise ValueError(f"ball radius must be >= 0, got {k_max}")
-    return f.with_coeffs(f.coeffs * (f.grid.k_mag <= k_max))
-
-
-def gradient(f: SpectralField) -> np.ndarray:
-    """Spectral gradient; out[i, j] holds the coefficients of d_j f_i."""
-    g = f.grid
-    n = g.n
-    out = np.empty((3, 3, n, n, n), dtype=np.complex128)
-    for j, kj in enumerate(g.wavevectors()):
-        out[:, j] = 1j * kj * f.coeffs
-    return out
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    return f.with_coeffs(-f.grid.k_sq * f.coeffs)
-
-
-def curl(f: SpectralField) -> SpectralField:
-    g = f.grid
-    c = f.coeffs
-    out = np.empty_like(c)
-    out[0] = 1j * (g.ky * c[2] - g.kz * c[1])
-    out[1] = 1j * (g.kz * c[0] - g.kx * c[2])
-    out[2] = 1j * (g.kx * c[1] - g.ky * c[0])
-    return f.with_coeffs(out)
-
-
-def divergence(f: SpectralField) -> np.ndarray:
-    """Scalar coefficients of div f."""
-    out = np.empty(f.coeffs.shape[1:], dtype=np.complex128)
-    wavevector_dot(f.coeffs, f.grid, out, np.empty_like(out))
-    return np.multiply(1j, out, out=out)
 
 
 def reflected_conjugate(coeffs: np.ndarray) -> np.ndarray:

@@ -57,6 +57,8 @@ def _check_schema(line: str, schema: tuple, path) -> None:
     name, _, major = line[len(prefix):].strip().partition("/")
     if name != schema[0]:
         raise TableError(f"{path}: schema {name!r}, expected {schema[0]!r}")
+    if not major.isdecimal():
+        raise TableError(f"{path}: schema major {major!r} is not a number")
     if int(major) > schema[1]:
         raise TableError(f"{path}: schema major {major} is newer than supported ({schema[1]})")
 
@@ -179,8 +181,10 @@ def write_manifest(out_dir, paths, config_hash: str) -> str:
 def read_manifest(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise TableError(f"{path}: manifest is not a JSON object")
     schema = manifest.get("schema", "")
-    name, _, major = schema.partition("/")
-    if name != MANIFEST_SCHEMA[0] or not major or int(major) > MANIFEST_SCHEMA[1]:
+    name, _, major = str(schema).partition("/")
+    if name != MANIFEST_SCHEMA[0] or not major.isdecimal() or int(major) > MANIFEST_SCHEMA[1]:
         raise TableError(f"{path}: unsupported manifest schema {schema!r}")
     return manifest

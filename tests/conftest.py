@@ -40,3 +40,18 @@ def band_mask(grid, dealias=True):
     """Full-grid mask of the integrated modes: the dealias band |k|_inf <= n/3,
     or with dealiasing off every mode whose negation is representable."""
     return grid.k_linf <= (grid.dealias_cutoff if dealias else grid.n // 2 - 1)
+
+
+def curl(f):
+    """Coefficients of the curl of a spectral field, i k x f_hat."""
+    g, c = f.grid, f.coeffs
+    return 1j * np.stack([g.ky * c[2] - g.kz * c[1],
+                          g.kz * c[0] - g.kx * c[2],
+                          g.kx * c[1] - g.ky * c[0]])
+
+
+def shell_energies(f):
+    """Energies of the shells m - 1 < |k| <= m, m = 1, 2, ...: a bincount over ceil(|k|)."""
+    density = 0.5 * (f.coeffs.real**2 + f.coeffs.imag**2).sum(axis=0)
+    shells = np.ceil(f.grid.k_mag).astype(np.int64)
+    return np.bincount(shells.ravel(), weights=density.ravel())[1:]

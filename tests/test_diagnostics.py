@@ -80,15 +80,6 @@ def test_attach_balance_residuals_recomputes():
     assert recs[1].balance_residual == pytest.approx(0.0, abs=1e-15)
 
 
-def test_energy_inequality_monitor():
-    recs = [
-        diagnostics.DiagRecord(0.0, 1.0, 0, 0, 0, 0.0),
-        diagnostics.DiagRecord(0.1, 1.0, 0, 0, 0, -3e-9),
-        diagnostics.DiagRecord(0.2, 1.0, 0, 0, 0, 2e-9),
-    ]
-    assert diagnostics.energy_inequality_monitor(recs) == pytest.approx(2e-9)
-
-
 def test_l2_box_norm_parseval(grid16):
     f = ld.random_solenoidal(grid16, seed=20)
     u = ld.to_physical(f)
@@ -151,21 +142,6 @@ def test_filter_error_rejects_high_order(grid16):
         diagnostics.filter_error_bounds_check(u, ld.FilterSpec(delta=0.5), max_beta_order=3)
 
 
-def test_time_average_exact_on_linear():
-    ts = np.linspace(0.0, 2.0, 21)
-    vals = 3.0 * ts + 1.0
-    # trapezoid is exact on affine data: average of 3t+1 over [0,2] is 4
-    assert diagnostics.time_average(ts, vals) == pytest.approx(4.0, rel=1e-13)
-    assert diagnostics.time_average(ts, vals, horizon=1.0) == pytest.approx(2.5, rel=1e-13)
-
-
-def test_time_average_validation():
-    with pytest.raises(ValueError):
-        diagnostics.time_average([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        diagnostics.time_average([0.0, 1.0], [1.0, 2.0], horizon=2.0)
-
-
 def test_model_error_zero_on_identical(grid16):
     cfg = ld.SolverConfig(grid=grid16, model=ld.ModelKind.nse(), nu=0.1,
                           dt=0.01, t_end=0.05, snapshot_every=1)
@@ -206,20 +182,3 @@ def test_model_error_known_difference(grid16):
     assert err.l2_final == pytest.approx(d, rel=1e-12)
     assert err.l2l2 == pytest.approx(d * np.sqrt(0.04), rel=1e-12)
     assert err.h1_timeavg == pytest.approx(4.0 * d, rel=1e-12)
-
-
-def test_reynolds_report_fields(grid16):
-    cfg = ld.SolverConfig(
-        grid=grid16, model=ld.ModelKind.leray_deconvolution(0),
-        nu=0.05, dt=0.01, t_end=0.1,
-        filter=ld.FilterSpec(delta=0.5, order=0),
-        ic=ld.FieldSpec(kind="taylor_green"), snapshot_every=2,
-    )
-    traj = ld.run(cfg)
-    rep = diagnostics.reynolds_report(traj, nu=cfg.nu, delta=0.5)
-    assert rep.velocity > 0
-    assert rep.reynolds == pytest.approx(rep.velocity * rep.length / cfg.nu, rel=1e-12)
-    assert rep.measured_tau > 0
-    assert rep.scaling_estimate > 0
-    assert rep.dissipation_avg > 0
-    assert rep.horizon == pytest.approx(0.1)

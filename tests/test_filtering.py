@@ -104,7 +104,7 @@ def test_apply_filter_solves_helmholtz(rand16):
     spec = ld.FilterSpec(delta=0.37)
     fb = ld.apply_filter(rand16, spec)
     # (-delta^2 Lap + 1) filtered == original
-    lhs = fb.with_coeffs(fb.coeffs - spec.delta**2 * ld.laplacian(fb).coeffs)
+    lhs = fb.with_coeffs(fb.coeffs - spec.delta**2 * (-fb.grid.k_sq * fb.coeffs))
     assert rel_l2(lhs, rand16) < 1e-13
 
 
@@ -170,16 +170,6 @@ def test_operator_norm_approaches_order_plus_one():
         nm = ld.operator_norm_dn(spec, k_max=1e3)
         assert nm <= order + 1
         assert (order + 1) - nm < 1e-3
-
-
-def test_smoothing_constant(grid16):
-    spec = ld.FilterSpec(delta=0.5, order=2)
-    ks = np.linspace(0.0, 8.0, 1001)
-    c = ld.smoothing_constant(spec, ks)
-    direct = (ld.transfer_hn(ks, spec) * ks**2).max()
-    assert c == direct
-    # bounded by the exact-inverse gain (N + 1) / delta^2
-    assert c <= (spec.order + 1) / spec.delta**2 + 1e-12
 
 
 def test_transfer_table_build_and_validate():

@@ -66,10 +66,13 @@ def test_newer_version_rejected(tmp_path, rand16):
     path = tmp_path / "a.snap"
     snapshots.write_snapshot(path, rand16)
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<I", blob, 36, snapshots.LAYOUT_VERSION + 1)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(snapshots.SnapshotError, match="newer"):
-        snapshots.read_snapshot(path)
+    # version 0 predates the first layout
+    for version, match in [(snapshots.LAYOUT_VERSION + 1, "newer"), (0, "invalid layout version 0")]:
+        struct.pack_into("<I", blob, 36, version)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(snapshots.SnapshotError, match=match) as err:
+            snapshots.read_snapshot(path)
+        assert str(path) in str(err.value)
 
 
 def test_unknown_model_tag_rejected(tmp_path, rand16):
@@ -87,6 +90,15 @@ def test_grid_mismatch_rejected(tmp_path, rand16):
     snapshots.write_snapshot(path, rand16)
     with pytest.raises(snapshots.SnapshotError, match="does not match"):
         snapshots.read_snapshot(path, expected_grid=ld.Grid(8))
+    # a header size Grid rejects, with a payload of that size
+    header = path.read_bytes()[:snapshots._HEADER.size]
+    for n in (5, 2):
+        bad = bytearray(header)
+        struct.pack_into("<I", bad, 8, n)
+        path.write_bytes(bytes(bad) + bytes(3 * n**3 * 16))
+        with pytest.raises(snapshots.SnapshotError, match=f"even and >= 4, got {n}") as err:
+            snapshots.read_snapshot(path)
+        assert str(path) in str(err.value)
 
 
 def test_round_trip_preserves_field_invariants(tmp_path, grid16):

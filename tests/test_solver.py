@@ -3,7 +3,6 @@ import pytest
 
 import leraydec as ld
 from leraydec import diagnostics, spectral
-from leraydec.solver import recover_pressure
 
 from conftest import band_mask, rel_l2
 
@@ -33,7 +32,7 @@ def test_config_validation(grid8):
                         nu=0.1, dt=0.01, t_end=0.1, filter=ld.FilterSpec(delta=0.5, order=3))
 
 
-@pytest.mark.parametrize("helper", [ld.nonlinear_term, recover_pressure])
+@pytest.mark.parametrize("helper", [ld.nonlinear_term])
 @pytest.mark.parametrize("model, fspec, conv_form, match", [
     (ld.ModelKind.leray_deconvolution(2), None, "advective", "requires a filter"),
     (ld.ModelKind.leray_deconvolution(2), ld.FilterSpec(delta=0.5, order=3), "advective",
@@ -149,23 +148,12 @@ def test_dealias_toggle_changes_result(grid16):
     assert np.all(on.coeffs[:, ~band_mask(grid16)] == 0)
 
 
-def test_taylor_green_pressure(grid16):
-    # classical closed-form pressure of the Taylor-Green vortex
-    q = recover_pressure(ld.taylor_green(grid16), ld.ModelKind.nse())
-    q_phys = np.fft.ifftn(q).real * grid16.n**3
-    x, y, z = grid16.mesh()
-    classic = (np.cos(2 * x) + np.cos(2 * y)) * (2.0 + np.cos(2 * z)) / 16.0
-    np.testing.assert_allclose(q_phys, classic, rtol=0, atol=1e-13)
-    assert q[0, 0, 0] == 0.0
-
-
-def test_pressure_completes_projection(grid16):
-    # grad q must be exactly the non-solenoidal part of the advection term,
-    # reconstructed here independently from collocation products
+def test_nonlinear_term_matches_closed_form_smoother(grid16):
+    # the kernel's van Cittert advecting velocity against the closed-form
+    # smoother h_N, with the advection term rebuilt from collocation products
     w = ld.random_solenoidal(grid16, seed=5)
     spec = ld.FilterSpec(delta=0.5, order=2)
     model = ld.ModelKind.leray_deconvolution(2)
-    q = recover_pressure(w, model, spec)
     g = grid16
     n = g.n
 
@@ -177,10 +165,8 @@ def test_pressure_completes_projection(grid16):
         conv += adv_phys[j] * dw_j
     unprojected = -(np.fft.fftn(conv, axes=(1, 2, 3)) / n**3) * band_mask(g)
 
-    grad_q = np.stack([1j * g.kx * q, 1j * g.ky * q, 1j * g.kz * q])
-    resid = ld.SpectralField(g, unprojected - grad_q)
-    assert np.abs(ld.divergence(resid)).max() < 1e-13
-    assert rel_l2(ld.leray_project(resid), ld.nonlinear_term(w, model, spec)) < 1e-12
+    projected = ld.leray_project(ld.SpectralField(g, unprojected))
+    assert rel_l2(projected, ld.nonlinear_term(w, model, spec)) < 1e-12
 
 
 def test_run_determinism(grid16):
@@ -281,7 +267,7 @@ def test_inviscid_energy_conservation_short(grid8):
     assert abs(e[-1] - e[0]) / e[0] < 1e-9
 
 
-def _reference_nonlinear(w, model, fspec, dealias, conv_form, project=True):
+def _reference_nonlinear(w, model, fspec, dealias, conv_form):
     """The allocate-per-operation right-hand side the workspace kernel replaced."""
     g = w.grid
     n3 = g.n**3
@@ -309,23 +295,12 @@ def _reference_nonlinear(w, model, fspec, dealias, conv_form, project=True):
             flux = np.fft.fftn(adv_phys[j] * w_phys, axes=(1, 2, 3)) / n3
             out -= 1j * kj * flux
     out *= mask
-    if project:
-        dot = g.kx * out[0] + g.ky * out[1] + g.kz * out[2]
-        factor = dot / g._k_sq_safe
-        out[0] -= g.kx * factor
-        out[1] -= g.ky * factor
-        out[2] -= g.kz * factor
+    dot = g.kx * out[0] + g.ky * out[1] + g.kz * out[2]
+    factor = dot / g._k_sq_safe
+    out[0] -= g.kx * factor
+    out[1] -= g.ky * factor
+    out[2] -= g.kz * factor
     return out
-
-
-def _reference_pressure(w, model, fspec, forcing, dealias, conv_form):
-    g = w.grid
-    rhs = _reference_nonlinear(w, model, fspec, dealias, conv_form, project=False)
-    if forcing is not None:
-        rhs = rhs + forcing.coeffs
-    q = -1j * (g.kx * rhs[0] + g.ky * rhs[1] + g.kz * rhs[2]) / g._k_sq_safe
-    q[0, 0, 0] = 0.0
-    return q
 
 
 _MODELS = [(ld.ModelKind.nse(), None),
@@ -337,20 +312,13 @@ _MODELS = [(ld.ModelKind.nse(), None),
 @pytest.mark.parametrize("model,fspec", _MODELS, ids=["nse", "order3"])
 def test_workspace_kernel_is_bit_identical_to_allocating_one(grid16, model, fspec, dealias, conv_form):
     w = ld.random_solenoidal(grid16, seed=21)
-    forcing = ld.taylor_green(grid16)
     kw = dict(dealias=dealias, conv_form=conv_form)
     nl = ld.nonlinear_term(w, model, fspec, **kw).coeffs
     assert np.array_equal(nl, _reference_nonlinear(w, model, fspec, **kw))
-    for f in (None, forcing):
-        q = recover_pressure(w, model, fspec, forcing=f, **kw)
-        assert np.array_equal(q, _reference_pressure(w, model, fspec, f, **kw))
     # a later call must not write into an earlier call's result
-    q = recover_pressure(w, model, fspec, **kw)
-    nl_kept, q_kept = nl.copy(), q.copy()
-    other = ld.random_solenoidal(grid16, seed=22)
-    ld.nonlinear_term(other, model, fspec, **kw)
-    recover_pressure(other, model, fspec, **kw)
-    assert np.array_equal(nl, nl_kept) and np.array_equal(q, q_kept)
+    nl_kept = nl.copy()
+    ld.nonlinear_term(ld.random_solenoidal(grid16, seed=22), model, fspec, **kw)
+    assert np.array_equal(nl, nl_kept)
 
 
 def _reference_advance(u, cfg, forcing=None):

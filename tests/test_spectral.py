@@ -180,20 +180,6 @@ def test_inner_grid_mismatch(grid8, grid16):
         ld.inner(ld.zeros(grid8), ld.zeros(grid16))
 
 
-def test_shell_spectrum_regroups_energy(rand16):
-    shells = ld.shell_spectrum(rand16)
-    assert shells.sum() == pytest.approx(ld.energy(rand16), rel=1e-13)
-    assert np.all(shells >= 0)
-
-
-def test_shell_spectrum_single_shell(grid16):
-    f = ld.single_mode(grid16, (1, 1, 1))
-    shells = ld.shell_spectrum(f)
-    # |k| = sqrt(3) lands in shell 2 (ceil)
-    assert shells[1] == pytest.approx(ld.energy(f), rel=1e-13)
-    assert shells[0] == 0.0
-
-
 def test_leray_projection(grid16):
     rng = np.random.default_rng(5)
     raw = ld.from_physical(grid16, rng.standard_normal((3, 16, 16, 16)))
@@ -224,46 +210,6 @@ def test_project_pn(grid16, rand16):
     np.testing.assert_array_equal(ld.project_pn(rand16, 8).coeffs, rand16.coeffs)
     with pytest.raises(ValueError):
         ld.project_pn(rand16, -1)
-
-
-def test_project_ball(grid16, rand16):
-    t = ld.project_ball(rand16, 3.0)
-    assert np.all(t.coeffs[:, grid16.k_mag > 3.0] == 0)
-    with pytest.raises(ValueError):
-        ld.project_ball(rand16, -2.0)
-
-
-def test_gradient_and_laplacian(grid16, rand16):
-    grad = ld.gradient(rand16)
-    lap = ld.laplacian(rand16)
-    # trace of second derivatives equals the Laplacian
-    from_grad = np.zeros_like(rand16.coeffs)
-    for j, kj in enumerate(grid16.wavevectors()):
-        from_grad += 1j * kj * grad[:, j]
-    np.testing.assert_allclose(from_grad, lap.coeffs, rtol=0, atol=1e-12)
-
-
-def test_divergence_of_solenoidal(rand16):
-    div = ld.divergence(rand16)
-    assert np.abs(div).max() < 1e-13
-
-
-def test_curl_of_gradient_vanishes(grid16):
-    # gradient of a scalar: phi_hat placed in all three slots via ik
-    rng = np.random.default_rng(3)
-    phi = np.fft.fftn(rng.standard_normal((16, 16, 16))) / 16**3
-    c = np.empty((3, 16, 16, 16), dtype=np.complex128)
-    g = grid16
-    c[0] = 1j * g.kx * phi
-    c[1] = 1j * g.ky * phi
-    c[2] = 1j * g.kz * phi
-    f = ld.SpectralField(grid16, c)
-    assert np.abs(ld.curl(f).coeffs).max() < 1e-12
-
-
-def test_curl_of_beltrami(grid16):
-    f = ld.abc_flow(grid16)
-    np.testing.assert_allclose(ld.curl(f).coeffs, f.coeffs, rtol=0, atol=1e-13)
 
 
 def test_symmetry_defect_real_field(rand16):

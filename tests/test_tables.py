@@ -50,6 +50,13 @@ def test_diag_csv_schema_rejections(tmp_path):
     with pytest.raises(tables.TableError, match="expected 'diag'"):
         tables.read_diag_csv(wrong)
 
+    for marker in ("diag/x", "diag", "diag/"):
+        unnumbered = tmp_path / "unnumbered.csv"
+        unnumbered.write_text(text.replace("diag/1", marker))
+        with pytest.raises(tables.TableError, match="not a number") as err:
+            tables.read_diag_csv(unnumbered)
+        assert str(unnumbered) in str(err.value)
+
 
 def test_diag_csv_rejects_changed_columns(tmp_path):
     path = tmp_path / "diag.csv"
@@ -119,6 +126,13 @@ def test_manifest_schema_rejected(tmp_path):
     path.write_text(json.dumps({"files": []}))
     with pytest.raises(tables.TableError):
         tables.read_manifest(path)
+    for payload, match in [({"schema": "manifest/x", "files": []}, "unsupported manifest schema"),
+                           ({"schema": 1, "files": []}, "unsupported manifest schema"),
+                           (["manifest/1"], "not a JSON object")]:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(tables.TableError, match=match) as err:
+            tables.read_manifest(path)
+        assert str(path) in str(err.value)
 
 
 def test_fmt_values(tmp_path):
