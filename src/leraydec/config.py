@@ -41,12 +41,30 @@ def _parse_mode(raw: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+def _parse_list(raw: str, convert) -> tuple:
+    """Comma-separated items; an empty value is the empty list, an empty item is an error."""
+    if not raw.strip():
+        return ()
+    items = [p.strip() for p in raw.split(",")]
+    if "" in items:
+        raise ValueError(f"empty item in list {raw!r}")
+    return tuple(convert(p) for p in items)
+
+
 def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in raw.split(",") if p.strip())
+    return _parse_list(raw, float)
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in raw.split(",") if p.strip())
+    return _parse_list(raw, int)
+
+
+def _parse_conv_form(raw: str) -> str:
+    # the advective form is the only one the solver has; the key stays so
+    # that every configuration that names it still parses
+    if raw != "advective":
+        raise ValueError(f"the only convective form is 'advective', got {raw!r}")
+    return raw
 
 
 _FIELD_KEYS = {
@@ -71,7 +89,7 @@ SCHEMA: dict = {
         "max_order": (int, DEFAULT_MAX_ORDER),
         "filter_forcing": (_parse_bool, True),
         "filter_ic": (_parse_bool, True),
-        "conv_form": (str, "advective"),
+        "conv_form": (_parse_conv_form, "advective"),
     },
     "fluid": {
         "nu": (float, REQUIRED),
@@ -169,7 +187,7 @@ def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
 _ARGUMENT_KEYS = {
     "n": "grid.n",
     "family": "model.kind", "delta": "model.delta", "order": "model.order",
-    "max_order": "model.max_order", "conv_form": "model.conv_form",
+    "max_order": "model.max_order",
     "nu": "fluid.nu",
     "dt": "time.dt", "t_end": "time.t_end", "snapshot_every": "time.snapshot_every",
 }
@@ -213,7 +231,6 @@ def _build_solver_config(v: dict) -> SolverConfig:
         filter_forcing=m["filter_forcing"],
         filter_ic=m["filter_ic"],
         dealias=v["grid"]["dealias"],
-        conv_form=m["conv_form"],
         snapshot_every=v["time"]["snapshot_every"],
     )
 

@@ -42,8 +42,6 @@ _RK_A = (0.0, -5.0 / 9.0, -153.0 / 128.0)
 _RK_B = (1.0 / 3.0, 15.0 / 16.0, 8.0 / 15.0)
 _RK_C = (0.0, 1.0 / 3.0, 3.0 / 4.0)
 
-CONVECTIVE_FORMS = ("advective", "divergence")
-
 
 class CFLAdvisory(UserWarning):
     """Raised as a warning when dt exceeds the advisory CFL limit."""
@@ -92,10 +90,8 @@ class ModelKind:
         return self.family == "leray_deconv"
 
 
-def _check_model(model: ModelKind, filter_spec: FilterSpec | None, conv_form: str) -> None:
-    """Reject a model, filter and convective form the advection kernel cannot run."""
-    if conv_form not in CONVECTIVE_FORMS:
-        raise ParameterError("conv_form", f"conv_form must be one of {CONVECTIVE_FORMS}, got {conv_form!r}")
+def _check_model(model: ModelKind, filter_spec: FilterSpec | None) -> None:
+    """Reject a model and filter the advection kernel cannot run."""
     if model.is_regularized:
         if filter_spec is None:
             raise ParameterError("filter", "regularized model requires a filter")
@@ -118,8 +114,11 @@ class SolverConfig:
     filter_forcing: bool = True
     filter_ic: bool = True
     dealias: bool = True
-    conv_form: str = "advective"
     snapshot_every: int = 10
+
+    # The convective form, fixed: the advective (u_adv . grad) w.  Not a
+    # field; kept readable for code that checks which form a run used.
+    conv_form = "advective"
 
     def __post_init__(self):
         if not self.nu >= 0:
@@ -129,7 +128,7 @@ class SolverConfig:
             raise ParameterError("dt", f"dt must be positive, got {self.dt}")
         check_finite("dt", self.dt)
         step_count(self.t_end, self.dt)  # fail on a bad t_end/dt pair now, not at run time
-        _check_model(self.model, self.filter, self.conv_form)
+        _check_model(self.model, self.filter)
         if self.snapshot_every < 1:
             raise ParameterError("snapshot_every", "snapshot_every must be >= 1")
 
@@ -143,7 +142,10 @@ def step_count(t_end: float, dt: float) -> int:
     if t_end < dt:
         raise ParameterError("t_end", f"t_end must be at least one step, got {t_end} < dt {dt}")
     check_finite("t_end", t_end)
-    m = int(round(t_end / dt))
+    ratio = t_end / dt
+    if not np.isfinite(ratio):
+        raise ParameterError("t_end", f"t_end {t_end} is more steps of dt {dt} than a float can count")
+    m = int(round(ratio))
     if abs(m * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ParameterError("t_end", f"t_end {t_end} is not an integer multiple of dt {dt}")
     return m
@@ -195,22 +197,24 @@ class _Advection:
     """The advection kernel: multipliers, counters and a workspace of its own.
 
     Coefficients live on the integration band; only the transforms see the
-    full grid.  The workspace is three complex band buffers, plus for the
-    transforms one zero-padded complex (3, n, n, n) input, one complex
-    (3, n, n, n) transform buffer and three real (3, n, n, n) buffers, all
-    allocated once by `allocate_workspace`.  Every evaluation runs inside it
-    with no field-sized temporaries of its own.  Each operation keeps the
-    operand order of the plain full-grid array expression it replaces, so
-    results are bit for bit those of an allocate-per-operation evaluation
-    (up to the sign of a zero coefficient).
+    full grid.  The workspace is three complex band buffers, one complex
+    (3, n, n, n) transform buffer and two real (3, n, n, n) buffers (the
+    advecting-velocity samples and the product accumulator), all allocated
+    once by `allocate_workspace`.  Each inverse transform zero-fills the
+    transform buffer, pads the band into it and transforms it in place; the
+    gradient samples are read straight from its real part.  Every
+    evaluation runs inside the workspace with no field-sized temporaries of
+    its own.  Each operation keeps the operand order of the plain full-grid
+    array expression it replaces, so for a power-of-two n results are bit
+    for bit those of an allocate-per-operation evaluation (up to the sign of
+    a zero coefficient).
     """
 
     def __init__(self, grid: Grid, model: ModelKind, filter_spec: FilterSpec | None,
-                 dealias: bool, conv_form: str, stats: RunStats | None = None):
-        _check_model(model, filter_spec, conv_form)
+                 dealias: bool, stats: RunStats | None = None):
+        _check_model(model, filter_spec)
         self.grid = grid
         self.band = integration_band(grid, dealias)
-        self.conv_form = conv_form
         self.stats = stats if stats is not None else RunStats()
 
         self.g_hat = (
@@ -225,15 +229,16 @@ class _Advection:
         # repeated 64^3 runs by 6 MiB.
         full = (3, self.grid.n, self.grid.n, self.grid.n)
         self.cwork = [np.empty(self.band.shape, dtype=np.complex128) for _ in range(3)]
-        # written only inside the band by pad, so zero outside it for good
-        self.padded = np.zeros(full, dtype=np.complex128)
         self.spectrum = np.empty(full, dtype=np.complex128)
-        self.rwork = [np.empty(full) for _ in range(3)]
+        self.rwork = [np.empty(full) for _ in range(2)]
 
-    def inverse(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Collocation samples of band coefficients c, into out."""
-        self.band.pad(c, self.padded)
-        return spectral.inverse_transform(self.padded, out=out, work=self.spectrum)
+    def inverse(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Collocation samples of band coefficients c, into out or, without
+        it, as the real part of the transform buffer (a view that the next
+        transform overwrites)."""
+        self.spectrum.fill(0.0)
+        self.band.pad(c, self.spectrum)
+        return spectral.inverse_transform(self.spectrum, out=out, work=self.spectrum)
 
     def forward(self, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Band coefficients of collocation samples, into out; the rest is dropped."""
@@ -262,35 +267,19 @@ class _Advection:
         overwritten by the next call.  Truncating the product spectrum to the
         band is the dealiasing.
         """
-        c0, c1, c2 = self.cwork
-        adv_phys, r1, r2 = self.rwork
+        c0, c1, _ = self.cwork
+        adv_phys, conv = self.rwork
         self.stats.rhs_evals += 1
 
-        adv = self.advecting_velocity(w)
-        self.inverse(adv, adv_phys)
-
-        if self.conv_form == "advective":
-            conv = r2
-            conv.fill(0.0)
-            for j, ik in enumerate(self.ik):
-                np.multiply(ik, w, out=c1)
-                self.inverse(c1, r1)
-                conv += np.multiply(adv_phys[j], r1, out=r1)
-            out = self.forward(conv, c0)
-            np.negative(out, out=out)
-            free = c1
-        else:
-            w_phys = r1
-            self.inverse(w, w_phys)
-            out = c1
-            out.fill(0.0)
-            for j, ik in enumerate(self.ik):
-                np.multiply(adv_phys[j], w_phys, out=r2)
-                flux = self.forward(r2, c0)
-                out -= np.multiply(ik, flux, out=flux)
-            free = c2
-
-        return spectral.leray_project_inplace(out, self.band, free[:2])
+        self.inverse(self.advecting_velocity(w), adv_phys)
+        conv.fill(0.0)
+        for j, ik in enumerate(self.ik):
+            np.multiply(ik, w, out=c1)
+            dw_j = self.inverse(c1)
+            conv += np.multiply(adv_phys[j], dw_j, out=dw_j)
+        out = self.forward(conv, c0)
+        np.negative(out, out=out)
+        return spectral.leray_project_inplace(out, self.band, c1[:2])
 
 
 class _Stepper(_Advection):
@@ -305,9 +294,7 @@ class _Stepper(_Advection):
 
     def __init__(self, config: SolverConfig, stats: RunStats | None = None,
                  state: SpectralField | None = None):
-        super().__init__(
-            config.grid, config.model, config.filter, config.dealias, config.conv_form, stats
-        )
+        super().__init__(config.grid, config.model, config.filter, config.dealias, stats)
         self.config = config
 
         gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
@@ -360,7 +347,6 @@ def nonlinear_term(
     model: ModelKind,
     filter_spec: FilterSpec | None = None,
     dealias: bool = True,
-    conv_form: str = "advective",
 ) -> SpectralField:
     """Dealiased, Leray-projected advection term -(u_adv . grad) w.
 
@@ -369,7 +355,7 @@ def nonlinear_term(
     solenoidal advecting velocity the result is L2-orthogonal to the state.
     The term is evaluated by a fresh kernel and returned on the full grid.
     """
-    kernel = _Advection(state.grid, model, filter_spec, dealias, conv_form)
+    kernel = _Advection(state.grid, model, filter_spec, dealias)
     kernel.allocate_workspace()
     w = kernel.band.truncate(state.coeffs)
     return state.with_coeffs(kernel.band.pad(kernel.nonlinear(w)))
@@ -402,7 +388,7 @@ def run(config: SolverConfig) -> Trajectory:
     records = [record(0.0)]
     snapshots = [SpectralField(config.grid, band.pad(u), 0.0)]
 
-    stats.cfl_dt_max = _cfl_limit(stepper.inverse(u, stepper.rwork[0]))
+    stats.cfl_dt_max = _cfl_limit(stepper.inverse(u))
     if config.dt > stats.cfl_dt_max:
         stats.cfl_violated = True
         warnings.warn(

@@ -175,24 +175,37 @@ def zeros(grid: Grid, t: float = 0.0) -> SpectralField:
 
 
 def inverse_transform(c: np.ndarray, out=None, work=None) -> np.ndarray:
-    """Real collocation samples of coefficients c, ifftn(c).real * n**3.
+    """Real collocation samples of coefficients c, sum_k c(k) exp(+i k.x).
 
-    out (real, the samples) and work (complex, the unscaled transform) say
-    where results go, as numpy's out= does; None allocates a fresh array.
+    That is numpy's ifftn(c, norm="forward").real, which applies no
+    scaling at all.  For a power-of-two n its bits are those of
+    ifftn(c).real * n**3; for any other n they may differ at rounding level.
+    work (complex) receives the transform and may be c itself, which is then
+    transformed in place; out (real) receives a copy of the samples.
+    Without out the result is the real part of the transform, a view of
+    work when work is given.
     """
-    n3 = c.shape[-1] ** 3
-    return np.multiply(np.fft.ifftn(c, axes=_AXES, out=work).real, n3, out=out)
+    samples = np.fft.ifftn(c, axes=_AXES, norm="forward", out=work).real
+    if out is None:
+        return samples
+    np.copyto(out, samples)
+    return out
 
 
 def forward_transform(samples: np.ndarray, out=None) -> np.ndarray:
-    """Coefficients of real collocation samples, fftn(samples) / n**3, into out if given."""
-    n3 = samples.shape[-1] ** 3
-    return np.divide(np.fft.fftn(samples, axes=_AXES, out=out), n3, out=out)
+    """Coefficients of real collocation samples, into out if given.
+
+    That is numpy's fftn(samples, norm="forward"), which scales by 1/n
+    along each axis inside the transform.  For a power-of-two n that
+    scaling is exact, so the bits are those of fftn(samples) / n**3; for
+    any other n they may differ at rounding level.
+    """
+    return np.fft.fftn(samples, axes=_AXES, norm="forward", out=out)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Collocation samples of the field, shape (3, n, n, n), real."""
-    return inverse_transform(f.coeffs)
+    return inverse_transform(f.coeffs, out=np.empty(f.coeffs.shape))
 
 
 def from_physical(grid: Grid, samples: np.ndarray, t: float = 0.0) -> SpectralField:

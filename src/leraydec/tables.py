@@ -26,7 +26,7 @@ MANIFEST_SCHEMA = ("manifest", 1)
 
 
 class TableError(ValueError):
-    """Table file rejected: missing or incompatible schema marker."""
+    """Table file rejected: missing or incompatible schema marker, or content that does not parse."""
 
 
 def _fmt(value) -> str:
@@ -82,7 +82,10 @@ def read_diag_csv(path):
     header, reader = _read_csv(path, DIAG_SCHEMA)
     if tuple(header) != DiagRecord.FIELDS:
         raise TableError(f"{path}: unexpected columns {header}")
-    return [DiagRecord(*(float(v) for v in row)) for row in reader if row]
+    try:
+        return [DiagRecord(*(float(v) for v in row)) for row in reader if row]
+    except ValueError as exc:
+        raise TableError(f"{path}: {exc}") from exc
 
 
 def write_transfer_csv(path, table: TransferTable) -> None:
@@ -180,7 +183,10 @@ def write_manifest(out_dir, paths, config_hash: str) -> str:
 
 def read_manifest(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TableError(f"{path}: manifest is not JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise TableError(f"{path}: manifest is not a JSON object")
     schema = manifest.get("schema", "")

@@ -127,6 +127,19 @@ def test_nonfinite_value_exits_one_before_creating_output(cfg_path, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["time.t_end=1e308", "model.conv_form=divergence"])
+def test_rejected_run_setting_exits_one_before_any_run_or_output(cfg_path, tmp_path, capsys,
+                                                                 monkeypatch, setting):
+    runs = []
+    monkeypatch.setattr(solver, "run", lambda config: runs.append(config))
+    out = tmp_path / "never"
+    assert _run(["run", "--config", cfg_path, "--out", str(out), "--set", setting]) == 1
+    key = setting.split("=")[0]
+    assert f"error: invalid value for {key}:" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     code = _run(["run", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "x")])

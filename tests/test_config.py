@@ -223,6 +223,18 @@ def test_study_section_honoured_when_any_key_is_set():
     assert config.parse_config_text(text).study == rc.study
 
 
+@pytest.mark.parametrize("key, parse, item", [("orders", config._parse_ints, 1),
+                                             ("deltas", config._parse_floats, 1.0)])
+def test_study_lists_reject_empty_items(key, parse, item):
+    assert parse("") == parse("  ") == ()
+    assert parse(" 1 , 2 ") == (item, 2 * item)
+    for raw in ("1,,2", "1,2,", ",1", ","):
+        with pytest.raises(ValueError, match="empty item"):
+            parse(raw)
+        with pytest.raises(config.ConfigError, match=f"invalid value for study.{key}"):
+            config.parse_config_text(MINIMAL, overrides=[f"study.{key}={raw}"])
+
+
 @pytest.mark.parametrize("key", ["kind", "grid_n", "k_max", "k_points"])
 def test_unread_study_keys_rejected(key):
     with pytest.raises(config.ConfigError, match=f"unknown key study.{key}"):
@@ -239,6 +251,8 @@ def test_unread_study_keys_rejected(key):
     ("time.t_end", "inf"),
     ("time.snapshot_every", "0"),
     ("model.conv_form", "rot"),
+    ("model.conv_form", "divergence"),
+    ("time.t_end", "1e308"),
     ("model.order", "-1"),
 ])
 def test_rejected_values_name_their_key(key, value):

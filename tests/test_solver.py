@@ -20,8 +20,6 @@ def test_config_validation(grid8):
         _cfg(grid8, dt=0.0)
     with pytest.raises(ValueError, match="t_end"):
         _cfg(grid8, dt=0.1, t_end=0.05)
-    with pytest.raises(ValueError, match="conv_form"):
-        _cfg(grid8, conv_form="rotational")
     with pytest.raises(ValueError, match="snapshot_every"):
         _cfg(grid8, snapshot_every=0)
     with pytest.raises(ValueError, match="filter"):
@@ -33,18 +31,16 @@ def test_config_validation(grid8):
 
 
 @pytest.mark.parametrize("helper", [ld.nonlinear_term])
-@pytest.mark.parametrize("model, fspec, conv_form, match", [
-    (ld.ModelKind.leray_deconvolution(2), None, "advective", "requires a filter"),
-    (ld.ModelKind.leray_deconvolution(2), ld.FilterSpec(delta=0.5, order=3), "advective",
+@pytest.mark.parametrize("model, fspec, match", [
+    (ld.ModelKind.leray_deconvolution(2), None, "requires a filter"),
+    (ld.ModelKind.leray_deconvolution(2), ld.FilterSpec(delta=0.5, order=3),
      "disagrees with model order"),
-    (ld.ModelKind.nse(), None, "rotational", "conv_form"),
 ])
-def test_helpers_reject_what_solver_config_rejects(grid8, helper, model, fspec, conv_form, match):
+def test_helpers_reject_what_solver_config_rejects(grid8, helper, model, fspec, match):
     with pytest.raises(ValueError, match=match) as from_config:
-        ld.SolverConfig(grid=grid8, model=model, nu=0.1, dt=0.01, t_end=0.1, filter=fspec,
-                        conv_form=conv_form)
+        ld.SolverConfig(grid=grid8, model=model, nu=0.1, dt=0.01, t_end=0.1, filter=fspec)
     with pytest.raises(ValueError) as from_helper:
-        helper(ld.taylor_green(grid8), model, fspec, conv_form=conv_form)
+        helper(ld.taylor_green(grid8), model, fspec)
     assert str(from_helper.value) == str(from_config.value)
 
 
@@ -117,20 +113,10 @@ def test_nonlinear_orthogonality(grid16):
         (ld.ModelKind.nse(), None),
         (ld.ModelKind.leray_deconvolution(3), ld.FilterSpec(delta=0.5, order=3)),
     ]:
-        for form in ("advective", "divergence"):
-            nl = ld.nonlinear_term(w, model, fspec, conv_form=form)
-            wb = w.with_coeffs(w.coeffs * band_mask(grid16))
-            scale = ld.hs_norm(wb, 0) * ld.hs_norm(nl, 0)
-            assert abs(ld.inner(nl, wb)) < 1e-12 * max(scale, 1.0)
-
-
-def test_conv_forms_agree_when_alias_free(grid16):
-    # both factors band-limited to the dealias cutoff: the two quadratures
-    # retain identical interactions, so the forms agree to rounding
-    w = ld.random_solenoidal(grid16, seed=9, band=grid16.dealias_cutoff)
-    adv = ld.nonlinear_term(w, ld.ModelKind.nse(), conv_form="advective")
-    div = ld.nonlinear_term(w, ld.ModelKind.nse(), conv_form="divergence")
-    assert rel_l2(adv, div) < 1e-12
+        nl = ld.nonlinear_term(w, model, fspec)
+        wb = w.with_coeffs(w.coeffs * band_mask(grid16))
+        scale = ld.hs_norm(wb, 0) * ld.hs_norm(nl, 0)
+        assert abs(ld.inner(nl, wb)) < 1e-12 * max(scale, 1.0)
 
 
 def test_nonlinear_zero_for_shear(grid16):
@@ -267,7 +253,7 @@ def test_inviscid_energy_conservation_short(grid8):
     assert abs(e[-1] - e[0]) / e[0] < 1e-9
 
 
-def _reference_nonlinear(w, model, fspec, dealias, conv_form):
+def _reference_nonlinear(w, model, fspec, dealias):
     """The allocate-per-operation right-hand side the workspace kernel replaced."""
     g = w.grid
     n3 = g.n**3
@@ -282,18 +268,11 @@ def _reference_nonlinear(w, model, fspec, dealias, conv_form):
     else:
         adv = w
     adv_phys = np.fft.ifftn(adv, axes=(1, 2, 3)).real * n3
-    if conv_form == "advective":
-        conv = np.zeros(w.shape)
-        for j, kj in enumerate(g.wavevectors()):
-            dw_j = np.fft.ifftn(1j * kj * w, axes=(1, 2, 3)).real * n3
-            conv += adv_phys[j] * dw_j
-        out = -(np.fft.fftn(conv, axes=(1, 2, 3)) / n3)
-    else:
-        w_phys = np.fft.ifftn(w, axes=(1, 2, 3)).real * n3
-        out = np.zeros(w.shape, dtype=np.complex128)
-        for j, kj in enumerate(g.wavevectors()):
-            flux = np.fft.fftn(adv_phys[j] * w_phys, axes=(1, 2, 3)) / n3
-            out -= 1j * kj * flux
+    conv = np.zeros(w.shape)
+    for j, kj in enumerate(g.wavevectors()):
+        dw_j = np.fft.ifftn(1j * kj * w, axes=(1, 2, 3)).real * n3
+        conv += adv_phys[j] * dw_j
+    out = -(np.fft.fftn(conv, axes=(1, 2, 3)) / n3)
     out *= mask
     dot = g.kx * out[0] + g.ky * out[1] + g.kz * out[2]
     factor = dot / g._k_sq_safe
@@ -305,19 +284,20 @@ def _reference_nonlinear(w, model, fspec, dealias, conv_form):
 
 _MODELS = [(ld.ModelKind.nse(), None),
            (ld.ModelKind.leray_deconvolution(3), ld.FilterSpec(delta=0.5, order=3))]
+# the convective form the bit-identity cases pin, named in their ids
+_FORMS = [ld.SolverConfig.conv_form]
 
 
-@pytest.mark.parametrize("conv_form", ld.solver.CONVECTIVE_FORMS)
+@pytest.mark.parametrize("conv_form", _FORMS)
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("model,fspec", _MODELS, ids=["nse", "order3"])
 def test_workspace_kernel_is_bit_identical_to_allocating_one(grid16, model, fspec, dealias, conv_form):
     w = ld.random_solenoidal(grid16, seed=21)
-    kw = dict(dealias=dealias, conv_form=conv_form)
-    nl = ld.nonlinear_term(w, model, fspec, **kw).coeffs
-    assert np.array_equal(nl, _reference_nonlinear(w, model, fspec, **kw))
+    nl = ld.nonlinear_term(w, model, fspec, dealias=dealias).coeffs
+    assert np.array_equal(nl, _reference_nonlinear(w, model, fspec, dealias))
     # a later call must not write into an earlier call's result
     nl_kept = nl.copy()
-    ld.nonlinear_term(ld.random_solenoidal(grid16, seed=22), model, fspec, **kw)
+    ld.nonlinear_term(ld.random_solenoidal(grid16, seed=22), model, fspec, dealias=dealias)
     assert np.array_equal(nl, nl_kept)
 
 
@@ -332,8 +312,7 @@ def _reference_advance(u, cfg, forcing=None):
         if s > 0:
             u *= decays[s - 1]
             p *= decays[s - 1]
-        rhs = _reference_nonlinear(ld.SpectralField(g, u), cfg.model, cfg.filter, cfg.dealias,
-                                   cfg.conv_form)
+        rhs = _reference_nonlinear(ld.SpectralField(g, u), cfg.model, cfg.filter, cfg.dealias)
         if forcing is not None:
             rhs += forcing
         p = cfg.dt * rhs if s == 0 else a[s] * p + cfg.dt * rhs
@@ -382,14 +361,14 @@ def _reference_run(cfg):
     return snapshots, diagnostics.attach_balance_residuals(records)
 
 
-@pytest.mark.parametrize("conv_form", ld.solver.CONVECTIVE_FORMS)
+@pytest.mark.parametrize("conv_form", _FORMS)
 @pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize("model,fspec", _MODELS, ids=["nse", "order3"])
 def test_run_is_bit_identical_to_the_full_layout_reference(grid16, model, fspec, dealias, conv_form):
     cfg = ld.SolverConfig(grid=grid16, model=model, filter=fspec, nu=0.05, dt=0.01, t_end=0.03,
                           ic=ld.FieldSpec(kind="random_solenoidal", seed=24),
                           forcing=ld.FieldSpec(kind="taylor_green", amplitude=0.5),
-                          dealias=dealias, conv_form=conv_form, snapshot_every=2)
+                          dealias=dealias, snapshot_every=2)
     traj = ld.run(cfg)
     snapshots, records = _reference_run(cfg)
     assert len(traj.snapshots) == len(snapshots) == 3
@@ -397,8 +376,9 @@ def test_run_is_bit_identical_to_the_full_layout_reference(grid16, model, fspec,
     assert traj.records == records
 
 
-def _stepper_of_a_forced_run(grid, monkeypatch):
-    """The stepper of a forced order-2 run, as the run left it."""
+def _stepper_of_a_forced_run(grid, monkeypatch, spy=None):
+    """The stepper of a forced order-2 run, as the run left it; spy, if
+    given, is called with the input of every inverse transform."""
     made = []
 
     class Recorded(ld.solver._Stepper):
@@ -407,6 +387,14 @@ def _stepper_of_a_forced_run(grid, monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(ld.solver, "_Stepper", Recorded)
+    if spy is not None:
+        inverse = spectral.inverse_transform
+
+        def spied(c, *args, **kwargs):
+            spy(c)
+            return inverse(c, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "inverse_transform", spied)
     cfg = _cfg(grid, model="leray_deconv", order=2, t_end=0.03,
                ic=ld.FieldSpec(kind="random_solenoidal", seed=25),
                forcing=ld.FieldSpec(kind="taylor_green", amplitude=0.5))
@@ -416,11 +404,15 @@ def _stepper_of_a_forced_run(grid, monkeypatch):
 
 
 def test_padded_transform_input_stays_zero_outside_the_band(grid8, monkeypatch):
-    stepper = _stepper_of_a_forced_run(grid8, monkeypatch)
-    outside = stepper.padded[:, grid8.k_linf > stepper.band.cutoff]
-    assert outside.size > 0
-    assert np.all(outside == 0)
-    assert not (np.signbit(outside.real).any() or np.signbit(outside.imag).any())
+    inputs = []
+    stepper = _stepper_of_a_forced_run(grid8, monkeypatch, spy=lambda c: inputs.append(c.copy()))
+    # per step three right-hand sides of four inverse transforms, plus the CFL limit's
+    assert len(inputs) == 3 * 3 * 4 + 1
+    for c in inputs:
+        outside = c[:, grid8.k_linf > stepper.band.cutoff]
+        assert outside.size > 0
+        assert np.all(outside == 0)
+        assert not (np.signbit(outside.real).any() or np.signbit(outside.imag).any())
 
 
 def test_stepper_holds_nothing_full_grid_but_its_transform_workspace(grid8, monkeypatch):
@@ -428,11 +420,13 @@ def test_stepper_holds_nothing_full_grid_but_its_transform_workspace(grid8, monk
     assert stepper.f_eff is not None
     full = []
     for name, value in vars(stepper).items():
-        if name in ("padded", "spectrum", "rwork"):
-            continue
         for i, a in enumerate(value if isinstance(value, list) else [value]):
             a = a.coeffs if isinstance(a, ld.SpectralField) else a
             # elements per component: the product of the three grid axes
             if isinstance(a, np.ndarray) and np.prod(a.shape[-3:]) >= grid8.n**3:
-                full.append((name, i, a.shape))
-    assert full == []
+                full.append((name, i, a.dtype.kind, a.shape))
+    # one complex transform buffer and two real ones, the advecting-velocity
+    # samples and the product accumulator
+    shape = (3,) + (grid8.n,) * 3
+    assert sorted(full) == [("rwork", 0, "f", shape), ("rwork", 1, "f", shape),
+                            ("spectrum", 0, "c", shape)]

@@ -57,6 +57,12 @@ def test_diag_csv_schema_rejections(tmp_path):
             tables.read_diag_csv(unnumbered)
         assert str(unnumbered) in str(err.value)
 
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_text(text.replace("0.125", "abc", 1))
+    with pytest.raises(tables.TableError, match="could not convert") as err:
+        tables.read_diag_csv(garbled)
+    assert str(garbled) in str(err.value)
+
 
 def test_diag_csv_rejects_changed_columns(tmp_path):
     path = tmp_path / "diag.csv"
@@ -131,6 +137,11 @@ def test_manifest_schema_rejected(tmp_path):
                            (["manifest/1"], "not a JSON object")]:
         path.write_text(json.dumps(payload))
         with pytest.raises(tables.TableError, match=match) as err:
+            tables.read_manifest(path)
+        assert str(path) in str(err.value)
+    for text in ("", "schema: manifest/1\n", '{"schema": "manifest/1"'):
+        path.write_text(text)
+        with pytest.raises(tables.TableError, match="manifest is not JSON") as err:
             tables.read_manifest(path)
         assert str(path) in str(err.value)
 
