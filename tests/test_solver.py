@@ -32,9 +32,11 @@ def test_config_validation(grid8):
 
 @pytest.mark.parametrize("helper", [ld.nonlinear_term])
 @pytest.mark.parametrize("model, fspec, match", [
-    (ld.ModelKind.leray_deconvolution(2), None, "requires a filter"),
-    (ld.ModelKind.leray_deconvolution(2), ld.FilterSpec(delta=0.5, order=3),
-     "disagrees with model order"),
+    pytest.param(ld.ModelKind.leray_deconvolution(2), None, "requires a filter",
+                 id="model0-None-advective-requires a filter"),
+    pytest.param(ld.ModelKind.leray_deconvolution(2), ld.FilterSpec(delta=0.5, order=3),
+                 "disagrees with model order",
+                 id="model1-fspec1-advective-disagrees with model order"),
 ])
 def test_helpers_reject_what_solver_config_rejects(grid8, helper, model, fspec, match):
     with pytest.raises(ValueError, match=match) as from_config:
