@@ -16,10 +16,8 @@ from .spectral import (
     Grid,
     ParameterError,
     SpectralField,
-    energy,
     from_physical,
     hs_norm,
-    inner,
     leray_project,
     project_pn,
     solenoidal_defect,

@@ -38,18 +38,14 @@ class DiagRecord:
 
 
 def energy_record(state: SpectralField, nu: float, forcing: SpectralField | None) -> DiagRecord:
-    """Instantaneous diagnostics; the balance residual is filled in by the run loop."""
-    return _record(state.coeffs, state.grid, state.t, nu, None if forcing is None else forcing.coeffs)
-
-
-def _record(c: np.ndarray, modes: spectral.Grid | spectral.Band, t: float, nu: float,
-            f: np.ndarray | None) -> DiagRecord:
-    """energy_record's sums over the coefficients c of a grid or band `modes`;
-    the forcing coefficients f, if any, share that layout."""
+    """Instantaneous diagnostics, summed over the state's coefficients on the
+    grid or on its band; the forcing, if any, shares that layout.  The
+    balance residual is filled in by the run loop."""
+    c, f = state.coeffs, None if forcing is None else forcing.coeffs
     density = c.real**2 + c.imag**2
-    h1_sq = float((density.sum(axis=0) * modes.k_sq).sum())
+    h1_sq = float((density.sum(axis=0) * state.modes.k_sq).sum())
     return DiagRecord(
-        t=t,
+        t=state.t,
         energy=float(0.5 * density.sum()),
         h1_seminorm_sq=h1_sq,
         dissipation=nu * h1_sq,
@@ -112,7 +108,7 @@ def consistency_bound_rhs(v: SpectralField, spec: FilterSpec) -> tuple[float, fl
     err = filtering.deconv_error_field(v, spec)
     sharp = l2_box_norm(err) * l2_box_norm(v)
     m = spec.order + 1
-    crude_field = v.with_coeffs(v.coeffs * v.grid.k_sq**m)
+    crude_field = v.with_coeffs(v.coeffs * v.modes.k_sq**m)
     crude = spec.delta ** (2 * m) * l2_box_norm(crude_field) * l2_box_norm(v)
     return sharp, crude
 
@@ -168,7 +164,7 @@ def filter_error_bounds_check(
     """
     if max_beta_order not in (0, 1, 2):
         raise ValueError("beta order up to 2 is supported")
-    grid = u.grid
+    grid = u.modes
     g = filtering.transfer_g(grid.k_mag, spec)
     err_mult = 1.0 - g  # multiplier of u - filtered u
     w2 = (u.coeffs.real**2 + u.coeffs.imag**2).sum(axis=0)
@@ -197,7 +193,11 @@ class ModelError:
 
 
 def model_error(traj_model, traj_reference) -> ModelError:
-    """Trajectory distance in terminal L2, L2-in-time L2, and time-averaged H1."""
+    """Trajectory distance in terminal L2, L2-in-time L2, and time-averaged H1.
+
+    Snapshots held on the same band are compared on it; any other pair is
+    compared on the full grid.
+    """
     if traj_model.snapshots[0].grid != traj_reference.snapshots[0].grid:
         raise ValueError("trajectories live on different grids")
     ta = [s.t for s in traj_model.snapshots]
@@ -208,6 +208,8 @@ def model_error(traj_model, traj_reference) -> ModelError:
     l2_sq = []
     h1_sq = []
     for a, b in zip(traj_model.snapshots, traj_reference.snapshots):
+        if a.coeffs.shape != b.coeffs.shape:
+            a, b = a.padded(), b.padded()
         diff = a.with_coeffs(a.coeffs - b.coeffs)
         l2_sq.append(spectral.hs_norm(diff, 0) ** 2)
         h1_sq.append(spectral.hs_norm(diff, 1) ** 2)

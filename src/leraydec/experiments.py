@@ -75,8 +75,7 @@ class StudySpec:
             if any(n < 0 or n > DEFAULT_MAX_ORDER for n in orders):  # FilterSpec's cap, before any run
                 raise spectral.ParameterError(name, f"{name} must be in [0, {DEFAULT_MAX_ORDER}], got {orders}")
             setattr(self, name, orders)
-        if self.grid_n % 2 != 0 or self.grid_n < 4:  # Grid's rule, checked before any grid is built
-            raise spectral.ParameterError("grid_n", f"grid size must be even and >= 4, got {self.grid_n}")
+        spectral.check_grid_size("grid_n", self.grid_n)  # Grid's rule, before any grid is built
         if not (np.isfinite(self.k_max) and self.k_max > 0):
             raise spectral.ParameterError("k_max", f"k_max must be positive and finite, got {self.k_max}")
         if self.k_points < 1:

@@ -1,7 +1,8 @@
 """Helmholtz differential filtering and van Cittert deconvolution.
 
 On the periodic box every operator here is a diagonal multiplier on Fourier
-coefficients.  Writing x = (delta k)^2, the filter (-delta^2 Lap + 1)^-1 has
+coefficients, so it applies to a field on the full grid or on a band alike.
+Writing x = (delta k)^2, the filter (-delta^2 Lap + 1)^-1 has
 multiplier
 
     g(k) = 1 / (1 + x),
@@ -134,17 +135,17 @@ def transfer_exact(k, spec: FilterSpec):
 
 def apply_filter(f: SpectralField, spec: FilterSpec) -> SpectralField:
     """Differential filter as a diagonal multiply."""
-    return f.with_coeffs(f.coeffs * transfer_g(f.grid.k_mag, spec))
+    return f.with_coeffs(f.coeffs * transfer_g(f.modes.k_mag, spec))
 
 
 def apply_dn(fbar: SpectralField, spec: FilterSpec) -> SpectralField:
     """Order-N deconvolution of an already filtered field, closed form."""
-    return fbar.with_coeffs(fbar.coeffs * transfer_dn(fbar.grid.k_mag, spec))
+    return fbar.with_coeffs(fbar.coeffs * transfer_dn(fbar.modes.k_mag, spec))
 
 
 def apply_hn(f: SpectralField, spec: FilterSpec) -> SpectralField:
     """Deconvolved filtering of an unfiltered field, closed form."""
-    return f.with_coeffs(f.coeffs * transfer_hn(f.grid.k_mag, spec))
+    return f.with_coeffs(f.coeffs * transfer_hn(f.modes.k_mag, spec))
 
 
 def van_cittert(fbar: SpectralField, spec: FilterSpec) -> SpectralField:
@@ -155,7 +156,7 @@ def van_cittert(fbar: SpectralField, spec: FilterSpec) -> SpectralField:
     operator applied by apply_dn.  One filter application per iteration, so
     cost grows linearly with the order.
     """
-    g = transfer_g(fbar.grid.k_mag, spec)
+    g = transfer_g(fbar.modes.k_mag, spec)
     w = np.empty_like(fbar.coeffs)
     van_cittert_iterate(g, fbar.coeffs, w, np.empty_like(w), spec.order)
     return fbar.with_coeffs(w)
@@ -180,7 +181,7 @@ def van_cittert_iterate(g, fbar, out, scratch, order: int):
 
 def deconv_error_field(f: SpectralField, spec: FilterSpec) -> SpectralField:
     """f - D_N(filtered f), evaluated through the closed-form multiplier."""
-    return f.with_coeffs(f.coeffs * deconv_error_multiplier(f.grid.k_mag, spec))
+    return f.with_coeffs(f.coeffs * deconv_error_multiplier(f.modes.k_mag, spec))
 
 
 def cutoff_frequency_exact(spec: FilterSpec) -> float:

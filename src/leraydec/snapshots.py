@@ -13,8 +13,9 @@ Layout (little-endian throughout):
     40      --    3*n^3 complex128  coefficients, C order, component-major
 
 The payload is the raw coefficient array, so a write/read round trip is
-bit-exact.  Readers reject unknown magic, a layout version outside
-1..LAYOUT_VERSION, a grid size Grid rejects, and truncated payloads.
+bit-exact; a field held on a band is written zero-padded to the full grid.
+Readers reject unknown magic, a layout version outside 1..LAYOUT_VERSION, a
+grid size Grid rejects, and truncated payloads.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def write_snapshot(path, field: SpectralField, model_family: str = "nse",
     n = field.grid.n
     header = _HEADER.pack(MAGIC, n, float(field.t), float(delta), int(order),
                           _MODEL_TAGS[model_family], LAYOUT_VERSION)
-    payload = np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(field.padded().coeffs, dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

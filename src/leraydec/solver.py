@@ -172,7 +172,8 @@ class Trajectory:
 
     @property
     def terminal(self) -> SpectralField:
-        return self.snapshots[-1]
+        """The last snapshot on the full grid, padded afresh on every call."""
+        return self.snapshots[-1].padded()
 
 
 def cfl_max_dt(state: SpectralField) -> float:
@@ -197,12 +198,15 @@ class _Advection:
     """The advection kernel: multipliers, counters and a workspace of its own.
 
     Coefficients live on the integration band; only the transforms see the
-    full grid.  The workspace is three complex band buffers, one complex
+    full grid.  The workspace is two complex band buffers, one complex
     (3, n, n, n) transform buffer and two real (3, n, n, n) buffers (the
     advecting-velocity samples and the product accumulator), all allocated
     once by `allocate_workspace`.  Each inverse transform zero-fills the
     transform buffer, pads the band into it and transforms it in place; the
-    gradient samples are read straight from its real part.  Every
+    gradient samples are read straight from its real part.  Between a
+    forward transform's truncation and the next inverse transform the
+    transform buffer is idle, and van Cittert's scratch is a band-shaped
+    view of its head.  Every
     evaluation runs inside the workspace with no field-sized temporaries of
     its own.  Each operation keeps the operand order of the plain full-grid
     array expression it replaces, so for a power-of-two n results are bit
@@ -228,8 +232,9 @@ class _Advection:
         # still held: allocated first, the buffers raised the peak RSS of
         # repeated 64^3 runs by 6 MiB.
         full = (3, self.grid.n, self.grid.n, self.grid.n)
-        self.cwork = [np.empty(self.band.shape, dtype=np.complex128) for _ in range(3)]
+        self.cwork = [np.empty(self.band.shape, dtype=np.complex128) for _ in range(2)]
         self.spectrum = np.empty(full, dtype=np.complex128)
+        self.vc_scratch = self.spectrum.reshape(-1)[:self.cwork[0].size].reshape(self.band.shape)
         self.rwork = [np.empty(full) for _ in range(2)]
 
     def inverse(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -248,14 +253,15 @@ class _Advection:
     def advecting_velocity(self, w: np.ndarray) -> np.ndarray:
         """Deconvolved advecting velocity by van Cittert iteration, timed.
 
-        Uses all three complex buffers; the result is the second one.
+        The filtered velocity goes into the second complex buffer, the result
+        into the first, and the scratch is the idle transform buffer's head.
         """
         if self.g_hat is None:
             return w
-        wbar, adv, scratch = self.cwork
+        adv, wbar = self.cwork
         t0 = time.perf_counter()
         np.multiply(self.g_hat, w, out=wbar)
-        filtering.van_cittert_iterate(self.g_hat, wbar, adv, scratch, self.order)
+        filtering.van_cittert_iterate(self.g_hat, wbar, adv, self.vc_scratch, self.order)
         self.stats.deconv_seconds += time.perf_counter() - t0
         self.stats.filter_applications += self.order + 1
         return adv
@@ -267,7 +273,7 @@ class _Advection:
         overwritten by the next call.  Truncating the product spectrum to the
         band is the dealiasing.
         """
-        c0, c1, _ = self.cwork
+        c0, c1 = self.cwork
         adv_phys, conv = self.rwork
         self.stats.rhs_evals += 1
 
@@ -287,7 +293,7 @@ class _Stepper(_Advection):
     effective forcing, the band state `u` with its low-storage carry `p`,
     and the RK3 update.
 
-    The state starts from `state` truncated to the band, or without one from
+    The state starts from `state` restricted to the band, or without one from
     the configured initial condition.  Nothing full-grid is kept but the
     transform workspace, allocated last, once the evaluated fields are gone.
     """
@@ -306,7 +312,7 @@ class _Stepper(_Advection):
         if state is None:
             self.u = self._prepared(config.ic, config.filter_ic)
         else:
-            self.u = self.band.truncate(state.coeffs)
+            self.u = self.band.restrict(state)
         self.p = np.zeros_like(self.u)
         self.allocate_workspace()
 
@@ -350,15 +356,15 @@ def nonlinear_term(
 ) -> SpectralField:
     """Dealiased, Leray-projected advection term -(u_adv . grad) w.
 
-    The input is truncated to the dealias band first, so the retained
+    The input is restricted to the dealias band first, so the retained
     quadratic interactions are exactly the alias-free ones; with a
     solenoidal advecting velocity the result is L2-orthogonal to the state.
     The term is evaluated by a fresh kernel and returned on the full grid.
     """
     kernel = _Advection(state.grid, model, filter_spec, dealias)
     kernel.allocate_workspace()
-    w = kernel.band.truncate(state.coeffs)
-    return state.with_coeffs(kernel.band.pad(kernel.nonlinear(w)))
+    w = kernel.band.restrict(state)
+    return SpectralField(state.grid, kernel.band.pad(kernel.nonlinear(w)), state.t)
 
 
 def step(state: SpectralField, config: SolverConfig) -> SpectralField:
@@ -371,10 +377,11 @@ def step(state: SpectralField, config: SolverConfig) -> SpectralField:
 def run(config: SolverConfig) -> Trajectory:
     """Integrate from the configured initial condition to t_end.
 
-    Diagnostics are recorded every step, as sums over the band coefficients;
-    spectral snapshots are retained every `snapshot_every` steps and always
-    at t = 0 and t_end.  A non-finite state raises BlowUpError carrying the
-    partial trajectory.
+    Diagnostics are recorded every step by diagnostics.energy_record, as
+    sums over the band coefficients; spectral snapshots are retained every
+    `snapshot_every` steps and always at t = 0 and t_end, held on the band
+    (Trajectory.terminal pads the last one).  A non-finite state raises
+    BlowUpError carrying the partial trajectory.
     """
     wall_start = time.perf_counter()
     stats = RunStats()
@@ -382,11 +389,16 @@ def run(config: SolverConfig) -> Trajectory:
     band, u, p = stepper.band, stepper.u, stepper.p
     steps = config.steps
 
+    forcing = None if stepper.f_eff is None else SpectralField(config.grid, stepper.f_eff, band=band)
+
+    def on_band(t: float) -> SpectralField:
+        return SpectralField(config.grid, u, t, band)
+
     def record(t: float) -> DiagRecord:
-        return diagnostics._record(u, band, t, config.nu, stepper.f_eff)
+        return diagnostics.energy_record(on_band(t), config.nu, forcing)
 
     records = [record(0.0)]
-    snapshots = [SpectralField(config.grid, band.pad(u), 0.0)]
+    snapshots = [on_band(0.0).copy()]
 
     stats.cfl_dt_max = _cfl_limit(stepper.inverse(u))
     if config.dt > stats.cfl_dt_max:
@@ -419,6 +431,6 @@ def run(config: SolverConfig) -> Trajectory:
             raise BlowUpError(m, t, build_trajectory())
         records.append(rec)
         if m % config.snapshot_every == 0 or m == steps:
-            snapshots.append(SpectralField(config.grid, band.pad(u), t))
+            snapshots.append(on_band(t).copy())
 
     return build_trajectory()

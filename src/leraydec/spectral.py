@@ -16,6 +16,8 @@ Wavenumber components run over 0, 1, ..., n/2-1, -n/2, ..., -1 per axis
 (FFT storage order).  The Nyquist planes (component exactly -n/2) are kept
 in storage but the field constructors in this package pin them to zero, so
 the active mode set is closed under negation as a real field requires.
+A field may instead hold only the compact dealias band of those
+coefficients (Band, SpectralField.band); every mode outside it is zero.
 """
 
 from __future__ import annotations
@@ -44,6 +46,21 @@ def check_finite(parameter: str, value: float) -> None:
         raise ParameterError(parameter, f"{parameter} must be finite, got {value}")
 
 
+# A run on an n^3 grid holds a transform workspace of 96 n^3 bytes (one
+# complex and two real 3-component arrays); a grid whose workspace would pass
+# this limit, n > 2254, is refused before anything is allocated.
+MAX_WORKSPACE_BYTES = 2**40
+
+
+def check_grid_size(parameter: str, n: int) -> None:
+    """Raise ParameterError unless n is a grid size Grid accepts, from n alone."""
+    if n % 2 != 0 or n < 4:
+        raise ParameterError(parameter, f"grid size must be even and >= 4, got {n}")
+    if 96 * n**3 > MAX_WORKSPACE_BYTES:
+        raise ParameterError(parameter, f"grid size {n} needs {96 * n**3 / 2**30:.4g} GiB of transform "
+                                        f"workspace (96 n^3 bytes), more than the {MAX_WORKSPACE_BYTES // 2**30} GiB limit")
+
+
 class _Wavenumbers:
     """Wavenumber arrays of a cube whose every axis holds the wavenumbers k1."""
 
@@ -66,14 +83,14 @@ class Grid(_Wavenumbers):
 
     The dealias cutoff retains modes with |k|_inf <= floor(dealias_fraction
     * n/2); the fraction is fixed at 2/3, the classical rule that keeps
-    quadratic products alias-free on the retained band.
+    quadratic products alias-free on the retained band.  n must be even, at
+    least 4 and at most 2254 (check_grid_size).
     """
 
     dealias_fraction = 2.0 / 3.0
 
     def __init__(self, n: int):
-        if n % 2 != 0 or n < 4:
-            raise ParameterError("n", f"grid size must be even and >= 4, got {n}")
+        check_grid_size("n", n)
         self.n = int(n)
         super().__init__(np.fft.fftfreq(n, 1.0 / n))  # 0, 1, ..., n/2-1, -n/2, ..., -1
         self.k_linf = np.maximum(np.abs(self.kx), np.maximum(np.abs(self.ky), np.abs(self.kz)))
@@ -145,29 +162,58 @@ class Band(_Wavenumbers):
             compact[c] = full[f]
         return compact
 
+    def restrict(self, f: SpectralField) -> np.ndarray:
+        """A fresh array of the coefficients of f on this band; f may be held
+        on the full grid or on any band of it."""
+        if f.coeffs.shape == self.shape:
+            return f.coeffs.copy()
+        return self.truncate(f.padded().coeffs)
+
 
 @dataclass
 class SpectralField:
-    """Fourier coefficients of a real, zero-mean, 3-component field."""
+    """Fourier coefficients of a real, zero-mean, 3-component field.
+
+    The coefficients cover the full grid, shape (3, n, n, n), or, with
+    `band` given, only that band of it, shape band.shape: every mode outside
+    the band is zero.  `modes` carries the wavenumbers of either layout, so
+    diagonal multipliers and coefficient sums run on both alike; `padded()`
+    gives the full-grid field.
+    """
 
     grid: Grid
     coeffs: np.ndarray
     t: float = 0.0
+    band: Band | None = None
 
     def __post_init__(self):
         n = self.grid.n
+        if self.band is not None and self.band.grid != self.grid:
+            raise ValueError(f"band of {self.band.grid} given for a field on {self.grid}")
+        shape = (3, n, n, n) if self.band is None else self.band.shape
         c = np.asarray(self.coeffs)
-        if c.shape != (3, n, n, n):
-            raise ValueError(f"coefficients must have shape (3, {n}, {n}, {n}), got {c.shape}")
+        if c.shape != shape:
+            raise ValueError(f"coefficients must have shape {shape}, got {c.shape}")
         if c.dtype != np.complex128:
             c = c.astype(np.complex128)
         self.coeffs = c
 
+    @property
+    def modes(self) -> Grid | Band:
+        """The wavenumbers of the coefficients: the band's if held on one, else the grid's."""
+        return self.grid if self.band is None else self.band
+
+    def padded(self) -> "SpectralField":
+        """The field on the full grid: itself, or its band zero-padded."""
+        if self.band is None:
+            return self
+        return SpectralField(self.grid, self.band.pad(self.coeffs), self.t)
+
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), self.t)
+        return self.with_coeffs(self.coeffs.copy())
 
     def with_coeffs(self, coeffs: np.ndarray, t: float | None = None) -> "SpectralField":
-        return SpectralField(self.grid, coeffs, self.t if t is None else t)
+        return SpectralField(self.grid, coeffs, self.t if t is None else t, self.band)
 
 
 def zeros(grid: Grid, t: float = 0.0) -> SpectralField:
@@ -205,7 +251,8 @@ def forward_transform(samples: np.ndarray, out=None) -> np.ndarray:
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Collocation samples of the field, shape (3, n, n, n), real."""
-    return inverse_transform(f.coeffs, out=np.empty(f.coeffs.shape))
+    c = f.padded().coeffs
+    return inverse_transform(c, out=np.empty(c.shape))
 
 
 def from_physical(grid: Grid, samples: np.ndarray, t: float = 0.0) -> SpectralField:
@@ -229,7 +276,7 @@ def hs_norm(f: SpectralField, s: float) -> float:
     For s = 0 this is the L2 norm under the fixed (2 pi)^-3 normalization.
     """
     w2 = _mode_energy_density(f).sum(axis=0)
-    g = f.grid
+    g = f.modes
     if s == 0:
         total = w2.sum() - w2[0, 0, 0]
     elif s == 1:
@@ -241,19 +288,6 @@ def hs_norm(f: SpectralField, s: float) -> float:
             weights = np.where(g.k_sq > 0, g.k_mag ** (2.0 * s), 0.0)
         total = (w2 * weights).sum()
     return float(np.sqrt(total))
-
-
-def energy(f: SpectralField) -> float:
-    """Total kinetic energy (1/2) sum_k |w_hat(k)|^2."""
-    return float(0.5 * _mode_energy_density(f).sum())
-
-
-def inner(f: SpectralField, g: SpectralField) -> float:
-    """Real L2 pairing (2 pi)^-3 int f.g dx = sum_k Re f_hat(k).conj(g_hat(k))."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    c, d = f.coeffs, g.coeffs
-    return float((c.real * d.real + c.imag * d.imag).sum())
 
 
 def wavevector_dot(c: np.ndarray, grid: Grid | Band, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -287,14 +321,14 @@ def leray_project_inplace(c: np.ndarray, grid: Grid | Band, work: np.ndarray) ->
 
 def leray_project(f: SpectralField) -> SpectralField:
     """Projection onto divergence-free fields, mode by mode; k = 0 untouched."""
-    n = f.grid.n
     c = f.coeffs.copy()
-    leray_project_inplace(c, f.grid, np.empty((2, n, n, n), dtype=np.complex128))
+    leray_project_inplace(c, f.modes, np.empty_like(c[:2]))
     return f.with_coeffs(c)
 
 
 def project_pn(f: SpectralField, m: int) -> SpectralField:
-    """Truncation to the cube of modes with |k|_inf <= m."""
+    """Truncation to the cube of modes with |k|_inf <= m, on the full grid."""
+    f = f.padded()
     if m < 0:
         raise ValueError(f"truncation degree must be >= 0, got {m}")
     if m >= f.grid.n // 2:
@@ -303,7 +337,8 @@ def project_pn(f: SpectralField, m: int) -> SpectralField:
 
 
 def reflected_conjugate(coeffs: np.ndarray) -> np.ndarray:
-    """conj(a(-k)) arranged on the same storage layout as a(k)."""
+    """conj(a(-k)) arranged on the same storage layout as a(k), on the full
+    grid or on a band (both in FFT order, where -k of index i is index -i)."""
     r = coeffs
     for ax in (1, 2, 3) if coeffs.ndim == 4 else (0, 1, 2):
         r = np.roll(np.flip(r, axis=ax), 1, axis=ax)

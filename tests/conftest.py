@@ -30,10 +30,24 @@ def tg16(grid16):
 
 
 def rel_l2(a, b):
-    """Relative L2 distance between two spectral fields on the same grid."""
+    """Relative L2 distance between two spectral fields on the same grid,
+    each held on the full grid or on a band."""
+    a, b = a.padded(), b.padded()
     diff = a.with_coeffs(a.coeffs - b.coeffs)
     denom = ld.hs_norm(b, 0)
     return ld.hs_norm(diff, 0) / denom if denom else ld.hs_norm(diff, 0)
+
+
+def energy(f):
+    """Total kinetic energy (1/2) sum_k |w_hat(k)|^2."""
+    return float(0.5 * (f.coeffs.real**2 + f.coeffs.imag**2).sum())
+
+
+def inner(f, g):
+    """Real L2 pairing (2 pi)^-3 int f.g dx = sum_k Re f_hat(k).conj(g_hat(k)),
+    of two fields in the same layout."""
+    c, d = f.coeffs, g.coeffs
+    return float((c.real * d.real + c.imag * d.imag).sum())
 
 
 def band_mask(grid, dealias=True):

@@ -127,7 +127,7 @@ def test_nonfinite_value_exits_one_before_creating_output(cfg_path, tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["time.t_end=1e308", "model.conv_form=divergence"])
+@pytest.mark.parametrize("setting", ["time.t_end=1e308", "model.conv_form=divergence", "grid.n=1000000000"])
 def test_rejected_run_setting_exits_one_before_any_run_or_output(cfg_path, tmp_path, capsys,
                                                                  monkeypatch, setting):
     runs = []
@@ -206,6 +206,7 @@ def test_transfer_rejects_before_creating_output(tmp_path, capsys, args):
     (["cutoff", "--orders", "-1"], "orders"),
     (["cutoff", "--deltas", "1,2"], "deltas"),
     (["transfer", "--delta", "-1"], "delta"),
+    (["consistency", "--grid-n", "1000000000"], "grid_n"),
 ])
 def test_study_commands_reject_by_study_key(tmp_path, capsys, args, key):
     out = tmp_path / "never"

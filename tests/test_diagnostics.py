@@ -38,8 +38,8 @@ def test_band_and_full_grid_records_agree(grid16):
     state = traj.terminal
     forcing = ld.SpectralField(grid16, band.pad(band.truncate(ld.random_solenoidal(grid16, seed=14).coeffs)))
     full = diagnostics.energy_record(state, 0.1, forcing)
-    on_band = diagnostics._record(band.truncate(state.coeffs), band, state.t, 0.1,
-                                  band.truncate(forcing.coeffs))
+    on_band = diagnostics.energy_record(ld.SpectralField(grid16, band.truncate(state.coeffs), state.t, band),
+                                        0.1, ld.SpectralField(grid16, band.truncate(forcing.coeffs), band=band))
     assert full.input_power != 0.0
     for name in ("energy", "h1_seminorm_sq", "dissipation", "input_power"):
         assert getattr(on_band, name) == pytest.approx(getattr(full, name), rel=1e-14, abs=0)
@@ -172,7 +172,7 @@ def test_model_error_known_difference(grid16):
                           dt=0.01, t_end=0.04, snapshot_every=1)
     traj = ld.run(cfg)
     offset = ld.single_mode(grid16, (4, 0, 0), amplitude=0.1)
-    shifted = [s.with_coeffs(s.coeffs + offset.coeffs) for s in traj.snapshots]
+    shifted = [ld.SpectralField(grid16, s.padded().coeffs + offset.coeffs, s.t) for s in traj.snapshots]
 
     class Shim:
         snapshots = shifted

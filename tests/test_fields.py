@@ -4,7 +4,7 @@ import pytest
 import leraydec as ld
 from leraydec import fields
 
-from conftest import band_mask, curl, shell_energies
+from conftest import band_mask, curl, energy, shell_energies
 
 
 @pytest.mark.parametrize(
@@ -38,7 +38,7 @@ def test_zero_field(grid8):
 def test_taylor_green_energy(grid16):
     # 2 sin/cos products of unit amplitude: energy (1/2)(2 pi)^-3 int |u|^2 = 1/8
     f = ld.taylor_green(grid16)
-    assert ld.energy(f) == pytest.approx(0.125, rel=1e-13)
+    assert energy(f) == pytest.approx(0.125, rel=1e-13)
     # all modes on the |k|^2 = 3 shell
     on_shell = f.grid.k_sq == 3.0
     off = f.coeffs.copy()

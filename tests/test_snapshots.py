@@ -8,6 +8,8 @@ import pytest
 import leraydec as ld
 from leraydec import snapshots
 
+from conftest import energy
+
 
 def test_round_trip_bit_exact(tmp_path, rand16, grid16):
     field = rand16.with_coeffs(rand16.coeffs, t=0.375)
@@ -107,4 +109,4 @@ def test_round_trip_preserves_field_invariants(tmp_path, grid16):
     snapshots.write_snapshot(path, field)
     back, _ = snapshots.read_snapshot(path, expected_grid=grid16)
     ld.validate_field(back, solenoidal=True)
-    assert ld.energy(back) == ld.energy(field)
+    assert energy(back) == energy(field)

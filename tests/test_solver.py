@@ -1,10 +1,13 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import leraydec as ld
 from leraydec import diagnostics, spectral
 
-from conftest import band_mask, rel_l2
+from conftest import band_mask, inner, rel_l2
 
 
 def _cfg(grid, model="nse", order=0, delta=0.5, nu=0.05, dt=0.01, t_end=0.1, **kw):
@@ -118,7 +121,7 @@ def test_nonlinear_orthogonality(grid16):
         nl = ld.nonlinear_term(w, model, fspec)
         wb = w.with_coeffs(w.coeffs * band_mask(grid16))
         scale = ld.hs_norm(wb, 0) * ld.hs_norm(nl, 0)
-        assert abs(ld.inner(nl, wb)) < 1e-12 * max(scale, 1.0)
+        assert abs(inner(nl, wb)) < 1e-12 * max(scale, 1.0)
 
 
 def test_nonlinear_zero_for_shear(grid16):
@@ -173,7 +176,7 @@ def test_step_matches_run(grid16):
     state = traj.snapshots[0]
     for expected in traj.snapshots[1:]:
         state = ld.step(state, cfg)
-        np.testing.assert_allclose(state.coeffs, expected.coeffs, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(state.coeffs, expected.padded().coeffs, rtol=0, atol=1e-15)
         assert state.t == pytest.approx(expected.t, abs=1e-12)
 
 
@@ -349,7 +352,8 @@ def _reference_run(cfg):
 
     def record(u, t):
         # the run's records are sums over the band, in the band's order
-        return diagnostics._record(band.truncate(u), band, t, cfg.nu, band.truncate(f))
+        forcing = ld.SpectralField(g, band.truncate(f), band=band)
+        return diagnostics.energy_record(ld.SpectralField(g, band.truncate(u), t, band), cfg.nu, forcing)
 
     u = prepared(cfg.ic, cfg.filter_ic)
     f = prepared(cfg.forcing, cfg.filter_forcing)
@@ -374,7 +378,7 @@ def test_run_is_bit_identical_to_the_full_layout_reference(grid16, model, fspec,
     traj = ld.run(cfg)
     snapshots, records = _reference_run(cfg)
     assert len(traj.snapshots) == len(snapshots) == 3
-    assert all(np.array_equal(got.coeffs, want) for got, want in zip(traj.snapshots, snapshots))
+    assert all(np.array_equal(got.padded().coeffs, want) for got, want in zip(traj.snapshots, snapshots))
     assert traj.records == records
 
 
@@ -432,3 +436,32 @@ def test_stepper_holds_nothing_full_grid_but_its_transform_workspace(grid8, monk
     shape = (3,) + (grid8.n,) * 3
     assert sorted(full) == [("rwork", 0, "f", shape), ("rwork", 1, "f", shape),
                             ("spectrum", 0, "c", shape)]
+    # two complex band buffers; van Cittert's scratch is the transform buffer's head
+    assert [(a.dtype.kind, a.shape) for a in stepper.cwork] == [("c", stepper.band.shape)] * 2
+    assert stepper.vc_scratch.shape == stepper.band.shape
+    assert np.shares_memory(stepper.vc_scratch, stepper.spectrum)
+    assert not any(np.shares_memory(stepper.vc_scratch, a) for a in stepper.cwork)
+
+
+def test_run_keeps_its_snapshots_on_the_band(grid16):
+    cfg = _cfg(grid16, model="leray_deconv", order=2, t_end=0.08, snapshot_every=1,
+               ic=ld.FieldSpec(kind="random_solenoidal", seed=25),
+               forcing=ld.FieldSpec(kind="taylor_green", amplitude=0.5))
+    ld.run(replace(cfg, t_end=cfg.dt))  # FFT plans and caches are not the run's
+    tracemalloc.start()
+    try:
+        traj = ld.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, c = grid16.n, grid16.dealias_cutoff
+    full, band = 3 * n**3 * 16, 3 * (2 * c + 1) ** 3 * 16
+    assert len(traj.snapshots) == cfg.steps + 1
+    assert sum(s.coeffs.nbytes for s in traj.snapshots) == len(traj.snapshots) * band
+    assert traj.terminal.coeffs.shape == (3, n, n, n)
+    # Full-grid arrays at the peak: the transform workspace (two complex
+    # arrays' worth), numpy's complex copy of the real product inside fftn,
+    # and one for transients.  Band arrays: the snapshots, plus the state,
+    # its carry, the forcing and the two complex buffers.  Snapshots kept
+    # on the full grid would pass this by more than three full arrays.
+    assert peak < 4 * full + (len(traj.snapshots) + 5) * band

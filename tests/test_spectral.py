@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import leraydec as ld
 from leraydec import spectral
 
-from conftest import band_mask
+from conftest import band_mask, energy, inner
 
 
 def test_grid_validation():
@@ -73,6 +74,34 @@ def test_band_pad_truncate_roundtrip(grid8):
     assert np.all(into[:, ~band_mask(grid8)] == 7.0)
 
 
+def test_a_field_on_the_band_agrees_with_its_padding(grid16, rand16):
+    band = spectral.Band(grid16, grid16.dealias_cutoff)
+    on_band = ld.SpectralField(grid16, band.truncate(rand16.coeffs), 0.5, band)
+    full = on_band.padded()
+    assert full.band is None and full.t == 0.5 and full.padded() is full
+    assert np.array_equal(full.coeffs, rand16.coeffs * band_mask(grid16))
+    spec = ld.FilterSpec(delta=0.5, order=3)
+    # mode-by-mode operators keep the layout and the values
+    for op in (ld.leray_project, lambda f: ld.apply_hn(f, spec), lambda f: ld.van_cittert(f, spec)):
+        got = op(on_band)
+        assert got.band is band
+        assert np.array_equal(got.padded().coeffs, op(full).coeffs)
+    assert np.array_equal(ld.to_physical(on_band), ld.to_physical(full))
+    for s in (0, 1, 2, 1.5):
+        assert ld.hs_norm(on_band, s) == pytest.approx(ld.hs_norm(full, s), rel=1e-14)
+    assert ld.symmetry_defect(on_band) == ld.symmetry_defect(full)
+    # restrict: a fresh array from either layout, on the same band or another
+    same = band.restrict(on_band)
+    assert np.array_equal(same, on_band.coeffs) and not np.shares_memory(same, on_band.coeffs)
+    assert np.array_equal(band.restrict(rand16), on_band.coeffs)
+    wider = spectral.Band(grid16, 7)
+    assert np.array_equal(wider.restrict(on_band), wider.truncate(full.coeffs))
+    with pytest.raises(ValueError, match="shape"):
+        ld.SpectralField(grid16, rand16.coeffs, band=band)
+    with pytest.raises(ValueError, match="band of Grid"):
+        ld.SpectralField(ld.Grid(8), on_band.coeffs, band=band)
+
+
 def test_mode_index_roundtrip(grid16):
     g = grid16
     assert g.mode_index((1, 0, 0)) == (1, 0, 0)
@@ -136,12 +165,27 @@ def test_only_the_transform_functions_call_numpy_fft():
     }
 
 
+@pytest.mark.parametrize("n", [2256, 1000000000])
+def test_grid_size_ceiling_rejects_before_allocating(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ld.ParameterError, match="transform workspace") as err:
+            ld.Grid(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.parameter == "n"
+    assert peak < 2**16
+    # the rule, from n alone: 96 n^3 bytes of run workspace; 2254 is the largest size it passes
+    assert 96 * 2254**3 <= spectral.MAX_WORKSPACE_BYTES < 96 * 2256**3
+
+
 def test_parseval(grid16, rand16):
     # (2 pi)^-3 int |w|^2 dx equals the coefficient sum of squares
     u = ld.to_physical(rand16)
     physical = (u**2).sum() / grid16.n**3
     assert physical == pytest.approx(ld.hs_norm(rand16, 0) ** 2, rel=1e-13)
-    assert physical == pytest.approx(2.0 * ld.energy(rand16), rel=1e-13)
+    assert physical == pytest.approx(2.0 * energy(rand16), rel=1e-13)
 
 
 def test_hs_norm_fast_paths_match_general(rand16):
@@ -168,16 +212,12 @@ def test_hs_norm_single_mode(grid16):
 
 
 def test_inner_matches_physical(grid16):
+    # the coefficient pairing the orthogonality tests use is the L2 one
     a = ld.random_solenoidal(grid16, seed=1)
     b = ld.random_solenoidal(grid16, seed=2)
     ua, ub = ld.to_physical(a), ld.to_physical(b)
     physical = (ua * ub).sum() / grid16.n**3
-    assert ld.inner(a, b) == pytest.approx(physical, rel=0, abs=1e-13)
-
-
-def test_inner_grid_mismatch(grid8, grid16):
-    with pytest.raises(ValueError):
-        ld.inner(ld.zeros(grid8), ld.zeros(grid16))
+    assert inner(a, b) == pytest.approx(physical, rel=0, abs=1e-13)
 
 
 def test_leray_projection(grid16):
@@ -197,7 +237,7 @@ def test_leray_projection_orthogonality(grid16):
     raw = ld.from_physical(grid16, rng.standard_normal((3, 16, 16, 16)))
     p = ld.leray_project(raw)
     residual = raw.with_coeffs(raw.coeffs - p.coeffs)
-    assert abs(ld.inner(p, residual)) < 1e-13
+    assert abs(inner(p, residual)) < 1e-13
 
 
 def test_project_pn(grid16, rand16):
