@@ -165,6 +165,7 @@ def filter_error_bounds_check(
     if max_beta_order not in (0, 1, 2):
         raise ValueError("beta order up to 2 is supported")
     grid = u.modes
+    k_sq = grid.k_sq
     g = filtering.transfer_g(grid.k_mag, spec)
     err_mult = 1.0 - g  # multiplier of u - filtered u
     w2 = (u.coeffs.real**2 + u.coeffs.imag**2).sum(axis=0)
@@ -173,14 +174,14 @@ def filter_error_bounds_check(
     rows = []
     for order in range(max_beta_order + 1):
         for beta in _BETA_BY_ORDER[order]:
-            beta_sq = np.ones_like(grid.k_sq)
+            beta_sq = np.ones_like(k_sq)
             for kj, b in zip(kvecs, beta):
                 if b:
                     beta_sq = beta_sq * kj ** (2 * b)
             lhs = np.sqrt((w2 * beta_sq * err_mult**2).sum())
-            eq_rhs = spec.delta**2 * np.sqrt((w2 * beta_sq * (grid.k_sq * g) ** 2).sum())
-            b_lap = spec.delta**2 * np.sqrt((w2 * beta_sq * grid.k_sq**2).sum())
-            b_grad = 0.5 * spec.delta * np.sqrt((w2 * beta_sq * grid.k_sq).sum())
+            eq_rhs = spec.delta**2 * np.sqrt((w2 * beta_sq * (k_sq * g) ** 2).sum())
+            b_lap = spec.delta**2 * np.sqrt((w2 * beta_sq * k_sq**2).sum())
+            b_grad = 0.5 * spec.delta * np.sqrt((w2 * beta_sq * k_sq).sum())
             rows.append(FilterErrorRow(beta, float(lhs), float(eq_rhs), float(b_lap), float(b_grad)))
     return rows
 

@@ -118,18 +118,21 @@ def random_solenoidal(
     _checked_slope(slope, cut)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((3, grid.n, grid.n, grid.n))
-    f = spectral.from_physical(grid, noise)
+    c = spectral.from_physical(grid, noise).coeffs
 
-    shaping = np.zeros_like(grid.k_sq)
-    shaped = (grid.k_sq > 0) & (grid.k_linf <= cut)
-    shaping[shaped] = grid.k_mag[shaped] ** ((slope - 2.0) / 2.0)
+    k_mag = grid.k_mag  # Grid computes it on every read
+    shaping = np.zeros(k_mag.shape)
+    shaped = (k_mag > 0) & (grid.k_linf <= cut)
+    shaping[shaped] = k_mag[shaped] ** ((slope - 2.0) / 2.0)
 
-    f = f.with_coeffs(f.coeffs * shaping)
-    f = spectral.leray_project(f)
+    c *= shaping
+    spectral.leray_project_inplace(c, grid, np.empty_like(c[:2]))
+    f = SpectralField(grid, c)
     norm = spectral.hs_norm(f, 0)
     if norm == 0.0:
         raise ValueError("random field collapsed to zero; widen the band")
-    return f.with_coeffs(f.coeffs * (amplitude / norm))
+    c *= amplitude / norm
+    return f
 
 
 def _checked_band(grid: Grid, band: int | None) -> int:

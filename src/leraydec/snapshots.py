@@ -15,11 +15,14 @@ Layout (little-endian throughout):
 The payload is the raw coefficient array, so a write/read round trip is
 bit-exact; a field held on a band is written zero-padded to the full grid.
 Readers reject unknown magic, a layout version outside 1..LAYOUT_VERSION, a
-grid size Grid rejects, and truncated payloads.
+grid size Grid rejects, and a truncated or oversized payload, the last two
+from the file size before the payload array is allocated.  The payload is
+read straight into that array and written from the field's own buffer.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -56,10 +59,10 @@ def write_snapshot(path, field: SpectralField, model_family: str = "nse",
     n = field.grid.n
     header = _HEADER.pack(MAGIC, n, float(field.t), float(delta), int(order),
                           _MODEL_TAGS[model_family], LAYOUT_VERSION)
-    payload = np.ascontiguousarray(field.padded().coeffs, dtype="<c16").tobytes()
+    payload = np.ascontiguousarray(field.padded().coeffs, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload)  # the array's own buffer: no bytes copy of it
 
 
 def read_snapshot(path, expected_grid: Grid | None = None):
@@ -83,13 +86,14 @@ def read_snapshot(path, expected_grid: Grid | None = None):
             grid = expected_grid or Grid(n)
         except ParameterError as exc:
             raise SnapshotError(f"{path}: {exc}") from None
-        payload = fh.read()
+        expected_bytes = 3 * n * n * n * 16
+        payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload_bytes == expected_bytes:  # checked before anything is allocated
+            coeffs = np.empty((3, n, n, n), dtype="<c16")
+            payload_bytes = fh.readinto(coeffs)  # straight into the array, no bytes copy
+        if payload_bytes != expected_bytes:
+            raise SnapshotError(f"{path}: payload is {payload_bytes} bytes, expected {expected_bytes}")
 
-    expected_bytes = 3 * n * n * n * 16
-    if len(payload) != expected_bytes:
-        raise SnapshotError(f"{path}: payload is {len(payload)} bytes, expected {expected_bytes}")
-
-    coeffs = np.frombuffer(payload, dtype="<c16").astype(np.complex128).reshape(3, n, n, n)
     meta = SnapshotMeta(n=n, t=t, delta=delta, order=order,
                         model_family=_MODEL_FAMILIES[tag], version=version)
     return SpectralField(grid=grid, coeffs=coeffs, t=t), meta

@@ -61,25 +61,62 @@ def check_grid_size(parameter: str, n: int) -> None:
                                         f"workspace (96 n^3 bytes), more than the {MAX_WORKSPACE_BYTES // 2**30} GiB limit")
 
 
+class _OnDemand:
+    """A wavenumber array computed afresh from kx, ky, kz on every read and
+    never stored.  It is a non-data descriptor, so an instance that keeps an
+    array under the same name in its __dict__ (as Band does) reads that."""
+
+    def __init__(self, formula):
+        self.formula = formula
+        self.__doc__ = formula.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else self.formula(obj)
+
+
 class _Wavenumbers:
-    """Wavenumber arrays of a cube whose every axis holds the wavenumbers k1."""
+    """Wavenumbers of a cube whose every axis holds the wavenumbers k1: the
+    three broadcast axis vectors, and the arrays derived from them on demand."""
 
     def __init__(self, k1: np.ndarray):
         s = k1.size
         self.kx = k1.reshape(s, 1, 1)
         self.ky = k1.reshape(1, s, 1)
         self.kz = k1.reshape(1, 1, s)
-        self.k_sq = self.kx**2 + self.ky**2 + self.kz**2
-        self.k_mag = np.sqrt(self.k_sq)
-        self._k_sq_safe = self.k_sq.copy()
-        self._k_sq_safe[0, 0, 0] = 1.0
+
+    @_OnDemand
+    def k_sq(self) -> np.ndarray:
+        """|k|^2 per mode."""
+        return self.kx**2 + self.ky**2 + self.kz**2
+
+    @_OnDemand
+    def k_mag(self) -> np.ndarray:
+        """|k| per mode."""
+        return np.sqrt(self.k_sq)
+
+    @_OnDemand
+    def _k_sq_safe(self) -> np.ndarray:
+        """|k|^2 per mode with 1 at k = 0, a divisor for the Leray projection."""
+        k_sq_safe = self.k_sq.copy()
+        k_sq_safe[0, 0, 0] = 1.0
+        return k_sq_safe
+
+    @_OnDemand
+    def k_linf(self) -> np.ndarray:
+        """|k|_inf per mode."""
+        return np.maximum(np.abs(self.kx), np.maximum(np.abs(self.ky), np.abs(self.kz)))
 
     def wavevectors(self):
         return self.kx, self.ky, self.kz
 
 
 class Grid(_Wavenumbers):
-    """Uniform n^3 Fourier grid with cached wavenumber arrays.
+    """Uniform n^3 Fourier grid.
+
+    It holds O(n) memory: n, the dealias cutoff and the three broadcast
+    wavenumber vectors kx, ky, kz.  k_sq, k_mag, _k_sq_safe and k_linf are
+    full-grid arrays computed afresh on every read, so a caller that needs
+    one twice binds it once.
 
     The dealias cutoff retains modes with |k|_inf <= floor(dealias_fraction
     * n/2); the fraction is fixed at 2/3, the classical rule that keeps
@@ -93,8 +130,6 @@ class Grid(_Wavenumbers):
         check_grid_size("n", n)
         self.n = int(n)
         super().__init__(np.fft.fftfreq(n, 1.0 / n))  # 0, 1, ..., n/2-1, -n/2, ..., -1
-        self.k_linf = np.maximum(np.abs(self.kx), np.maximum(np.abs(self.ky), np.abs(self.kz)))
-
         self.dealias_cutoff = int(np.floor(self.dealias_fraction * (n // 2)))
 
     def mode_index(self, k) -> tuple[int, int, int]:
@@ -133,13 +168,18 @@ class Band(_Wavenumbers):
         self.cutoff = c
         self.side = 2 * c + 1
         # (full-grid slice, band slice) of the nonnegative and the negative wavenumbers
-        self._blocks = [(slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, self.side))]
-        super().__init__(np.concatenate([grid.kx.ravel()[full] for full, _ in self._blocks]))
+        blocks = [(slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, self.side))]
+        super().__init__(np.concatenate([grid.kx.ravel()[full] for full, _ in blocks]))
         self.shape = (3,) + (self.side,) * 3
-
-    def _block_pairs(self):
-        for bx, by, bz in itertools.product(self._blocks, repeat=3):
-            yield (..., bx[0], by[0], bz[0]), (..., bx[1], by[1], bz[1])
+        # (full-grid index, band index) of the eight blocks pad and truncate copy
+        self._block_pairs = [((..., bx[0], by[0], bz[0]), (..., bx[1], by[1], bz[1]))
+                             for bx, by, bz in itertools.product(blocks, repeat=3)]
+        # The stepper's Leray projections and energy records read these every
+        # step, so the band (about 30% of the grid's modes) keeps them: stored
+        # under the formulas' own names, they shadow the on-demand ones.
+        self.k_sq = self.k_sq
+        self.k_mag = self.k_mag
+        self._k_sq_safe = self._k_sq_safe
 
     def pad(self, compact: np.ndarray, full: np.ndarray | None = None) -> np.ndarray:
         """Copy band coefficients into their places on the full grid.
@@ -150,7 +190,7 @@ class Band(_Wavenumbers):
         """
         if full is None:
             full = np.zeros(compact.shape[:-3] + (self.grid.n,) * 3, dtype=compact.dtype)
-        for f, c in self._block_pairs():
+        for f, c in self._block_pairs:
             full[f] = compact[c]
         return full
 
@@ -158,7 +198,7 @@ class Band(_Wavenumbers):
         """The in-band coefficients of a full-grid array, into `compact` if given."""
         if compact is None:
             compact = np.empty(full.shape[:-3] + (self.side,) * 3, dtype=full.dtype)
-        for f, c in self._block_pairs():
+        for f, c in self._block_pairs:
             compact[c] = full[f]
         return compact
 
@@ -284,8 +324,9 @@ def hs_norm(f: SpectralField, s: float) -> float:
     elif s == 2:
         total = (w2 * g.k_sq**2).sum()
     else:
+        k_mag = g.k_mag
         with np.errstate(divide="ignore"):
-            weights = np.where(g.k_sq > 0, g.k_mag ** (2.0 * s), 0.0)
+            weights = np.where(k_mag > 0, k_mag ** (2.0 * s), 0.0)
         total = (w2 * weights).sum()
     return float(np.sqrt(total))
 

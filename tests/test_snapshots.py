@@ -1,6 +1,7 @@
 """Binary snapshot format: bit-exact round trips and rejection paths."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,51 @@ def test_truncated_payload_rejected(tmp_path, rand16):
     path.write_bytes(blob[:-16])
     with pytest.raises(snapshots.SnapshotError, match="payload"):
         snapshots.read_snapshot(path)
+    expected = 3 * 16**3 * 16
+    path.write_bytes(blob + bytes(16))  # oversized
+    with pytest.raises(snapshots.SnapshotError, match=f"payload is {expected + 16} bytes, expected {expected}"):
+        snapshots.read_snapshot(path)
+
+
+def _peak_bytes(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_payload_size_is_checked_before_allocating(tmp_path, rand16):
+    # a 128^3 header with a 16^3 payload: rejected from the header and the
+    # file size, with nothing of the 100 MB it names allocated
+    path = tmp_path / "a.snap"
+    snapshots.write_snapshot(path, rand16)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 8, 128)
+    path.write_bytes(bytes(blob))
+
+    def read():
+        with pytest.raises(snapshots.SnapshotError, match=f"expected {3 * 128**3 * 16}"):
+            snapshots.read_snapshot(path)
+
+    assert _peak_bytes(read) < 2**16
+
+
+def test_snapshot_io_holds_at_most_one_field_copy(tmp_path, rand16, grid16):
+    """Reads go straight into one array and writes send the array's own
+    buffer: a full field is written with no copy, a band field with its
+    padding alone."""
+    field_bytes = rand16.coeffs.nbytes
+    band = ld.spectral.Band(grid16, grid16.dealias_cutoff)
+    on_band = ld.SpectralField(grid16, band.truncate(rand16.coeffs), 0.25, band)
+    full_path, band_path = tmp_path / "full.snap", tmp_path / "band.snap"
+    assert _peak_bytes(snapshots.write_snapshot, full_path, rand16) < 0.25 * field_bytes
+    assert _peak_bytes(snapshots.write_snapshot, band_path, on_band) < 1.25 * field_bytes
+    assert _peak_bytes(snapshots.read_snapshot, full_path, grid16) < 1.25 * field_bytes
+    back, _ = snapshots.read_snapshot(band_path, grid16)
+    assert np.array_equal(back.coeffs, on_band.padded().coeffs)
+    assert band_path.read_bytes()[snapshots._HEADER.size:] == on_band.padded().coeffs.tobytes()
 
 
 def test_newer_version_rejected(tmp_path, rand16):

@@ -425,14 +425,15 @@ def test_stepper_holds_nothing_full_grid_but_its_transform_workspace(grid8, monk
     stepper = _stepper_of_a_forced_run(grid8, monkeypatch)
     assert stepper.f_eff is not None
     full = []
-    for name, value in vars(stepper).items():
+    held = [*vars(stepper).items(), *((f"grid.{k}", v) for k, v in vars(stepper.grid).items())]
+    for name, value in held:
         for i, a in enumerate(value if isinstance(value, list) else [value]):
             a = a.coeffs if isinstance(a, ld.SpectralField) else a
             # elements per component: the product of the three grid axes
             if isinstance(a, np.ndarray) and np.prod(a.shape[-3:]) >= grid8.n**3:
                 full.append((name, i, a.dtype.kind, a.shape))
     # one complex transform buffer and two real ones, the advecting-velocity
-    # samples and the product accumulator
+    # samples and the product accumulator; the grid holds none
     shape = (3,) + (grid8.n,) * 3
     assert sorted(full) == [("rwork", 0, "f", shape), ("rwork", 1, "f", shape),
                             ("spectrum", 0, "c", shape)]

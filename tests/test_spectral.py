@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -30,6 +33,34 @@ def test_grid_wavenumbers(grid16):
     assert g.k_sq[2, 3, 1] == 4 + 9 + 1
 
 
+def test_on_demand_wavenumbers_equal_the_eager_expressions(grid16):
+    g = grid16
+    k1 = np.fft.fftfreq(16, 1.0 / 16)
+    kx, ky, kz = k1.reshape(16, 1, 1), k1.reshape(1, 16, 1), k1.reshape(1, 1, 16)
+    k_sq = kx**2 + ky**2 + kz**2
+    k_sq_safe = k_sq.copy()
+    k_sq_safe[0, 0, 0] = 1.0
+    eager = {"k_sq": k_sq, "k_mag": np.sqrt(k_sq), "_k_sq_safe": k_sq_safe,
+             "k_linf": np.maximum(np.abs(kx), np.maximum(np.abs(ky), np.abs(kz)))}
+    for name, expected in eager.items():
+        got = getattr(g, name)
+        assert got.dtype == np.float64 and np.array_equal(got, expected)
+        assert getattr(g, name) is not got and name not in vars(g)  # computed afresh, never cached
+    assert g._k_sq_safe[0, 0, 0] == 1.0 and g.k_sq[0, 0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_grid_holds_o_n_memory(n):
+    tracemalloc.start()
+    try:
+        g = ld.Grid(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not [k for k, v in vars(g).items() if isinstance(v, np.ndarray) and v.size >= n**3]
+    assert peak < 2**16
+
+
 def test_dealias_cutoff_values():
     assert ld.Grid(8).dealias_fraction == 2.0 / 3.0
     assert ld.Grid(16).dealias_cutoff == 5
@@ -43,9 +74,11 @@ def test_band_side_and_wavenumbers(dealias, side):
     band = ld.solver.integration_band(g, dealias)
     assert band.side == side and band.shape == (3, side, side, side)
     # each band mode carries the wavenumbers of the grid mode it stands for
-    for name in ("kx", "ky", "kz", "k_sq", "k_mag", "_k_sq_safe"):
+    for name in ("kx", "ky", "kz", "k_sq", "k_mag", "_k_sq_safe", "k_linf"):
         full = np.broadcast_to(getattr(g, name), (3, 8, 8, 8))
         assert np.array_equal(band.truncate(full), np.broadcast_to(getattr(band, name), band.shape))
+    # the band stores the arrays the stepper reads every step; k_linf stays on demand
+    assert {"k_sq", "k_mag", "_k_sq_safe"} <= set(vars(band)) and "k_linf" not in vars(band)
     in_band = band_mask(g, dealias)
     assert np.array_equal(band.pad(np.ones(band.shape)) == 1, np.broadcast_to(in_band, (3, 8, 8, 8)))
 
@@ -62,6 +95,7 @@ def test_band_pad_truncate_roundtrip(grid8):
     rng = np.random.default_rng(0)
     full = rng.standard_normal((3, 8, 8, 8)) + 1j * rng.standard_normal((3, 8, 8, 8))
     band = spectral.Band(grid8, grid8.dealias_cutoff)
+    assert len(band._block_pairs) == 8  # built once, with the band
     compact = band.truncate(full)
     assert compact.shape == (3, 5, 5, 5)
     padded = band.pad(compact)
@@ -163,6 +197,15 @@ def test_only_the_transform_functions_call_numpy_fft():
         ("spectral", "forward_transform", "fftn"),
         ("spectral", "__init__", "fftfreq"),
     }
+
+
+def test_import_leaves_scipy_unloaded():
+    """import scipy.fft alone takes about as long as a 32^3 run's set-up, so
+    an optional scipy backend must be imported lazily, never by the package."""
+    code = "import sys, leraydec; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ld.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n", [2256, 1000000000])
