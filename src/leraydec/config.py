@@ -10,6 +10,7 @@ the config hash recorded in run manifests.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 from dataclasses import dataclass
 
@@ -59,12 +60,15 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     return _parse_list(raw, int)
 
 
-def _parse_conv_form(raw: str) -> str:
-    # the advective form is the only one the solver has; the key stays so
-    # that every configuration that names it still parses
-    if raw != "advective":
-        raise ValueError(f"the only convective form is 'advective', got {raw!r}")
-    return raw
+def _retired(parse, value, reason: str) -> tuple:
+    """Schema entry of a key kept only so that every effective.cfg written so
+    far parses: it accepts a spelling `parse` reads as `value`, nothing else."""
+    def convert(raw: str):
+        with contextlib.suppress(ValueError):
+            if parse(raw) == value:
+                return value
+        raise ValueError(f"{reason}, got {raw!r}")
+    return convert, value
 
 
 _FIELD_KEYS = {
@@ -80,7 +84,7 @@ _FIELD_KEYS = {
 SCHEMA: dict = {
     "grid": {
         "n": (int, REQUIRED),
-        "dealias": (_parse_bool, True),
+        "dealias": _retired(_parse_bool, True, "dealiasing by the two-thirds rule is always on"),
     },
     "model": {
         "kind": (str, "nse"),
@@ -89,7 +93,7 @@ SCHEMA: dict = {
         "max_order": (int, DEFAULT_MAX_ORDER),
         "filter_forcing": (_parse_bool, True),
         "filter_ic": (_parse_bool, True),
-        "conv_form": (_parse_conv_form, "advective"),
+        "conv_form": _retired(str, "advective", "the only convective form is 'advective'"),
     },
     "fluid": {
         "nu": (float, REQUIRED),
@@ -230,7 +234,6 @@ def _build_solver_config(v: dict) -> SolverConfig:
         forcing=field_spec("forcing"),
         filter_forcing=m["filter_forcing"],
         filter_ic=m["filter_ic"],
-        dealias=v["grid"]["dealias"],
         snapshot_every=v["time"]["snapshot_every"],
     )
 

@@ -227,7 +227,7 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
                        {"orders": orders, "deltas": deltas}, {**metadata, "wall_seconds": wall})
 
 
-def deconv_unit_cost(grid: spectral.Grid, delta: float, dealias: bool = True) -> float:
+def deconv_unit_cost(grid: spectral.Grid, delta: float) -> float:
     """Wall-clock cost of one van Cittert iteration as the stepper runs it.
 
     The kernel is timed on the stepper's band-shaped arrays
@@ -237,7 +237,7 @@ def deconv_unit_cost(grid: spectral.Grid, delta: float, dealias: bool = True) ->
     over 7 repeats rejects scheduler noise.
     """
     order_hi, repeats = 8, 7
-    band = solver.integration_band(grid, dealias)
+    band = solver.integration_band(grid)
     g_hat = filtering.transfer_g(band.k_mag, FilterSpec(delta=delta))
     fbar = g_hat * band.truncate(fields.random_solenoidal(grid, seed=973).coeffs)
     out, scratch = np.empty_like(fbar), np.empty_like(fbar)
@@ -283,7 +283,7 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
         table["filter_applications"].append(traj.stats.filter_applications)
         table["rhs_evals"].append(traj.stats.rhs_evals)
 
-    unit = deconv_unit_cost(spec.base.grid, spec.delta, dealias=spec.base.dealias)
+    unit = deconv_unit_cost(spec.base.grid, spec.delta)
     errs = table["l2l2"]
     flags = []
     if not all(b < a for a, b in zip(errs, errs[1:])):

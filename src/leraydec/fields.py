@@ -92,7 +92,10 @@ def single_mode(grid: Grid, mode, amplitude: float = 1.0) -> SpectralField:
 
 
 def _checked_mode(grid: Grid, mode) -> np.ndarray:
-    k = np.asarray(mode, dtype=np.int64)
+    try:
+        k = np.asarray(mode, dtype=np.int64)
+    except OverflowError:  # a component past int64 fits no grid
+        raise ParameterError("mode", f"mode {mode} does not fit the negation-closed band of n={grid.n}") from None
     if k.shape != (3,) or not np.any(k):
         raise ParameterError("mode", f"mode must be a nonzero integer triple, got {mode}")
     if np.abs(k).max() > grid.n // 2 - 1:

@@ -113,12 +113,12 @@ class SolverConfig:
     forcing: FieldSpec = dataclass_field(default_factory=lambda: FieldSpec(kind="zero"))
     filter_forcing: bool = True
     filter_ic: bool = True
-    dealias: bool = True
     snapshot_every: int = 10
 
-    # The convective form, fixed: the advective (u_adv . grad) w.  Not a
-    # field; kept readable for code that checks which form a run used.
+    # Fixed, not fields: the advective form (u_adv . grad) w on the two-thirds
+    # band; kept readable for code that checks which form and band a run used.
     conv_form = "advective"
+    dealias = True
 
     def __post_init__(self):
         if not self.nu >= 0:
@@ -188,10 +188,10 @@ def _cfl_limit(samples: np.ndarray) -> float:
     return dx / speed if speed > 0 else float("inf")
 
 
-def integration_band(grid: Grid, dealias: bool) -> spectral.Band:
-    """The modes the stepper integrates: the dealias band, or with dealiasing
-    off every mode whose negation is representable (no Nyquist planes)."""
-    return spectral.Band(grid, grid.dealias_cutoff if dealias else grid.n // 2 - 1)
+def integration_band(grid: Grid) -> spectral.Band:
+    """The modes the stepper integrates, the dealias band |k|_inf <= n/3; the one
+    place that builds a Band, so deconv_unit_cost times the stepper's layout."""
+    return spectral.Band(grid, grid.dealias_cutoff)
 
 
 class _Advection:
@@ -215,10 +215,10 @@ class _Advection:
     """
 
     def __init__(self, grid: Grid, model: ModelKind, filter_spec: FilterSpec | None,
-                 dealias: bool, stats: RunStats | None = None):
+                 stats: RunStats | None = None):
         _check_model(model, filter_spec)
         self.grid = grid
-        self.band = integration_band(grid, dealias)
+        self.band = integration_band(grid)
         self.stats = stats if stats is not None else RunStats()
 
         self.g_hat = (
@@ -300,7 +300,7 @@ class _Stepper(_Advection):
 
     def __init__(self, config: SolverConfig, stats: RunStats | None = None,
                  state: SpectralField | None = None):
-        super().__init__(config.grid, config.model, config.filter, config.dealias, stats)
+        super().__init__(config.grid, config.model, config.filter, stats)
         self.config = config
 
         gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
@@ -348,12 +348,8 @@ class _Stepper(_Advection):
         u *= self.decays[2]
 
 
-def nonlinear_term(
-    state: SpectralField,
-    model: ModelKind,
-    filter_spec: FilterSpec | None = None,
-    dealias: bool = True,
-) -> SpectralField:
+def nonlinear_term(state: SpectralField, model: ModelKind,
+                   filter_spec: FilterSpec | None = None) -> SpectralField:
     """Dealiased, Leray-projected advection term -(u_adv . grad) w.
 
     The input is restricted to the dealias band first, so the retained
@@ -361,7 +357,7 @@ def nonlinear_term(
     solenoidal advecting velocity the result is L2-orthogonal to the state.
     The term is evaluated by a fresh kernel and returned on the full grid.
     """
-    kernel = _Advection(state.grid, model, filter_spec, dealias)
+    kernel = _Advection(state.grid, model, filter_spec)
     kernel.allocate_workspace()
     w = kernel.band.restrict(state)
     return SpectralField(state.grid, kernel.band.pad(kernel.nonlinear(w)), state.t)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import os
 
@@ -23,6 +22,7 @@ DIAG_SCHEMA = ("diag", 1)
 STUDY_SCHEMA = ("study", 1)
 TRANSFER_SCHEMA = ("transfer", 1)
 MANIFEST_SCHEMA = ("manifest", 1)
+_TRANSFER_COLUMNS = ("k", "g_hat", "d_hat", "h_hat")
 
 
 class TableError(ValueError):
@@ -59,18 +59,31 @@ def _check_schema(line: str, schema: tuple, path) -> None:
         raise TableError(f"{path}: schema {name!r}, expected {schema[0]!r}")
     if not major.isdecimal():
         raise TableError(f"{path}: schema major {major!r} is not a number")
-    if int(major) > schema[1]:
+    if float(major) > schema[1]:  # float, not int: no count of digits is too many for it
         raise TableError(f"{path}: schema major {major} is newer than supported ({schema[1]})")
 
 
-def _read_csv(path, schema: tuple):
-    """Header and a reader over the data rows of a CSV written by _write_csv."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        _check_schema(first, schema, path)
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(lines)))
-    return next(reader), reader
+def _read_csv(path, schema: tuple, columns: tuple) -> list:
+    """The data rows, as floats, of a CSV written by _write_csv with these
+    columns; anything else is rejected with a TableError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            _check_schema(fh.readline(), schema, path)
+            table = [row for row in csv.reader(ln for ln in fh if not ln.startswith("#")) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise TableError(f"{path}: {exc}") from exc
+    if not table:
+        raise TableError(f"{path}: no header line")
+    header, rows = table[0], table[1:]
+    if tuple(header) != columns:
+        raise TableError(f"{path}: unexpected columns {header}")
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            raise TableError(f"{path}: data row {i} has {len(row)} fields, expected {len(columns)}")
+    try:
+        return [[float(v) for v in row] for row in rows]
+    except ValueError as exc:
+        raise TableError(f"{path}: {exc}") from exc
 
 
 def write_diag_csv(path, records) -> None:
@@ -79,31 +92,19 @@ def write_diag_csv(path, records) -> None:
 
 
 def read_diag_csv(path):
-    header, reader = _read_csv(path, DIAG_SCHEMA)
-    if tuple(header) != DiagRecord.FIELDS:
-        raise TableError(f"{path}: unexpected columns {header}")
-    try:
-        return [DiagRecord(*(float(v) for v in row)) for row in reader if row]
-    except ValueError as exc:
-        raise TableError(f"{path}: {exc}") from exc
+    return [DiagRecord(*row) for row in _read_csv(path, DIAG_SCHEMA, DiagRecord.FIELDS)]
 
 
 def write_transfer_csv(path, table: TransferTable) -> None:
     rows = zip(table.k, table.g_hat, table.d_hat, table.h_hat)
-    _write_csv(path, TRANSFER_SCHEMA, ("k", "g_hat", "d_hat", "h_hat"), rows,
+    _write_csv(path, TRANSFER_SCHEMA, _TRANSFER_COLUMNS, rows,
                extra_comments=(f"delta: {_fmt(table.spec.delta)} order: {table.spec.order}",))
 
 
 def read_transfer_csv(path):
     """Read a transfer CSV back as a dict of float column arrays."""
-    header, reader = _read_csv(path, TRANSFER_SCHEMA)
-    columns = {name: [] for name in header}
-    for row in reader:
-        if not row:
-            continue
-        for name, value in zip(header, row):
-            columns[name].append(float(value))
-    return {name: np.asarray(vals) for name, vals in columns.items()}
+    rows = _read_csv(path, TRANSFER_SCHEMA, _TRANSFER_COLUMNS)
+    return {name: np.asarray([row[i] for row in rows]) for i, name in enumerate(_TRANSFER_COLUMNS)}
 
 
 def _jsonable(value):
@@ -185,12 +186,12 @@ def read_manifest(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
             raise TableError(f"{path}: manifest is not JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise TableError(f"{path}: manifest is not a JSON object")
     schema = manifest.get("schema", "")
     name, _, major = str(schema).partition("/")
-    if name != MANIFEST_SCHEMA[0] or not major.isdecimal() or int(major) > MANIFEST_SCHEMA[1]:
+    if name != MANIFEST_SCHEMA[0] or not major.isdecimal() or float(major) > MANIFEST_SCHEMA[1]:
         raise TableError(f"{path}: unsupported manifest schema {schema!r}")
     return manifest

@@ -50,10 +50,9 @@ def inner(f, g):
     return float((c.real * d.real + c.imag * d.imag).sum())
 
 
-def band_mask(grid, dealias=True):
-    """Full-grid mask of the integrated modes: the dealias band |k|_inf <= n/3,
-    or with dealiasing off every mode whose negation is representable."""
-    return grid.k_linf <= (grid.dealias_cutoff if dealias else grid.n // 2 - 1)
+def band_mask(grid):
+    """Full-grid mask of the integrated modes: the dealias band |k|_inf <= n/3."""
+    return grid.k_linf <= grid.dealias_cutoff
 
 
 def curl(f):

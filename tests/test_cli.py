@@ -127,7 +127,8 @@ def test_nonfinite_value_exits_one_before_creating_output(cfg_path, tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["time.t_end=1e308", "model.conv_form=divergence", "grid.n=1000000000"])
+@pytest.mark.parametrize("setting", ["time.t_end=1e308", "model.conv_form=divergence", "grid.n=1000000000",
+                                     "grid.dealias=false"])
 def test_rejected_run_setting_exits_one_before_any_run_or_output(cfg_path, tmp_path, capsys,
                                                                  monkeypatch, setting):
     runs = []

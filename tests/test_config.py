@@ -76,8 +76,18 @@ def test_invalid_value_names_key():
 def test_boolean_spellings():
     for raw, want in [("true", True), ("ON", True), ("1", True),
                       ("false", False), ("off", False), ("No", False)]:
-        rc = config.parse_config_text(MINIMAL, overrides=[f"grid.dealias={raw}"])
-        assert rc.solver.dealias is want
+        rc = config.parse_config_text(MINIMAL, overrides=[f"model.filter_ic={raw}"])
+        assert rc.solver.filter_ic is want
+
+
+def test_an_old_effective_cfg_parses_as_one_without_the_retired_keys():
+    # guard: effective.cfg files written while the keys were options carry
+    # them; they must still re-run, and echo them as before
+    old = LERAY.replace("n = 16", "n = 16\ndealias = yes") + "conv_form = advective\n"
+    with_keys, without = config.parse_config_text(old), config.parse_config_text(LERAY)
+    assert with_keys.solver == without.solver
+    assert config.render_effective(with_keys.effective) == config.render_effective(without.effective)
+    assert "dealias = true" in config.render_effective(without.effective)
 
 
 def test_semantic_validation_messages():
@@ -254,11 +264,13 @@ def test_unread_study_keys_rejected(key):
     ("model.conv_form", "divergence"),
     ("time.t_end", "1e308"),
     ("model.order", "-1"),
+    ("grid.dealias", "false"),
+    ("ic.mode", "1,0,99999999999999999999"),
 ])
 def test_rejected_values_name_their_key(key, value):
-    overrides = [f"{key}={value}"]
-    if key == "model.order":
-        overrides += ["model.kind=leray_deconv", "model.delta=0.5"]
+    # the settings a key is read under
+    needs = {"model.order": ["model.kind=leray_deconv", "model.delta=0.5"], "ic.mode": ["ic.kind=single_mode"]}
+    overrides = [f"{key}={value}", *needs.get(key, ())]
     with pytest.raises(config.ConfigError, match=re.escape(key)):
         config.parse_config_text(MINIMAL, overrides=overrides)
 
@@ -275,6 +287,7 @@ def test_rejected_values_name_their_key(key, value):
      "amplitude must be finite, got inf"),
     (["ic.kind=random_solenoidal", "ic.slope=nan"], "ic.slope", "slope must be finite, got nan"),
     (["ic.kind=random_solenoidal", "ic.seed=-1"], "ic.seed", "seed must be >= 0, got -1"),
+    (["grid.dealias=off"], "grid.dealias", "dealiasing by the two-thirds rule is always on, got 'off'"),
 ])
 def test_rejected_values_report_key_and_reason(settings, key, reason):
     # a value the run cannot use is reported under its own key, in one format

@@ -34,7 +34,7 @@ def test_band_and_full_grid_records_agree(grid16):
     # a run forms its records on the band; the full-grid record of the same
     # state sums the same terms (plus zeros) in another order
     traj = _viscous_tg_run(grid16, dt=0.01, t_end=0.03, order=2)
-    band = ld.solver.integration_band(grid16, dealias=True)
+    band = ld.solver.integration_band(grid16)
     state = traj.terminal
     forcing = ld.SpectralField(grid16, band.pad(band.truncate(ld.random_solenoidal(grid16, seed=14).coeffs)))
     full = diagnostics.energy_record(state, 0.1, forcing)

@@ -1,7 +1,6 @@
 """Sweep drivers: rate fits, study tables, flags, and dispatch."""
 
 import ast
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -259,7 +258,7 @@ def test_n_limit_study_counts_and_errors(grid8):
     assert rep.metadata["unit_filter_seconds"] > 0
 
 
-@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dealias", [ld.SolverConfig.dealias])  # the pinned dealiasing, in the id
 def test_unit_cost_times_van_cittert_on_the_stepper_layout(grid8, monkeypatch, dealias):
     # criterion 11 divides the stepper's deconvolution seconds by the study's
     # microbenchmarked unit, so both must run the kernel on arrays of one shape
@@ -271,9 +270,9 @@ def test_unit_cost_times_van_cittert_on_the_stepper_layout(grid8, monkeypatch, d
         return kernel(g_hat, fbar, out, scratch, order)
 
     monkeypatch.setattr(ld.filtering, "van_cittert_iterate", spy)
-    base = replace(_small_base(grid8), dealias=dealias)
+    base = _small_base(grid8)
     experiments.run_study(experiments.StudySpec(kind="n_limit", delta=0.5, orders=(0, 2), base=base))
-    band = ld.solver.integration_band(grid8, dealias).shape
+    band = ld.solver.integration_band(grid8).shape
     assert seen == {(band[1:], band, band, band)}
 
 

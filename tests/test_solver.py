@@ -130,15 +130,6 @@ def test_nonlinear_zero_for_shear(grid16):
     assert ld.hs_norm(nl, 0) < 1e-15
 
 
-def test_dealias_toggle_changes_result(grid16):
-    w = ld.random_solenoidal(grid16, seed=10, band=7)
-    on = ld.nonlinear_term(w, ld.ModelKind.nse(), dealias=True)
-    off = ld.nonlinear_term(w, ld.ModelKind.nse(), dealias=False)
-    assert ld.hs_norm(on.with_coeffs(on.coeffs - off.coeffs), 0) > 1e-8
-    # the dealiased result carries nothing beyond the cutoff
-    assert np.all(on.coeffs[:, ~band_mask(grid16)] == 0)
-
-
 def test_nonlinear_term_matches_closed_form_smoother(grid16):
     # the kernel's van Cittert advecting velocity against the closed-form
     # smoother h_N, with the advection term rebuilt from collocation products
@@ -180,12 +171,15 @@ def test_step_matches_run(grid16):
         assert state.t == pytest.approx(expected.t, abs=1e-12)
 
 
-@pytest.mark.parametrize("dealias", [True, False])
+# the dealiasing the cases below pin, named in their ids
+_DEALIAS = [ld.SolverConfig.dealias]
+
+
+@pytest.mark.parametrize("dealias", _DEALIAS)
 def test_solenoidal_preserved(grid16, dealias):
     cfg = _cfg(grid16, model="leray_deconv", order=1, nu=0.01, dt=0.01, t_end=0.1,
                ic=ld.FieldSpec(kind="random_solenoidal", seed=12),
-               forcing=ld.FieldSpec(kind="single_mode", mode=(0, 1, 0), amplitude=0.3),
-               dealias=dealias)
+               forcing=ld.FieldSpec(kind="single_mode", mode=(0, 1, 0), amplitude=0.3))
     traj = ld.run(cfg)
     assert ld.solenoidal_defect(traj.terminal) < 1e-13
     ld.validate_field(traj.terminal, solenoidal=True)
@@ -258,11 +252,11 @@ def test_inviscid_energy_conservation_short(grid8):
     assert abs(e[-1] - e[0]) / e[0] < 1e-9
 
 
-def _reference_nonlinear(w, model, fspec, dealias):
+def _reference_nonlinear(w, model, fspec):
     """The allocate-per-operation right-hand side the workspace kernel replaced."""
     g = w.grid
     n3 = g.n**3
-    mask = band_mask(g, dealias)
+    mask = band_mask(g)
     w = w.coeffs * mask
     if model.is_regularized:
         g_hat = ld.transfer_g(g.k_mag, fspec)
@@ -294,15 +288,15 @@ _FORMS = [ld.SolverConfig.conv_form]
 
 
 @pytest.mark.parametrize("conv_form", _FORMS)
-@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dealias", _DEALIAS)
 @pytest.mark.parametrize("model,fspec", _MODELS, ids=["nse", "order3"])
 def test_workspace_kernel_is_bit_identical_to_allocating_one(grid16, model, fspec, dealias, conv_form):
     w = ld.random_solenoidal(grid16, seed=21)
-    nl = ld.nonlinear_term(w, model, fspec, dealias=dealias).coeffs
-    assert np.array_equal(nl, _reference_nonlinear(w, model, fspec, dealias))
+    nl = ld.nonlinear_term(w, model, fspec).coeffs
+    assert np.array_equal(nl, _reference_nonlinear(w, model, fspec))
     # a later call must not write into an earlier call's result
     nl_kept = nl.copy()
-    ld.nonlinear_term(ld.random_solenoidal(grid16, seed=22), model, fspec, dealias=dealias)
+    ld.nonlinear_term(ld.random_solenoidal(grid16, seed=22), model, fspec)
     assert np.array_equal(nl, nl_kept)
 
 
@@ -317,7 +311,7 @@ def _reference_advance(u, cfg, forcing=None):
         if s > 0:
             u *= decays[s - 1]
             p *= decays[s - 1]
-        rhs = _reference_nonlinear(ld.SpectralField(g, u), cfg.model, cfg.filter, cfg.dealias)
+        rhs = _reference_nonlinear(ld.SpectralField(g, u), cfg.model, cfg.filter)
         if forcing is not None:
             rhs += forcing
         p = cfg.dt * rhs if s == 0 else a[s] * p + cfg.dt * rhs
@@ -340,7 +334,7 @@ def _reference_run(cfg):
     mask multiply for the dealiasing, as the stepper did before it kept only
     the band; the records are formed by the run's own sum core."""
     g = cfg.grid
-    mask = band_mask(g, cfg.dealias)
+    mask = band_mask(g)
 
     def prepared(spec, smooth):
         coeffs = ld.leray_project(spec.evaluate(g)).coeffs * mask
@@ -348,7 +342,7 @@ def _reference_run(cfg):
             coeffs = coeffs * ld.transfer_hn(g.k_mag, cfg.filter)
         return coeffs
 
-    band = ld.solver.integration_band(g, cfg.dealias)
+    band = ld.solver.integration_band(g)
 
     def record(u, t):
         # the run's records are sums over the band, in the band's order
@@ -368,13 +362,13 @@ def _reference_run(cfg):
 
 
 @pytest.mark.parametrize("conv_form", _FORMS)
-@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dealias", _DEALIAS)
 @pytest.mark.parametrize("model,fspec", _MODELS, ids=["nse", "order3"])
 def test_run_is_bit_identical_to_the_full_layout_reference(grid16, model, fspec, dealias, conv_form):
     cfg = ld.SolverConfig(grid=grid16, model=model, filter=fspec, nu=0.05, dt=0.01, t_end=0.03,
                           ic=ld.FieldSpec(kind="random_solenoidal", seed=24),
                           forcing=ld.FieldSpec(kind="taylor_green", amplitude=0.5),
-                          dealias=dealias, snapshot_every=2)
+                          snapshot_every=2)
     traj = ld.run(cfg)
     snapshots, records = _reference_run(cfg)
     assert len(traj.snapshots) == len(snapshots) == 3

@@ -68,10 +68,10 @@ def test_dealias_cutoff_values():
     assert ld.Grid(48).dealias_cutoff == 16
 
 
-@pytest.mark.parametrize("dealias, side", [(True, 5), (False, 7)])
+@pytest.mark.parametrize("dealias, side", [(ld.SolverConfig.dealias, 5)])  # the pinned dealiasing, in the id
 def test_band_side_and_wavenumbers(dealias, side):
     g = ld.Grid(8)
-    band = ld.solver.integration_band(g, dealias)
+    band = ld.solver.integration_band(g)
     assert band.side == side and band.shape == (3, side, side, side)
     # each band mode carries the wavenumbers of the grid mode it stands for
     for name in ("kx", "ky", "kz", "k_sq", "k_mag", "_k_sq_safe", "k_linf"):
@@ -79,7 +79,7 @@ def test_band_side_and_wavenumbers(dealias, side):
         assert np.array_equal(band.truncate(full), np.broadcast_to(getattr(band, name), band.shape))
     # the band stores the arrays the stepper reads every step; k_linf stays on demand
     assert {"k_sq", "k_mag", "_k_sq_safe"} <= set(vars(band)) and "k_linf" not in vars(band)
-    in_band = band_mask(g, dealias)
+    in_band = band_mask(g)
     assert np.array_equal(band.pad(np.ones(band.shape)) == 1, np.broadcast_to(in_band, (3, 8, 8, 8)))
 
 
@@ -197,6 +197,27 @@ def test_only_the_transform_functions_call_numpy_fft():
         ("spectral", "forward_transform", "fftn"),
         ("spectral", "__init__", "fftfreq"),
     }
+
+
+def test_only_the_integration_band_builds_a_band():
+    """Guard: solver.integration_band is the one place in the package that
+    constructs a spectral.Band, so the stepper and deconv_unit_cost, which
+    times van Cittert on the stepper's layout, cannot drift apart."""
+    callers = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "Band")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "Band")):
+            callers.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "<module>")
+    assert callers == {("solver", "integration_band")}
 
 
 def test_import_leaves_scipy_unloaded():

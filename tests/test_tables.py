@@ -41,9 +41,10 @@ def test_diag_csv_schema_rejections(tmp_path):
         tables.read_diag_csv(naked)
 
     newer = tmp_path / "newer.csv"
-    newer.write_text(text.replace("diag/1", "diag/2"))
-    with pytest.raises(tables.TableError, match="newer"):
-        tables.read_diag_csv(newer)
+    for major in ("2", "1" * 5000):  # the second is past int()'s 4300-digit limit
+        newer.write_text(text.replace("diag/1", f"diag/{major}"))
+        with pytest.raises(tables.TableError, match="newer"):
+            tables.read_diag_csv(newer)
 
     wrong = tmp_path / "wrong.csv"
     wrong.write_text(text.replace("diag/1", "study/1"))
@@ -134,13 +135,15 @@ def test_manifest_schema_rejected(tmp_path):
         tables.read_manifest(path)
     for payload, match in [({"schema": "manifest/x", "files": []}, "unsupported manifest schema"),
                            ({"schema": 1, "files": []}, "unsupported manifest schema"),
+                           ({"schema": "manifest/" + "1" * 5000, "files": []}, "unsupported manifest schema"),
                            (["manifest/1"], "not a JSON object")]:
         path.write_text(json.dumps(payload))
         with pytest.raises(tables.TableError, match=match) as err:
             tables.read_manifest(path)
         assert str(path) in str(err.value)
-    for text in ("", "schema: manifest/1\n", '{"schema": "manifest/1"'):
-        path.write_text(text)
+    for data in (b"", b"schema: manifest/1\n", b'{"schema": "manifest/1"',
+                 b'{"schema": "manifest/1", "files": ["\xff"]}'):  # the last is not UTF-8
+        path.write_bytes(data)
         with pytest.raises(tables.TableError, match="manifest is not JSON") as err:
             tables.read_manifest(path)
         assert str(path) in str(err.value)
@@ -154,3 +157,41 @@ def test_fmt_values(tmp_path):
     path = tmp_path / "diag.csv"
     tables.write_diag_csv(path, recs)
     assert tables.read_diag_csv(path)[0].t == third
+
+
+def _rejected_by_path(read, path, match):
+    with pytest.raises(tables.TableError, match=match) as err:
+        read(path)
+    assert str(path) in str(err.value)
+
+
+def test_corrupted_diag_csv_is_rejected_by_path(tmp_path):
+    path = tmp_path / "diag.csv"
+    tables.write_diag_csv(path, _records())
+    text = path.read_text()
+    last = text.rstrip("\n").rsplit("\n", 1)[-1]
+    bad = tmp_path / "bad.csv"
+    # a killed run's last row, cut short or run on
+    bad.write_text(text.replace(last, last.rsplit(",", 2)[0]))
+    _rejected_by_path(tables.read_diag_csv, bad, "data row 2 has 4 fields, expected 6")
+    bad.write_text(text.replace(last, last + ",1.5"))
+    _rejected_by_path(tables.read_diag_csv, bad, "data row 2 has 7 fields, expected 6")
+    bad.write_text("# schema: diag/1\n")
+    _rejected_by_path(tables.read_diag_csv, bad, "no header line")
+    bad.write_bytes(text.encode().replace(b"0.125", b"0.\xff25", 1))
+    _rejected_by_path(tables.read_diag_csv, bad, "codec can't decode")
+
+
+def test_corrupted_transfer_csv_is_rejected_by_path(tmp_path):
+    table = ld.TransferTable.build(ld.FilterSpec(delta=0.5, order=3), np.linspace(0.0, 8.0, 9))
+    path = tmp_path / "transfer.csv"
+    tables.write_transfer_csv(path, table)
+    lines = path.read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines).replace(lines[4], "1,abc" + lines[4][lines[4].index(",", 2):]))
+    _rejected_by_path(tables.read_transfer_csv, bad, "could not convert")
+    bad.write_text("".join(lines[:4] + [lines[4].rsplit(",", 1)[0] + "\n"] + lines[5:]))
+    _rejected_by_path(tables.read_transfer_csv, bad, "data row 2 has 3 fields, expected 4")
+    bad.write_text("".join(lines[:2]))
+    _rejected_by_path(tables.read_transfer_csv, bad, "no header line")
+
