@@ -61,8 +61,9 @@ def _prepare(k):
 
 
 def _x_of(k: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    # tiny delta*k underflows to a subnormal or zero: its correctly rounded value
-    with np.errstate(under="ignore"):
+    # tiny delta*k underflows to a subnormal or zero: its correctly rounded value;
+    # huge delta*k overflows to inf, where g = h_N = 0 are the exact limits
+    with np.errstate(under="ignore", over="ignore"):
         return (spec.delta * k) ** 2
 
 
@@ -108,7 +109,8 @@ def transfer_dn(k, spec: FilterSpec):
     """Multiplier of the order-N van Cittert deconvolution operator."""
     arr, scalar = _prepare(k)
     x = _x_of(arr, spec)
-    out = (1.0 + x) * _one_minus_ratio_power(x, spec.order + 1)
+    out = np.full_like(x, spec.order + 1.0)  # the limit where x overflows to inf
+    np.multiply(1.0 + x, _one_minus_ratio_power(x, spec.order + 1), out=out, where=np.isfinite(x))
     return float(out) if scalar else out
 
 

@@ -165,10 +165,13 @@ class RunStats:
 @dataclass
 class Trajectory:
     config: SolverConfig
-    times: list
     snapshots: list
     records: list
     stats: RunStats
+
+    @property
+    def times(self) -> list:
+        return [s.t for s in self.snapshots]
 
     @property
     def terminal(self) -> SpectralField:
@@ -214,12 +217,11 @@ class _Advection:
     a zero coefficient).
     """
 
-    def __init__(self, grid: Grid, model: ModelKind, filter_spec: FilterSpec | None,
-                 stats: RunStats | None = None):
+    def __init__(self, grid: Grid, model: ModelKind, filter_spec: FilterSpec | None):
         _check_model(model, filter_spec)
         self.grid = grid
         self.band = integration_band(grid)
-        self.stats = stats if stats is not None else RunStats()
+        self.stats = RunStats()
 
         self.g_hat = (
             filtering.transfer_g(self.band.k_mag, filter_spec) if model.is_regularized else None
@@ -289,31 +291,35 @@ class _Advection:
 
 
 class _Stepper(_Advection):
-    """The advection kernel plus what a run adds: integrating factors,
-    effective forcing, the band state `u` with its low-storage carry `p`,
-    and the RK3 update.
+    """The run object: the advection kernel plus integrating factors,
+    effective forcing, the band state `u` with its low-storage carry `p`, the
+    step index `m`, and the run's records, snapshots and statistics.
 
     The state starts from `state` restricted to the band, or without one from
     the configured initial condition.  Nothing full-grid is kept but the
     transform workspace, allocated last, once the evaluated fields are gone.
     """
 
-    def __init__(self, config: SolverConfig, stats: RunStats | None = None,
-                 state: SpectralField | None = None):
-        super().__init__(config.grid, config.model, config.filter, stats)
+    def __init__(self, config: SolverConfig, state: SpectralField | None = None):
+        self.wall_start = time.perf_counter()
+        super().__init__(config.grid, config.model, config.filter)
         self.config = config
 
         gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
-        # with nu = 0 every factor is exactly 1.0, so the update keeps every bit
-        self.decays = [np.exp(-config.nu * self.band.k_sq * config.dt * gap) for gap in gaps]
+        # with nu = 0 every factor is exactly 1.0, so the update keeps every bit;
+        # a rate nu k^2 dt that overflows to inf gives the decay's limit, 0
+        with np.errstate(over="ignore"):
+            self.decays = [np.exp(-config.nu * self.band.k_sq * config.dt * gap) for gap in gaps]
 
         f = self._prepared(config.forcing, config.filter_forcing)
         self.f_eff = f if np.any(f) else None
+        self.forcing = None if self.f_eff is None else SpectralField(self.grid, self.f_eff, band=self.band)
         if state is None:
             self.u = self._prepared(config.ic, config.filter_ic)
         else:
             self.u = self.band.restrict(state)
         self.p = np.zeros_like(self.u)
+        self.m, self.records, self.snapshots = 0, [], []
         self.allocate_workspace()
 
     def _prepared(self, spec: FieldSpec, smooth: bool) -> np.ndarray:
@@ -331,9 +337,10 @@ class _Stepper(_Advection):
             out += self.f_eff
         return out
 
-    def advance(self, u: np.ndarray, p: np.ndarray) -> None:
-        """One full RK3 step in place on band coefficients; p is the low-storage carry."""
-        dt = self.config.dt
+    def advance(self) -> None:
+        """One full RK3 step in place on u; the carry p is overwritten at its
+        first stage, so u and m are the whole state between steps."""
+        u, p, dt = self.u, self.p, self.config.dt
         for s in range(3):
             if s > 0:
                 u *= self.decays[s - 1]
@@ -346,6 +353,28 @@ class _Stepper(_Advection):
                 p += np.multiply(dt, r, out=r)
             u += np.multiply(_RK_B[s], p, out=r)
         u *= self.decays[2]
+        self.m += 1
+
+    def observe(self) -> None:
+        """Record the state at t = m dt, and keep a snapshot of it every
+        `snapshot_every` steps (t = 0 among them) and at the last step."""
+        t = self.m * self.config.dt
+        state = SpectralField(self.grid, self.u, t, self.band)
+        rec = diagnostics.energy_record(state, self.config.nu, self.forcing)
+        # the energy is a sum over every band coefficient, so a non-finite
+        # state shows up in it (as does an overflowing finite one), at t = 0 too
+        if not np.isfinite([rec.energy, rec.h1_seminorm_sq, rec.input_power]).all():
+            raise BlowUpError(self.m, t, self.trajectory())
+        self.records.append(rec)
+        if self.m % self.config.snapshot_every == 0 or self.m == self.config.steps:
+            self.snapshots.append(state.copy())
+
+    def trajectory(self) -> Trajectory:
+        """The run so far: its records, with balance residuals, its snapshots and statistics."""
+        diagnostics.attach_balance_residuals(self.records)
+        self.stats.steps = max(len(self.records) - 1, 0)
+        self.stats.wall_seconds = time.perf_counter() - self.wall_start
+        return Trajectory(self.config, self.snapshots, self.records, self.stats)
 
 
 def nonlinear_term(state: SpectralField, model: ModelKind,
@@ -366,7 +395,7 @@ def nonlinear_term(state: SpectralField, model: ModelKind,
 def step(state: SpectralField, config: SolverConfig) -> SpectralField:
     """Advance a state by one step of the configured scheme."""
     stepper = _Stepper(config, state=state)
-    stepper.advance(stepper.u, stepper.p)
+    stepper.advance()
     return SpectralField(config.grid, stepper.band.pad(stepper.u), state.t + config.dt)
 
 
@@ -376,27 +405,14 @@ def run(config: SolverConfig) -> Trajectory:
     Diagnostics are recorded every step by diagnostics.energy_record, as
     sums over the band coefficients; spectral snapshots are retained every
     `snapshot_every` steps and always at t = 0 and t_end, held on the band
-    (Trajectory.terminal pads the last one).  A non-finite state raises
-    BlowUpError carrying the partial trajectory.
+    (Trajectory.terminal pads the last one).  A non-finite record, the
+    initial one included, raises BlowUpError carrying the partial trajectory.
     """
-    wall_start = time.perf_counter()
-    stats = RunStats()
-    stepper = _Stepper(config, stats)
-    band, u, p = stepper.band, stepper.u, stepper.p
-    steps = config.steps
+    stepper = _Stepper(config)
+    stepper.observe()
 
-    forcing = None if stepper.f_eff is None else SpectralField(config.grid, stepper.f_eff, band=band)
-
-    def on_band(t: float) -> SpectralField:
-        return SpectralField(config.grid, u, t, band)
-
-    def record(t: float) -> DiagRecord:
-        return diagnostics.energy_record(on_band(t), config.nu, forcing)
-
-    records = [record(0.0)]
-    snapshots = [on_band(0.0).copy()]
-
-    stats.cfl_dt_max = _cfl_limit(stepper.inverse(u))
+    stats = stepper.stats
+    stats.cfl_dt_max = _cfl_limit(stepper.inverse(stepper.u))
     if config.dt > stats.cfl_dt_max:
         stats.cfl_violated = True
         warnings.warn(
@@ -405,28 +421,7 @@ def run(config: SolverConfig) -> Trajectory:
             stacklevel=2,
         )
 
-    def build_trajectory() -> Trajectory:
-        diagnostics.attach_balance_residuals(records)
-        stats.steps = len(records) - 1
-        stats.wall_seconds = time.perf_counter() - wall_start
-        return Trajectory(
-            config=config,
-            times=[s.t for s in snapshots],
-            snapshots=snapshots,
-            records=records,
-            stats=stats,
-        )
-
-    for m in range(1, steps + 1):
-        stepper.advance(u, p)
-        t = m * config.dt
-        rec = record(t)
-        # the energy is a sum over every band coefficient, so a non-finite
-        # state shows up in it (as does an overflowing finite one)
-        if not np.isfinite([rec.energy, rec.h1_seminorm_sq, rec.input_power]).all():
-            raise BlowUpError(m, t, build_trajectory())
-        records.append(rec)
-        if m % config.snapshot_every == 0 or m == steps:
-            snapshots.append(on_band(t).copy())
-
-    return build_trajectory()
+    while stepper.m < config.steps:
+        stepper.advance()
+        stepper.observe()
+    return stepper.trajectory()

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leraydec import cli, solver, tables
+from leraydec import cli, solver, tables, validate_field
+from leraydec.snapshots import read_snapshot
 
 BASE_CFG = """
 [grid]
@@ -166,6 +167,35 @@ def test_blow_up_exits_two(cfg_path, tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
     assert os.path.exists(os.path.join(out, "effective.cfg"))
     assert os.path.exists(os.path.join(out, "manifest.json"))
+    # guard: the partial output reads back whole, every row finite, every
+    # snapshot a valid solenoidal field, every digest its file's
+    records = tables.read_diag_csv(os.path.join(out, "diag.csv"))
+    assert records and all(np.isfinite([getattr(r, f) for f in r.FIELDS]).all() for r in records)
+    snaps = sorted(Path(out).glob("snap_*.snap"))
+    assert snaps
+    for path in snaps:
+        validate_field(read_snapshot(path)[0], solenoidal=True)
+    for entry in tables.read_manifest(os.path.join(out, "manifest.json"))["files"]:
+        assert entry["sha256"] == tables.file_sha256(os.path.join(out, entry["name"]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_nonfinite_initial_state_blows_up_at_step_zero(cfg_path, tmp_path, capsys):
+    out = tmp_path / "boom0"
+    assert _run(["run", "--config", cfg_path, "--out", str(out), "--set", "ic.amplitude=1e160"]) == 2
+    captured = capsys.readouterr()
+    assert "blow-up: solution blew up at step 0 (t = 0)" in captured.err
+    assert "steps:" not in captured.out
+    assert sorted(os.listdir(out)) == ["effective.cfg", "manifest.json"]
+
+
+@pytest.mark.parametrize("setting", ["model.delta=1e308", "fluid.nu=1e308"])
+def test_huge_radius_or_viscosity_runs_without_warnings(cfg_path, tmp_path, setting):
+    # the multipliers overflow to their exact limits, g = h_N = 0 and a decay
+    # of 0; the suite's filterwarnings = error fails any overflow warning
+    out = tmp_path / "huge"
+    assert _run(["run", "--config", cfg_path, "--out", str(out), "--set", setting]) == 0
+    assert len(tables.read_diag_csv(out / "diag.csv")) == 5
 
 
 def test_cutoff_stdout(capsys):

@@ -100,6 +100,24 @@ def test_subnormal_argument_reaches_exact_limits_without_overflow():
     assert np.array_equal(filtering._ratio_power(x, m), np.exp(-m * np.log1p(1.0 / x)))
 
 
+def test_huge_radius_reaches_exact_limits_without_overflow():
+    # (delta k)^2 overflows to inf for k > 0, where g = h_N = 0, d_N = N + 1
+    # and the deconvolution error is the whole field; warnings are errors here
+    spec = ld.FilterSpec(delta=1e308, order=3)
+    k = np.array([0.0, 1.0, 5.0, 1e300])
+    with np.errstate(all="raise"):
+        assert np.array_equal(ld.transfer_g(k, spec), [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(ld.transfer_dn(k, spec), [1.0, 4.0, 4.0, 4.0])
+        assert np.array_equal(ld.transfer_hn(k, spec), [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(ld.deconv_error_multiplier(k, spec), [0.0, 1.0, 1.0, 1.0])
+        assert ld.transfer_dn(2.0, spec) == 4.0
+    # finite x keep the (1 + x)(1 - r^{N+1}) evaluation bit for bit
+    k = np.sqrt(np.logspace(-300, 307, 2001))
+    x = k**2
+    assert np.array_equal(ld.transfer_dn(k, ld.FilterSpec(delta=1.0, order=3)),
+                          (1.0 + x) * filtering._one_minus_ratio_power(x, 4))
+
+
 def test_apply_filter_solves_helmholtz(rand16):
     spec = ld.FilterSpec(delta=0.37)
     fb = ld.apply_filter(rand16, spec)

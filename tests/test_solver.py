@@ -1,5 +1,8 @@
+import ast
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +219,21 @@ def test_blow_up_raises_with_partial_trajectory(grid8):
     assert len(traj.records) == err.step  # records up to the last finite state
     assert all(np.isfinite(r.energy) for r in traj.records)
     assert np.all(np.isfinite(traj.terminal.coeffs))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_nonfinite_initial_record_blows_up_at_step_zero(grid8):
+    # the sum of squares of a 1e160 amplitude overflows in the t = 0 record
+    cfg = _cfg(grid8, ic=ld.FieldSpec(kind="taylor_green", amplitude=1e160))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ld.CFLAdvisory)  # no step, so no CFL advisory
+        with pytest.raises(ld.BlowUpError, match=r"blew up at step 0 \(t = 0\)") as info:
+            ld.run(cfg)
+    err = info.value
+    assert (err.step, err.t) == (0, 0.0)
+    traj = err.trajectory
+    assert traj.records == [] and traj.snapshots == [] and traj.times == []
+    assert traj.stats.steps == 0
 
 
 def test_forcing_filtered_when_requested(grid16):
@@ -460,3 +478,24 @@ def test_run_keeps_its_snapshots_on_the_band(grid16):
     # its carry, the forcing and the two complex buffers.  Snapshots kept
     # on the full grid would pass this by more than three full arrays.
     assert peak < 4 * full + (len(traj.snapshots) + 5) * band
+
+
+def test_only_observe_forms_records_and_only_run_observes():
+    """Guard: in solver.py only _Stepper.observe calls
+    diagnostics.energy_record, and only run calls observe, so every record,
+    the one at t = 0 included, passes one finiteness check and per-step
+    monitors have one place to go."""
+    calls = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            if name in ("energy_record", "observe"):
+                calls.add((name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(Path(ld.solver.__file__).read_text()), "")
+    assert calls == {("energy_record", "_Stepper.observe"), ("observe", "run")}
