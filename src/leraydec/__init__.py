@@ -63,7 +63,6 @@ from .diagnostics import (
     consistency_report,
     energy_record,
     model_error,
-    tau_tensor,
 )
 from .experiments import RateFit, StudyReport, StudySpec, fit_rate, run_study
 from .config import ConfigError, RunConfig, parse_config, parse_config_text, render_effective

@@ -75,29 +75,6 @@ def l2_box_norm(f: SpectralField) -> float:
     return float(np.sqrt(BOX_VOLUME) * spectral.hs_norm(f, 0))
 
 
-def tau_tensor(v: SpectralField, spec: FilterSpec) -> tuple[np.ndarray, float]:
-    """Consistency tensor D_N(filtered v) v - v v and its integrated magnitude.
-
-    Products are formed pointwise on the collocation grid after truncating
-    both factors to the dealias band; the scalar returned is the uniform-cell
-    quadrature of the pointwise Frobenius norm over the box.
-    """
-    grid = v.grid
-    vb = spectral.project_pn(v, grid.dealias_cutoff)
-    a = filtering.apply_hn(vb, spec)
-    v_phys = spectral.to_physical(vb)
-    a_phys = spectral.to_physical(a)
-
-    n = grid.n
-    tensor = np.empty((3, 3, n, n, n))
-    for i in range(3):
-        for j in range(3):
-            tensor[i, j] = a_phys[i] * v_phys[j] - v_phys[i] * v_phys[j]
-    frob = np.sqrt((tensor**2).sum(axis=(0, 1)))
-    cell = (spectral.TWO_PI / n) ** 3
-    return tensor, float(frob.sum() * cell)
-
-
 def consistency_bound_rhs(v: SpectralField, spec: FilterSpec) -> tuple[float, float]:
     """Analytic bounds on int |tau| dx: the sharp saturated form and the crude one.
 
@@ -127,7 +104,15 @@ class ConsistencyReport:
 
 
 def consistency_report(v: SpectralField, spec: FilterSpec) -> ConsistencyReport:
-    _, l1 = tau_tensor(v, spec)
+    """int |tau| dx of tau = D_N(filtered v) v - v v on the dealias band, beside
+    its bounds.  tau = -e (x) v with e = v - D_N(filtered v) is rank one, so its
+    pointwise Frobenius norm is exactly |e| |v|: the uniform-cell quadrature of
+    that product has no difference of near-equal products to cancel."""
+    vb = spectral.project_pn(v, v.grid.dealias_cutoff)
+    e = spectral.to_physical(filtering.deconv_error_field(vb, spec))
+    v_phys = spectral.to_physical(vb)
+    pointwise = np.sqrt((e**2).sum(axis=0)) * np.sqrt((v_phys**2).sum(axis=0))
+    l1 = float(pointwise.sum() * (spectral.TWO_PI / v.grid.n) ** 3)
     sharp, crude = consistency_bound_rhs(v, spec)
     return ConsistencyReport(spec.delta, spec.order, l1, sharp, crude)
 

@@ -7,6 +7,7 @@ satisfy the representation invariants by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,14 +57,21 @@ class FieldSpec:
             _manufactured_builder(self.expr)
 
 
+def _from_modes(grid: Grid, modes) -> SpectralField:
+    """The field whose only nonzero coefficients are the given (component,
+    wavevector, coefficient) triples; a real field lists k and -k alike."""
+    f = spectral.zeros(grid)
+    for component, k, coefficient in modes:
+        f.coeffs[(component, *grid.mode_index(k))] = coefficient
+    return f
+
+
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
-    """The classical Taylor-Green vortex, modes on the |k|^2 = 3 shell."""
-    x, y, z = grid.mesh()
-    u = np.empty((3, grid.n, grid.n, grid.n))
-    u[0] = amplitude * np.sin(x) * np.cos(y) * np.cos(z)
-    u[1] = -amplitude * np.cos(x) * np.sin(y) * np.cos(z)
-    u[2] = 0.0
-    return spectral.from_physical(grid, u)
+    """The classical Taylor-Green vortex, modes on the |k|^2 = 3 shell: exactly
+    -i a kx / 8 on u_0 and i a ky / 8 on u_1 at the corners k = (+-1, +-1, +-1)."""
+    a = amplitude / 8.0
+    corners = itertools.product((1, -1), repeat=3)
+    return _from_modes(grid, [term for k in corners for term in ((0, k, -1j * a * k[0]), (1, k, 1j * a * k[1]))])
 
 
 def single_mode(grid: Grid, mode, amplitude: float = 1.0) -> SpectralField:
@@ -81,14 +89,8 @@ def single_mode(grid: Grid, mode, amplitude: float = 1.0) -> SpectralField:
     p = e - (e @ kk) * kk / (kk @ kk)
     p /= np.sqrt(p @ p)
 
-    f = spectral.zeros(grid)
     half = 0.5 * amplitude * p
-    idx_plus = grid.mode_index(k)
-    idx_minus = grid.mode_index(-k)
-    for i in range(3):
-        f.coeffs[(i, *idx_plus)] = half[i]
-        f.coeffs[(i, *idx_minus)] = half[i]
-    return f
+    return _from_modes(grid, [(i, s * k, half[i]) for s in (1, -1) for i in range(3)])
 
 
 def _checked_mode(grid: Grid, mode) -> np.ndarray:
@@ -116,6 +118,11 @@ def random_solenoidal(
     coefficients conjugate-symmetric by construction), shaped per mode by
     |k|^{(slope - 2)/2} to account for the |k|^2 growth of shell populations,
     band-limited, projected, and rescaled to the requested L2 norm.
+
+    The one constructor that transforms samples: drawing the band modes in
+    spectral space would move every seeded field, and perfbench's oracle
+    rebuilds this recipe (the transform of standard_normal((3, n, n, n))),
+    so the noise stays physical until the benchmark moves with it.
     """
     cut = _checked_band(grid, band)
     _checked_slope(slope, cut)
@@ -161,14 +168,12 @@ def abc_flow(grid: Grid, amplitude: float = 1.0) -> SpectralField:
 
     curl u = u, so the advective nonlinearity is a pure gradient and the
     unforced viscous solution is the exact exponential decay exp(-nu t) u0.
-    Useful as a manufactured solution for the time integrator.
+    Useful as a manufactured solution for the time integrator.  u_i =
+    a (sin x_s + cos x_c) holds exactly -+i a/2 at +-e_s and a/2 at +-e_c.
     """
-    x, y, z = grid.mesh()
-    u = np.empty((3, grid.n, grid.n, grid.n))
-    u[0] = amplitude * (np.sin(z) + np.cos(y))
-    u[1] = amplitude * (np.sin(x) + np.cos(z))
-    u[2] = amplitude * (np.sin(y) + np.cos(x))
-    return spectral.from_physical(grid, u)
+    h, e = amplitude / 2.0, np.eye(3, dtype=np.int64)
+    return _from_modes(grid, [term for i, (s, c) in enumerate(((2, 1), (0, 2), (1, 0))) for sign in (1, -1)
+                              for term in ((i, sign * e[s], -1j * h * sign), (i, sign * e[c], h))])
 
 
 def shear_mode(grid: Grid, amplitude: float = 1.0) -> SpectralField:

@@ -258,11 +258,13 @@ class TransferTable:
         )
 
     def validate(self, tol: float = 1e-12) -> None:
-        if np.any(self.g_hat <= 0) or np.any(self.g_hat > 1):
+        # g = h = 0 (and d = N + 1) are the exact limits where (delta k)^2 overflows to inf
+        finite = np.isfinite(_x_of(self.k, self.spec))
+        if np.any(self.g_hat < 0) or np.any((self.g_hat == 0) & finite) or np.any(self.g_hat > 1):
             raise ValueError("filter multiplier out of (0, 1]")
         if np.any(self.d_hat < 1) or np.any(self.d_hat >= self.spec.order + 1 + tol):
             raise ValueError("deconvolution multiplier out of [1, N + 1)")
-        if np.any(self.h_hat <= 0) or np.any(self.h_hat > 1):
+        if np.any(self.h_hat < 0) or np.any((self.h_hat == 0) & finite) or np.any(self.h_hat > 1):
             raise ValueError("smoother multiplier out of (0, 1]")
         if np.abs(self.h_hat - self.d_hat * self.g_hat).max() > tol:
             raise ValueError("smoother multiplier is not the product of the factors")

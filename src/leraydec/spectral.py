@@ -136,11 +136,6 @@ class Grid(_Wavenumbers):
         """Storage index of integer wavevector k (components may be negative)."""
         return tuple(int(c) % self.n for c in k)
 
-    def mesh(self):
-        """Physical collocation points as three (n, n, n) arrays."""
-        x1 = TWO_PI * np.arange(self.n) / self.n
-        return np.meshgrid(x1, x1, x1, indexing="ij")
-
     def __eq__(self, other):
         return isinstance(other, Grid) and self.n == other.n
 

@@ -87,18 +87,21 @@ def test_l2_box_norm_parseval(grid16):
     assert diagnostics.l2_box_norm(f) == pytest.approx(np.sqrt(integral), rel=1e-13)
 
 
-def test_tau_tensor_structure(grid16):
-    v = ld.taylor_green(grid16)
-    spec = ld.FilterSpec(delta=0.3, order=1)
-    tensor, l1 = diagnostics.tau_tensor(v, spec)
-    assert tensor.shape == (3, 3, 16, 16, 16)
-    assert l1 > 0
-    # rank-one pointwise structure: tau = (Hv - v) (x) v
+def test_consistency_integral_matches_the_explicit_tensor(grid16):
+    # reference: the 3x3 tensor a_i v_j - v_i v_j with a = h_N v, formed
+    # pointwise and integrated by its Frobenius norm; consistency_report
+    # integrates |v - a| |v| instead, the same rank-one norm
+    v = ld.random_solenoidal(grid16, seed=22)
     vb = ld.project_pn(v, grid16.dealias_cutoff)
-    a = ld.to_physical(ld.apply_hn(vb, spec))
     vp = ld.to_physical(vb)
-    expected = np.einsum("i...,j...->ij...", a - vp, vp)
-    np.testing.assert_allclose(tensor, expected, rtol=0, atol=1e-12)
+    for delta, order in ((0.3, 1), (0.5, 0), (0.5, 2)):
+        spec = ld.FilterSpec(delta=delta, order=order)
+        a = ld.to_physical(ld.apply_hn(vb, spec))
+        tensor = np.einsum("i...,j...->ij...", a, vp) - np.einsum("i...,j...->ij...", vp, vp)
+        reference = np.sqrt((tensor**2).sum(axis=(0, 1))).sum() * (2 * np.pi / 16) ** 3
+        rep = diagnostics.consistency_report(v, spec)
+        assert rep.l1_tau == pytest.approx(reference, rel=1e-13)
+        assert 0.5 < rep.ratio < 1.0  # a spread spectrum sits strictly under the sharp bound
 
 
 def test_consistency_report_dominated_by_bounds(grid16):
@@ -109,6 +112,8 @@ def test_consistency_report_dominated_by_bounds(grid16):
             assert rep.l1_tau <= rep.bound_sharp * (1 + 1e-12)
             assert rep.bound_sharp <= rep.bound_crude * (1 + 1e-12)
             assert 0 < rep.ratio <= 1 + 1e-12
+            # Taylor-Green lies on one shell, where the sharp bound is an equality
+            assert abs(rep.ratio - 1) <= 1e-14
 
 
 def test_consistency_rate_against_multiplier(grid16):
@@ -120,9 +125,7 @@ def test_consistency_rate_against_multiplier(grid16):
         predicted = ld.deconv_error_multiplier(np.sqrt(3.0), ld.FilterSpec(delta=0.1, order=order)) / \
             ld.deconv_error_multiplier(np.sqrt(3.0), ld.FilterSpec(delta=0.05, order=order))
         assert r1.bound_sharp / r2.bound_sharp == pytest.approx(predicted, rel=1e-10)
-        # tau = (h - 1) v (x) v here too, but forming it subtracts two nearly
-        # equal fields, so the ratio only holds to the cancellation level
-        assert r1.l1_tau / r2.l1_tau == pytest.approx(predicted, rel=1e-6)
+        assert r1.l1_tau / r2.l1_tau == pytest.approx(predicted, rel=1e-12)
 
 
 def test_filter_error_equality_and_bounds(grid16):

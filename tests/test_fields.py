@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,9 +23,8 @@ from conftest import curl, energy, shell_energies
 def test_constructors_satisfy_invariants(grid16, spec):
     f = spec.evaluate(grid16)
     ld.validate_field(f, solenoidal=True)
-    # nothing beyond the negation-closed band (no Nyquist planes) but collocation roundoff
-    outside = np.abs(f.coeffs[:, grid16.k_linf > grid16.n // 2 - 1])
-    assert outside.max(initial=0.0) < 1e-15 * np.abs(f.coeffs).max()
+    # nothing beyond the negation-closed band (no Nyquist planes)
+    assert not np.any(f.coeffs[:, grid16.k_linf > grid16.n // 2 - 1])
 
 
 def test_field_spec_rejects_unknown_kind():
@@ -46,6 +48,35 @@ def test_taylor_green_energy(grid16):
     assert np.abs(off).max() < 1e-15
 
 
+@pytest.mark.parametrize("build, count, magnitude", [(ld.taylor_green, 16, 1.3 / 8), (ld.abc_flow, 12, 1.3 / 2)],
+                         ids=["taylor_green", "abc_flow"])
+def test_analytic_coefficients_are_exact(grid16, build, count, magnitude):
+    # Taylor-Green: -+i a/8 on u_0 and +-i a/8 on u_1 at the corners (+-1, +-1, +-1);
+    # ABC: -+i a/2 and a/2 on the unit axes; no collocation roundoff anywhere
+    c = build(grid16, amplitude=1.3).coeffs
+    assert np.count_nonzero(c) == count
+    assert np.all(np.abs(c[c != 0]) == magnitude)
+
+
+def test_only_the_random_field_transforms_samples():
+    """Guard: in fields.py only random_solenoidal calls spectral.from_physical;
+    the analytic constructors write their coefficients."""
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "from_physical")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "from_physical")):
+            callers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(Path(fields.__file__).read_text()), "<module>")
+    assert callers == {"random_solenoidal"}
+
+
 def test_taylor_green_amplitude_scaling(grid16):
     a = ld.taylor_green(grid16, amplitude=2.0)
     b = ld.taylor_green(grid16)
@@ -59,8 +90,8 @@ def test_single_mode_exact_content(grid16):
     assert f.coeffs[(0, *idx)] == pytest.approx(1.0)
     assert np.count_nonzero(f.coeffs) == 2
     u = ld.to_physical(f)
-    _, y, _ = grid16.mesh()
-    np.testing.assert_allclose(u[0], 2.0 * np.cos(3 * y), rtol=0, atol=1e-13)
+    y = (2 * np.pi * np.arange(16) / 16).reshape(1, 16, 1)
+    np.testing.assert_allclose(u[0], np.broadcast_to(2.0 * np.cos(3 * y), u[0].shape), rtol=0, atol=1e-13)
 
 
 def test_single_mode_perpendicular_polarization(grid16):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,3 +206,18 @@ def test_transfer_table_build_and_validate():
     broken = ld.TransferTable(spec, table.k, table.g_hat, table.d_hat, table.h_hat * 1.1)
     with pytest.raises(ValueError):
         broken.validate()
+    # a zero multiplier is the limit only where (delta k)^2 overflows, not at a finite one
+    for name, message in (("g_hat", "filter multiplier"), ("h_hat", "smoother multiplier")):
+        values = getattr(table, name).copy()
+        values[-1] = 0.0
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(table, **{name: values}).validate()
+
+
+def test_transfer_table_validates_the_limits_build_makes():
+    # where (delta k)^2 overflows to inf, build writes g = h = 0 and d = N + 1
+    for order in (0, 3):
+        table = ld.TransferTable.build(ld.FilterSpec(delta=1e308, order=order), [0.0, 1.0])
+        assert list(table.g_hat) == list(table.h_hat) == [1.0, 0.0]
+        assert list(table.d_hat) == [1.0, order + 1.0]
+        table.validate()
