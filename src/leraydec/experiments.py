@@ -239,7 +239,7 @@ def deconv_unit_cost(grid: spectral.Grid, delta: float) -> float:
     order_hi, repeats = 8, 7
     band = solver.integration_band(grid)
     g_hat = filtering.transfer_g(band.k_mag, FilterSpec(delta=delta))
-    fbar = g_hat * band.truncate(fields.random_solenoidal(grid, seed=973).coeffs)
+    fbar = g_hat * band.restrict(fields.random_solenoidal(grid, seed=973))
     out, scratch = np.empty_like(fbar), np.empty_like(fbar)
 
     def best(order: int) -> float:

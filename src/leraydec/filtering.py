@@ -258,6 +258,9 @@ class TransferTable:
         )
 
     def validate(self, tol: float = 1e-12) -> None:
+        # every range check below is false for NaN, so non-finite values go first
+        if not all(np.isfinite(m).all() for m in (self.g_hat, self.d_hat, self.h_hat)):
+            raise ValueError("multiplier is not finite")
         # g = h = 0 (and d = N + 1) are the exact limits where (delta k)^2 overflows to inf
         finite = np.isfinite(_x_of(self.k, self.spec))
         if np.any(self.g_hat < 0) or np.any((self.g_hat == 0) & finite) or np.any(self.g_hat > 1):

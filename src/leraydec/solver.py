@@ -10,9 +10,10 @@ the collocation grid, dealiases, and Leray-projects:
 
 The stepper integrates only the modes that can be nonzero: the state,
 multipliers and forcing live on the compact dealias band (spectral.Band,
-|k|_inf <= n/3 by the two-thirds rule), which is zero-padded to the full
-grid for each inverse transform, and each forward transform is truncated
-back to it.  That truncation is the dealiasing; no mask is applied.
+|k|_inf <= n/3 by the two-thirds rule).  The transform pair takes and
+gives band coefficients: spectral.inverse_transform pads the band to the
+full grid and spectral.forward_transform truncates back to it.  That
+truncation is the dealiasing; no mask is applied.
 
 Time stepping is the three-stage low-storage Runge-Kutta of Williamson
 combined with an exact integrating factor for the viscous term, so pure
@@ -204,17 +205,16 @@ class _Advection:
     full grid.  The workspace is two complex band buffers, one complex
     (3, n, n, n) transform buffer and two real (3, n, n, n) buffers (the
     advecting-velocity samples and the product accumulator), all allocated
-    once by `allocate_workspace`.  Each inverse transform zero-fills the
-    transform buffer, pads the band into it and transforms it in place; the
-    gradient samples are read straight from its real part.  Between a
+    once by `allocate_workspace`.  The transform buffer is the `work` of
+    every spectral.inverse_transform and forward_transform call on the band;
+    the gradient samples are read straight from its real part.  Between a
     forward transform's truncation and the next inverse transform the
     transform buffer is idle, and van Cittert's scratch is a band-shaped
-    view of its head.  Every
-    evaluation runs inside the workspace with no field-sized temporaries of
-    its own.  Each operation keeps the operand order of the plain full-grid
-    array expression it replaces, so for a power-of-two n results are bit
-    for bit those of an allocate-per-operation evaluation (up to the sign of
-    a zero coefficient).
+    view of its head.  Every evaluation runs inside the workspace with no
+    field-sized temporaries of its own.  Each operation keeps the operand
+    order of the plain full-grid array expression it replaces, so for a
+    power-of-two n results are bit for bit those of an allocate-per-operation
+    evaluation (up to the sign of a zero coefficient).
     """
 
     def __init__(self, grid: Grid, model: ModelKind, filter_spec: FilterSpec | None):
@@ -239,19 +239,6 @@ class _Advection:
         self.vc_scratch = self.spectrum.reshape(-1)[:self.cwork[0].size].reshape(self.band.shape)
         self.rwork = [np.empty(full) for _ in range(2)]
 
-    def inverse(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Collocation samples of band coefficients c, into out or, without
-        it, as the real part of the transform buffer (a view that the next
-        transform overwrites)."""
-        self.spectrum.fill(0.0)
-        self.band.pad(c, self.spectrum)
-        return spectral.inverse_transform(self.spectrum, out=out, work=self.spectrum)
-
-    def forward(self, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Band coefficients of collocation samples, into out; the rest is dropped."""
-        spectral.forward_transform(samples, out=self.spectrum)
-        return self.band.truncate(self.spectrum, out)
-
     def advecting_velocity(self, w: np.ndarray) -> np.ndarray:
         """Deconvolved advecting velocity by van Cittert iteration, timed.
 
@@ -275,19 +262,20 @@ class _Advection:
         overwritten by the next call.  Truncating the product spectrum to the
         band is the dealiasing.
         """
+        band, spectrum = self.band, self.spectrum
         c0, c1 = self.cwork
         adv_phys, conv = self.rwork
         self.stats.rhs_evals += 1
 
-        self.inverse(self.advecting_velocity(w), adv_phys)
+        spectral.inverse_transform(self.advecting_velocity(w), band, out=adv_phys, work=spectrum)
         conv.fill(0.0)
         for j, ik in enumerate(self.ik):
             np.multiply(ik, w, out=c1)
-            dw_j = self.inverse(c1)
+            dw_j = spectral.inverse_transform(c1, band, work=spectrum)
             conv += np.multiply(adv_phys[j], dw_j, out=dw_j)
-        out = self.forward(conv, c0)
+        out = spectral.forward_transform(conv, band, out=c0, work=spectrum)
         np.negative(out, out=out)
-        return spectral.leray_project_inplace(out, self.band, c1[:2])
+        return spectral.leray_project_inplace(out, band, c1[:2])
 
 
 class _Stepper(_Advection):
@@ -325,7 +313,7 @@ class _Stepper(_Advection):
     def _prepared(self, spec: FieldSpec, smooth: bool) -> np.ndarray:
         """Band coefficients of an evaluated field, Leray-projected and, for a
         regularized model when asked, smoothed by h_N."""
-        c = self.band.truncate(spec.evaluate(self.grid).coeffs)
+        c = self.band.restrict(spec.evaluate(self.grid))
         spectral.leray_project_inplace(c, self.band, np.empty_like(c[:2]))
         if self.config.model.is_regularized and smooth:
             c *= filtering.transfer_hn(self.band.k_mag, self.config.filter)
@@ -389,14 +377,14 @@ def nonlinear_term(state: SpectralField, model: ModelKind,
     kernel = _Advection(state.grid, model, filter_spec)
     kernel.allocate_workspace()
     w = kernel.band.restrict(state)
-    return SpectralField(state.grid, kernel.band.pad(kernel.nonlinear(w)), state.t)
+    return SpectralField(state.grid, kernel.nonlinear(w), state.t, kernel.band).padded()
 
 
 def step(state: SpectralField, config: SolverConfig) -> SpectralField:
     """Advance a state by one step of the configured scheme."""
     stepper = _Stepper(config, state=state)
     stepper.advance()
-    return SpectralField(config.grid, stepper.band.pad(stepper.u), state.t + config.dt)
+    return SpectralField(config.grid, stepper.u, state.t + config.dt, stepper.band).padded()
 
 
 def run(config: SolverConfig) -> Trajectory:
@@ -412,7 +400,7 @@ def run(config: SolverConfig) -> Trajectory:
     stepper.observe()
 
     stats = stepper.stats
-    stats.cfl_dt_max = _cfl_limit(stepper.inverse(stepper.u))
+    stats.cfl_dt_max = _cfl_limit(spectral.inverse_transform(stepper.u, stepper.band, work=stepper.spectrum))
     if config.dt > stats.cfl_dt_max:
         stats.cfl_violated = True
         warnings.warn(

@@ -255,17 +255,22 @@ def zeros(grid: Grid, t: float = 0.0) -> SpectralField:
     return SpectralField(grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=np.complex128), t)
 
 
-def inverse_transform(c: np.ndarray, out=None, work=None) -> np.ndarray:
+def inverse_transform(c: np.ndarray, band: Band | None = None, out=None, work=None) -> np.ndarray:
     """Real collocation samples of coefficients c, sum_k c(k) exp(+i k.x).
 
+    c covers the full grid, or only `band` of it when that is given.
     That is numpy's ifftn(c, norm="forward").real, which applies no
     scaling at all.  For a power-of-two n its bits are those of
     ifftn(c).real * n**3; for any other n they may differ at rounding level.
-    work (complex) receives the transform and may be c itself, which is then
-    transformed in place; out (real) receives a copy of the samples.
-    Without out the result is the real part of the transform, a view of
-    work when work is given.
+    work (complex, full grid) receives the transform in place and may be c
+    itself.  With a band, work is required: it is zero-filled, then the
+    band is padded into it.
+    out (real) receives a copy of the samples; without it the result is the
+    real part of the transform, a view of work when work is given.
     """
+    if band is not None:
+        work.fill(0.0)
+        c = band.pad(c, work)
     samples = np.fft.ifftn(c, axes=_AXES, norm="forward", out=work).real
     if out is None:
         return samples
@@ -273,21 +278,25 @@ def inverse_transform(c: np.ndarray, out=None, work=None) -> np.ndarray:
     return out
 
 
-def forward_transform(samples: np.ndarray, out=None) -> np.ndarray:
+def forward_transform(samples: np.ndarray, band: Band | None = None, out=None, work=None) -> np.ndarray:
     """Coefficients of real collocation samples, into out if given.
 
     That is numpy's fftn(samples, norm="forward"), which scales by 1/n
     along each axis inside the transform.  For a power-of-two n that
     scaling is exact, so the bits are those of fftn(samples) / n**3; for
-    any other n they may differ at rounding level.
+    any other n they may differ at rounding level.  With `band` given, the
+    transform goes into work (complex, full grid) and only the band of it
+    is kept, into out; that truncation is the dealiasing.
     """
-    return np.fft.fftn(samples, axes=_AXES, norm="forward", out=out)
+    if band is None:
+        return np.fft.fftn(samples, axes=_AXES, norm="forward", out=out)
+    return band.truncate(np.fft.fftn(samples, axes=_AXES, norm="forward", out=work), out)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Collocation samples of the field, shape (3, n, n, n), real."""
-    c = f.padded().coeffs
-    return inverse_transform(c, out=np.empty(c.shape))
+    work = np.empty((3,) + (f.grid.n,) * 3, dtype=np.complex128)
+    return inverse_transform(f.coeffs, f.band, out=np.empty(work.shape), work=work)
 
 
 def from_physical(grid: Grid, samples: np.ndarray, t: float = 0.0) -> SpectralField:
@@ -316,8 +325,6 @@ def hs_norm(f: SpectralField, s: float) -> float:
         total = w2.sum() - w2[0, 0, 0]
     elif s == 1:
         total = (w2 * g.k_sq).sum()
-    elif s == 2:
-        total = (w2 * g.k_sq**2).sum()
     else:
         k_mag = g.k_mag
         with np.errstate(divide="ignore"):
@@ -376,7 +383,7 @@ def reflected_conjugate(coeffs: np.ndarray) -> np.ndarray:
     """conj(a(-k)) arranged on the same storage layout as a(k), on the full
     grid or on a band (both in FFT order, where -k of index i is index -i)."""
     r = coeffs
-    for ax in (1, 2, 3) if coeffs.ndim == 4 else (0, 1, 2):
+    for ax in _AXES:
         r = np.roll(np.flip(r, axis=ax), 1, axis=ax)
     return np.conj(r)
 

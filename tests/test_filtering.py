@@ -214,6 +214,17 @@ def test_transfer_table_build_and_validate():
             dataclasses.replace(table, **{name: values}).validate()
 
 
+def test_transfer_table_rejects_non_finite_multipliers():
+    table = ld.TransferTable.build(ld.FilterSpec(delta=0.5, order=2), np.linspace(0.0, 4.0, 5))
+    table.validate()
+    g_hat = table.g_hat.copy()
+    g_hat[2] = np.nan
+    nan = np.full_like(table.k, np.nan)
+    for broken in (dataclasses.replace(table, g_hat=g_hat), dataclasses.replace(table, d_hat=nan, h_hat=nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            broken.validate()
+
+
 def test_transfer_table_validates_the_limits_build_makes():
     # where (delta k)^2 overflows to inf, build writes g = h = 0 and d = N + 1
     for order in (0, 3):

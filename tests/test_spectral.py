@@ -175,6 +175,44 @@ def test_transforms_are_the_unnormalized_numpy_fft_scaled_by_n_cubed(grid16, ran
     assert np.array_equal(work, back)
 
 
+def test_the_transform_pair_takes_band_coefficients(grid16, rand16):
+    band = spectral.Band(grid16, grid16.dealias_cutoff)
+    on_band = band.truncate(rand16.coeffs)
+    full = band.pad(on_band)
+    work = np.full_like(full, np.nan)  # whatever work holds outside the band is overwritten
+    samples = spectral.inverse_transform(on_band, band, work=work)
+    assert np.shares_memory(samples, work)
+    assert np.array_equal(samples, spectral.inverse_transform(full))
+    samples, out = samples.copy(), np.empty_like(on_band)
+    assert spectral.forward_transform(samples, band, out=out, work=work) is out
+    assert np.array_equal(out, band.truncate(spectral.forward_transform(samples)))
+
+
+def test_to_physical_of_a_band_field_holds_one_and_a_half_fields(grid16, rand16):
+    """One complex work buffer and the real result; no padded copy."""
+    band = spectral.Band(grid16, grid16.dealias_cutoff)
+    on_band = ld.SpectralField(grid16, band.truncate(rand16.coeffs), band=band)
+    tracemalloc.start()
+    try:
+        ld.to_physical(on_band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * rand16.coeffs.nbytes
+
+
+def test_only_spectral_pads_or_truncates():
+    """Guard: the band-to-grid boundary is spectral.py's; every other module
+    goes through the transform pair, SpectralField.padded or Band.restrict."""
+    callers = set()
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("pad", "truncate")):
+                callers.add(path.stem)
+    assert callers == {"spectral"}
+
+
 def test_only_the_transform_functions_call_numpy_fft():
     """numpy.fft is used by spectral.inverse_transform/forward_transform (and
     fftfreq by Grid) alone, so one module fixes the FFT convention."""
