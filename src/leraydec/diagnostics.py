@@ -39,17 +39,19 @@ class DiagRecord:
 
 def energy_record(state: SpectralField, nu: float, forcing: SpectralField | None) -> DiagRecord:
     """Instantaneous diagnostics, summed over the state's coefficients on the
-    grid or on its band; the forcing, if any, shares that layout.  The
-    balance residual is filled in by the run loop."""
+    grid or on its band (whose kz > 0 coefficients count twice); the
+    forcing, if any, shares that layout.  The balance residual is filled in
+    by the run loop."""
     c, f = state.coeffs, None if forcing is None else forcing.coeffs
-    density = c.real**2 + c.imag**2
-    h1_sq = float((density.sum(axis=0) * state.modes.k_sq).sum())
+    weight = state.modes._weight
+    density = (c.real**2 + c.imag**2).sum(axis=0) * weight
+    h1_sq = float((density * state.modes.k_sq).sum())
     return DiagRecord(
         t=state.t,
         energy=float(0.5 * density.sum()),
         h1_seminorm_sq=h1_sq,
         dissipation=nu * h1_sq,
-        input_power=0.0 if f is None else float((f.real * c.real + f.imag * c.imag).sum()),
+        input_power=0.0 if f is None else float(((f.real * c.real + f.imag * c.imag).sum(axis=0) * weight).sum()),
         balance_residual=0.0,
     )
 
@@ -153,7 +155,7 @@ def filter_error_bounds_check(
     k_sq = grid.k_sq
     g = filtering.transfer_g(grid.k_mag, spec)
     err_mult = 1.0 - g  # multiplier of u - filtered u
-    w2 = (u.coeffs.real**2 + u.coeffs.imag**2).sum(axis=0)
+    w2 = (u.coeffs.real**2 + u.coeffs.imag**2).sum(axis=0) * grid._weight
     kvecs = grid.wavevectors()
 
     rows = []

@@ -13,7 +13,7 @@ Layout (little-endian throughout):
     40      --    3*n^3 complex128  coefficients, C order, component-major
 
 The payload is the raw coefficient array, so a write/read round trip is
-bit-exact; a field held on a band is written zero-padded to the full grid.
+bit-exact; a field held on a band is written padded to the full grid.
 Readers reject unknown magic, a layout version outside 1..LAYOUT_VERSION, a
 grid size Grid rejects, and a truncated or oversized payload, the last two
 from the file size before the payload array is allocated.  The payload is

@@ -8,12 +8,13 @@ the collocation grid, dealiases, and Leray-projects:
     dw/dt = -P[(u_adv . grad) w] + nu Lap w + f,
     u_adv = D_N(filtered w)  or  w.
 
-The stepper integrates only the modes that can be nonzero: the state,
-multipliers and forcing live on the compact dealias band (spectral.Band,
-|k|_inf <= n/3 by the two-thirds rule).  The transform pair takes and
-gives band coefficients: spectral.inverse_transform pads the band to the
-full grid and spectral.forward_transform truncates back to it.  That
-truncation is the dealiasing; no mask is applied.
+The stepper integrates only the modes that can be nonzero and are not
+conjugates of others: the state, multipliers and forcing live on the kz >= 0
+half of the compact dealias band (spectral.Band, |k|_inf <= n/3 by the
+two-thirds rule).  The transform pair takes and gives band coefficients:
+spectral.inverse_transform pads the band to the full grid, the kz < 0 half
+by conjugate reflection, and spectral.forward_transform truncates back to
+it.  That truncation is the dealiasing; no mask is applied.
 
 Time stepping is the three-stage low-storage Runge-Kutta of Williamson
 combined with an exact integrating factor for the viscous term, so pure
@@ -186,8 +187,14 @@ def cfl_max_dt(state: SpectralField) -> float:
 
 
 def _cfl_limit(samples: np.ndarray) -> float:
-    """dx / max |u| of collocation samples of a velocity, shape (3, n, n, n)."""
-    speed = float(np.sqrt((samples**2).sum(axis=0)).max())
+    """dx / max |u| of collocation samples of a velocity, shape (3, n, n, n).
+
+    The samples are scratch: they are squared in place.  The square root is
+    taken once, of the largest |u|^2, which gives the bits of the largest
+    |u| because a correctly rounded sqrt is monotone.
+    """
+    np.square(samples, out=samples)
+    speed = float(np.sqrt(samples.sum(axis=0).max()))
     dx = spectral.TWO_PI / samples.shape[-1]
     return dx / speed if speed > 0 else float("inf")
 
@@ -201,8 +208,12 @@ def integration_band(grid: Grid) -> spectral.Band:
 class _Advection:
     """The advection kernel: multipliers, counters and a workspace of its own.
 
-    Coefficients live on the integration band; only the transforms see the
-    full grid.  The workspace is two complex band buffers, one complex
+    Coefficients live on the integration band, its kz >= 0 half; only the
+    transforms see the full grid, and the inverse one fills the kz < 0 half
+    of its input by conjugate reflection.  Real multipliers and the Leray
+    projection commute exactly with that reflection, so the half band gives
+    the full band's values mode by mode once the transform input is
+    completed.  The workspace is two complex band buffers, one complex
     (3, n, n, n) transform buffer and two real (3, n, n, n) buffers (the
     advecting-velocity samples and the product accumulator), all allocated
     once by `allocate_workspace`.  The transform buffer is the `work` of
@@ -214,7 +225,9 @@ class _Advection:
     field-sized temporaries of its own.  Each operation keeps the operand
     order of the plain full-grid array expression it replaces, so for a
     power-of-two n results are bit for bit those of an allocate-per-operation
-    evaluation (up to the sign of a zero coefficient).
+    evaluation (up to the sign of a zero coefficient): the first product is
+    written straight into the accumulator, which adding it to zeros would
+    leave unchanged.
     """
 
     def __init__(self, grid: Grid, model: ModelKind, filter_spec: FilterSpec | None):
@@ -268,11 +281,13 @@ class _Advection:
         self.stats.rhs_evals += 1
 
         spectral.inverse_transform(self.advecting_velocity(w), band, out=adv_phys, work=spectrum)
-        conv.fill(0.0)
         for j, ik in enumerate(self.ik):
             np.multiply(ik, w, out=c1)
             dw_j = spectral.inverse_transform(c1, band, work=spectrum)
-            conv += np.multiply(adv_phys[j], dw_j, out=dw_j)
+            if j == 0:
+                np.multiply(adv_phys[0], dw_j, out=conv)
+            else:
+                conv += np.multiply(adv_phys[j], dw_j, out=dw_j)
         out = spectral.forward_transform(conv, band, out=c0, work=spectrum)
         np.negative(out, out=out)
         return spectral.leray_project_inplace(out, band, c1[:2])

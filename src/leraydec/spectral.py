@@ -18,6 +18,11 @@ in storage but the field constructors in this package pin them to zero, so
 the active mode set is closed under negation as a real field requires.
 A field may instead hold only the compact dealias band of those
 coefficients (Band, SpectralField.band); every mode outside it is zero.
+A band stores only its kz >= 0 half: a real field's coefficients are
+Hermitian, w_hat(-k) = conj w_hat(k), so the kz < 0 half is redundant.
+Padding a band to the full grid fills that half by conjugate reflection,
+and a coefficient sum over a band counts each kz > 0 coefficient twice,
+once for its unstored conjugate (the wavenumbers' `_weight`).
 """
 
 from __future__ import annotations
@@ -76,7 +81,12 @@ class _OnDemand:
 
 class _Wavenumbers:
     """Wavenumbers of a cube whose every axis holds the wavenumbers k1: the
-    three broadcast axis vectors, and the arrays derived from them on demand."""
+    three broadcast axis vectors, and the arrays derived from them on demand.
+    `_weight` is the number of modes each stored coefficient stands for in a
+    coefficient sum, broadcast against a component: every mode is stored
+    once, so it weighs 1."""
+
+    _weight = 1.0
 
     def __init__(self, k1: np.ndarray):
         s = k1.size
@@ -144,14 +154,20 @@ class Grid(_Wavenumbers):
 
 
 class Band(_Wavenumbers):
-    """The cube of modes |k|_inf <= cutoff of a grid, stored compactly.
+    """The kz >= 0 half of the cube of modes |k|_inf <= cutoff of a grid,
+    stored compactly.
 
-    Each axis holds the wavenumbers 0, 1, ..., c, -c, ..., -1 in FFT order,
-    side 2c + 1.  The cutoff lies in [0, n/2), so the band is closed under
-    negation and never holds a Nyquist plane.  The wavenumber attributes
-    carry Grid's names, so wavevector_dot and leray_project_inplace run on
-    band-shaped arrays as they do on full ones, mode by mode with the same
-    values.
+    The x and y axes hold the wavenumbers 0, 1, ..., c, -c, ..., -1 in FFT
+    order, side 2c + 1, and the z axis holds 0, 1, ..., c, so the shape is
+    (3, side, side, c + 1).  The cutoff lies in [0, n/2), so the cube is
+    closed under negation and never holds a Nyquist plane.  A real field's
+    kz < 0 coefficients are the conjugates of its kz > 0 ones, w(-k) =
+    conj w(k): pad writes them by that reflection, truncate drops them, and
+    `_weight` counts each kz > 0 coefficient twice in a coefficient sum.
+    The wavenumber attributes carry Grid's names, so wavevector_dot and
+    leray_project_inplace run on band-shaped arrays as they do on full ones,
+    mode by mode with the same values; both commute exactly with the
+    conjugate reflection.
     """
 
     def __init__(self, grid: Grid, cutoff: int):
@@ -161,38 +177,51 @@ class Band(_Wavenumbers):
             raise ParameterError("cutoff", f"band cutoff must lie in [0, {n // 2}), got {cutoff}")
         self.grid = grid
         self.cutoff = c
-        self.side = 2 * c + 1
+        self.side = side = 2 * c + 1
         # (full-grid slice, band slice) of the nonnegative and the negative wavenumbers
-        blocks = [(slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, self.side))]
+        blocks = [(slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, side))]
         super().__init__(np.concatenate([grid.kx.ravel()[full] for full, _ in blocks]))
-        self.shape = (3,) + (self.side,) * 3
-        # (full-grid index, band index) of the eight blocks pad and truncate copy
-        self._block_pairs = [((..., bx[0], by[0], bz[0]), (..., bx[1], by[1], bz[1]))
-                             for bx, by, bz in itertools.product(blocks, repeat=3)]
+        self.kz = self.kz[..., :c + 1]
+        self.shape = (3, side, side, c + 1)
+        self._weight = np.where(self.kz > 0, 2.0, 1.0)
+        # (full-grid index, band index) of the four kz >= 0 blocks pad and truncate copy
+        self._block_pairs = [((..., bx[0], by[0], blocks[0][0]), (..., bx[1], by[1], blocks[0][1]))
+                             for bx, by in itertools.product(blocks, repeat=2)]
+        # (full-grid slice of k, band slice of -k) along x and y: 0, then 1..c, then -c..-1
+        mirror = [(slice(0, 1), slice(0, 1)), (slice(1, c + 1), slice(side - 1, c, -1)),
+                  (slice(n - c, n), slice(c, 0, -1))]
+        # (full-grid index of kz = -c..-1, band index of their conjugates' kz = c..1)
+        self._mirror_pairs = [((..., mx[0], my[0], slice(n - c, n)), (..., mx[1], my[1], slice(c, 0, -1)))
+                              for mx, my in itertools.product(mirror, repeat=2)]
         # The stepper's Leray projections and energy records read these every
-        # step, so the band (about 30% of the grid's modes) keeps them: stored
-        # under the formulas' own names, they shadow the on-demand ones.
+        # step, so the band (about 15% of the grid's coefficients) keeps them:
+        # stored under the formulas' own names, they shadow the on-demand ones.
         self.k_sq = self.k_sq
         self.k_mag = self.k_mag
         self._k_sq_safe = self._k_sq_safe
 
     def pad(self, compact: np.ndarray, full: np.ndarray | None = None) -> np.ndarray:
-        """Copy band coefficients into their places on the full grid.
+        """Copy band coefficients into their places on the full grid, and
+        their conjugates into the places of the negated wavenumbers.
 
-        Only the in-band blocks of `full` are written, so whatever it holds
+        Only the in-band modes of `full` are written, so whatever it holds
         outside the band (zeros, for a buffer made by np.zeros) stays; None
-        allocates a zero array.
+        allocates a zero array.  The kz < 0 half is conj(compact(-k)),
+        conjugated from reflected views of `compact` straight into place.
         """
         if full is None:
             full = np.zeros(compact.shape[:-3] + (self.grid.n,) * 3, dtype=compact.dtype)
         for f, c in self._block_pairs:
             full[f] = compact[c]
+        for f, c in self._mirror_pairs:
+            np.conjugate(compact[c], out=full[f])
         return full
 
     def truncate(self, full: np.ndarray, compact: np.ndarray | None = None) -> np.ndarray:
-        """The in-band coefficients of a full-grid array, into `compact` if given."""
+        """The in-band kz >= 0 coefficients of a full-grid array, into
+        `compact` if given."""
         if compact is None:
-            compact = np.empty(full.shape[:-3] + (self.side,) * 3, dtype=full.dtype)
+            compact = np.empty(full.shape[:-3] + self.shape[1:], dtype=full.dtype)
         for f, c in self._block_pairs:
             compact[c] = full[f]
         return compact
@@ -210,10 +239,11 @@ class SpectralField:
     """Fourier coefficients of a real, zero-mean, 3-component field.
 
     The coefficients cover the full grid, shape (3, n, n, n), or, with
-    `band` given, only that band of it, shape band.shape: every mode outside
-    the band is zero.  `modes` carries the wavenumbers of either layout, so
-    diagonal multipliers and coefficient sums run on both alike; `padded()`
-    gives the full-grid field.
+    `band` given, only the kz >= 0 half of that band, shape band.shape:
+    every mode outside the band is zero and every kz < 0 one is the
+    conjugate of its negation.  `modes` carries the wavenumbers (and the
+    sum weights) of either layout, so diagonal multipliers and coefficient
+    sums run on both alike; `padded()` gives the full-grid field.
     """
 
     grid: Grid
@@ -239,7 +269,8 @@ class SpectralField:
         return self.grid if self.band is None else self.band
 
     def padded(self) -> "SpectralField":
-        """The field on the full grid: itself, or its band zero-padded."""
+        """The field on the full grid: itself, or its band padded with zeros
+        and with the conjugates of its kz > 0 half."""
         if self.band is None:
             return self
         return SpectralField(self.grid, self.band.pad(self.coeffs), self.t)
@@ -319,8 +350,8 @@ def hs_norm(f: SpectralField, s: float) -> float:
 
     For s = 0 this is the L2 norm under the fixed (2 pi)^-3 normalization.
     """
-    w2 = _mode_energy_density(f).sum(axis=0)
     g = f.modes
+    w2 = _mode_energy_density(f).sum(axis=0) * g._weight
     if s == 0:
         total = w2.sum() - w2[0, 0, 0]
     elif s == 1:
@@ -380,8 +411,8 @@ def project_pn(f: SpectralField, m: int) -> SpectralField:
 
 
 def reflected_conjugate(coeffs: np.ndarray) -> np.ndarray:
-    """conj(a(-k)) arranged on the same storage layout as a(k), on the full
-    grid or on a band (both in FFT order, where -k of index i is index -i)."""
+    """conj(a(-k)) arranged on the same storage layout as a(k) on the full
+    grid (in FFT order, where -k of index i is index -i)."""
     r = coeffs
     for ax in _AXES:
         r = np.roll(np.flip(r, axis=ax), 1, axis=ax)
@@ -389,8 +420,11 @@ def reflected_conjugate(coeffs: np.ndarray) -> np.ndarray:
 
 
 def symmetry_defect(f: SpectralField) -> float:
-    """Max deviation from the conjugate symmetry of a real field."""
-    return float(np.abs(f.coeffs - reflected_conjugate(f.coeffs)).max())
+    """Max deviation from the conjugate symmetry of a real field, checked
+    on the full grid (a band field's padding is symmetric off kz = 0 by
+    construction)."""
+    c = f.padded().coeffs
+    return float(np.abs(c - reflected_conjugate(c)).max())
 
 
 def solenoidal_defect(f: SpectralField) -> float:
@@ -398,8 +432,8 @@ def solenoidal_defect(f: SpectralField) -> float:
     norm = hs_norm(f, 0)
     if norm == 0.0:
         return 0.0
-    residual = f.coeffs - leray_project(f).coeffs
-    return float(np.sqrt((residual.real**2 + residual.imag**2).sum()) / norm)
+    # the projection leaves k = 0 alone, so hs_norm's exclusion of it drops a zero
+    return hs_norm(f.with_coeffs(f.coeffs - leray_project(f).coeffs), 0) / norm
 
 
 def validate_field(
@@ -407,7 +441,9 @@ def validate_field(
     solenoidal: bool = False,
     tol: float = 1e-12,
 ) -> None:
-    """Assert the representation invariants; raises ValueError on violation."""
+    """Assert the representation invariants, on the full grid; raises
+    ValueError on violation."""
+    f = f.padded()
     c = f.coeffs
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients contain non-finite values")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import leraydec as ld
+from leraydec import spectral
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +46,7 @@ def energy(f):
 
 def inner(f, g):
     """Real L2 pairing (2 pi)^-3 int f.g dx = sum_k Re f_hat(k).conj(g_hat(k)),
-    of two fields in the same layout."""
+    of two full-grid fields."""
     c, d = f.coeffs, g.coeffs
     return float((c.real * d.real + c.imag * d.imag).sum())
 
@@ -53,6 +54,16 @@ def inner(f, g):
 def band_mask(grid):
     """Full-grid mask of the integrated modes: the dealias band |k|_inf <= n/3."""
     return grid.k_linf <= grid.dealias_cutoff
+
+
+def hermitian(coeffs):
+    """Full-grid coefficients with the kz < 0 half replaced by the conjugate
+    reflection of the rest, as padding a band writes it: exactly the
+    coefficients of a real field, where a transform leaves its rounding."""
+    n = coeffs.shape[-1]
+    out = coeffs.copy()
+    out[..., n // 2 + 1:] = spectral.reflected_conjugate(coeffs)[..., n // 2 + 1:]
+    return out
 
 
 def curl(f):

@@ -272,8 +272,11 @@ def test_unit_cost_times_van_cittert_on_the_stepper_layout(grid8, monkeypatch, d
     monkeypatch.setattr(ld.filtering, "van_cittert_iterate", spy)
     base = _small_base(grid8)
     experiments.run_study(experiments.StudySpec(kind="n_limit", delta=0.5, orders=(0, 2), base=base))
-    band = ld.solver.integration_band(grid8).shape
-    assert seen == {(band[1:], band, band, band)}
+    band = ld.solver.integration_band(grid8)
+    # the kz >= 0 half of the band the stepper integrates
+    half = (3, band.side, band.side, band.cutoff + 1)
+    assert band.shape == half
+    assert seen == {(half[1:], half, half, half)}
 
 
 # ------------------------------------------------------------ cutoff_table

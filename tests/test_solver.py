@@ -10,7 +10,7 @@ import pytest
 import leraydec as ld
 from leraydec import diagnostics, spectral
 
-from conftest import band_mask, inner, rel_l2
+from conftest import band_mask, hermitian, inner, rel_l2
 
 
 def _cfg(grid, model="nse", order=0, delta=0.5, nu=0.05, dt=0.01, t_end=0.1, **kw):
@@ -271,11 +271,13 @@ def test_inviscid_energy_conservation_short(grid8):
 
 
 def _reference_nonlinear(w, model, fspec):
-    """The allocate-per-operation right-hand side the workspace kernel replaced."""
+    """The allocate-per-operation right-hand side the workspace kernel
+    replaced, on the full grid; the input and the forward transform's output
+    get the exact conjugate kz < 0 half the kernel's half band implies."""
     g = w.grid
     n3 = g.n**3
     mask = band_mask(g)
-    w = w.coeffs * mask
+    w = hermitian(w.coeffs * mask)
     if model.is_regularized:
         g_hat = ld.transfer_g(g.k_mag, fspec)
         wbar = g_hat * w
@@ -289,7 +291,7 @@ def _reference_nonlinear(w, model, fspec):
     for j, kj in enumerate(g.wavevectors()):
         dw_j = np.fft.ifftn(1j * kj * w, axes=(1, 2, 3)).real * n3
         conv += adv_phys[j] * dw_j
-    out = -(np.fft.fftn(conv, axes=(1, 2, 3)) / n3)
+    out = hermitian(-(np.fft.fftn(conv, axes=(1, 2, 3)) / n3))
     out *= mask
     dot = g.kx * out[0] + g.ky * out[1] + g.kz * out[2]
     factor = dot / g._k_sq_safe
@@ -344,18 +346,19 @@ def test_step_is_bit_identical_and_leaves_its_input_alone(grid16):
     kept = state.coeffs.copy()
     out = ld.step(state, cfg).coeffs
     assert np.array_equal(state.coeffs, kept)
-    assert np.array_equal(out, _reference_advance(state.coeffs * band_mask(grid16), cfg))
+    assert np.array_equal(out, _reference_advance(hermitian(state.coeffs * band_mask(grid16)), cfg))
 
 
 def _reference_run(cfg):
     """Snapshots and records of a run integrated on the full grid with a
     mask multiply for the dealiasing, as the stepper did before it kept only
-    the band; the records are formed by the run's own sum core."""
+    the band, with the initial condition and forcing completed to exact
+    conjugate symmetry; the records are formed by the run's own sum core."""
     g = cfg.grid
     mask = band_mask(g)
 
     def prepared(spec, smooth):
-        coeffs = ld.leray_project(spec.evaluate(g)).coeffs * mask
+        coeffs = hermitian(ld.leray_project(spec.evaluate(g)).coeffs * mask)
         if cfg.model.is_regularized and smooth:
             coeffs = coeffs * ld.transfer_hn(g.k_mag, cfg.filter)
         return coeffs
@@ -449,9 +452,16 @@ def test_stepper_holds_nothing_full_grid_but_its_transform_workspace(grid8, monk
     shape = (3,) + (grid8.n,) * 3
     assert sorted(full) == [("rwork", 0, "f", shape), ("rwork", 1, "f", shape),
                             ("spectrum", 0, "c", shape)]
+    # the kz >= 0 half of the band: every band array the run holds has this shape
+    side, c = stepper.band.side, stepper.band.cutoff
+    half = (3, side, side, c + 1)
+    assert stepper.band.shape == half
+    band_arrays = [stepper.u, stepper.p, stepper.f_eff, *stepper.cwork, *(s.coeffs for s in stepper.snapshots)]
+    assert [a.shape for a in band_arrays] == [half] * len(band_arrays)
+    assert [a.shape for a in (*stepper.decays, stepper.g_hat)] == [half[1:]] * 4
     # two complex band buffers; van Cittert's scratch is the transform buffer's head
-    assert [(a.dtype.kind, a.shape) for a in stepper.cwork] == [("c", stepper.band.shape)] * 2
-    assert stepper.vc_scratch.shape == stepper.band.shape
+    assert [(a.dtype.kind, a.shape) for a in stepper.cwork] == [("c", half)] * 2
+    assert stepper.vc_scratch.shape == half
     assert np.shares_memory(stepper.vc_scratch, stepper.spectrum)
     assert not any(np.shares_memory(stepper.vc_scratch, a) for a in stepper.cwork)
 
@@ -468,7 +478,7 @@ def test_run_keeps_its_snapshots_on_the_band(grid16):
     finally:
         tracemalloc.stop()
     n, c = grid16.n, grid16.dealias_cutoff
-    full, band = 3 * n**3 * 16, 3 * (2 * c + 1) ** 3 * 16
+    full, band = 3 * n**3 * 16, 3 * (2 * c + 1) ** 2 * (c + 1) * 16
     assert len(traj.snapshots) == cfg.steps + 1
     assert sum(s.coeffs.nbytes for s in traj.snapshots) == len(traj.snapshots) * band
     assert traj.terminal.coeffs.shape == (3, n, n, n)

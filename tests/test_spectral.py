@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import leraydec as ld
 from leraydec import spectral
 
-from conftest import band_mask, energy, inner
+from conftest import band_mask, energy, hermitian, inner
 
 
 def test_grid_validation():
@@ -72,7 +73,8 @@ def test_dealias_cutoff_values():
 def test_band_side_and_wavenumbers(dealias, side):
     g = ld.Grid(8)
     band = ld.solver.integration_band(g)
-    assert band.side == side and band.shape == (3, side, side, side)
+    # the z axis holds only kz = 0..c, the conjugates of the kz < 0 half
+    assert band.side == side and band.shape == (3, side, side, band.cutoff + 1)
     # each band mode carries the wavenumbers of the grid mode it stands for
     for name in ("kx", "ky", "kz", "k_sq", "k_mag", "_k_sq_safe", "k_linf"):
         full = np.broadcast_to(getattr(g, name), (3, 8, 8, 8))
@@ -95,16 +97,18 @@ def test_band_pad_truncate_roundtrip(grid8):
     rng = np.random.default_rng(0)
     full = rng.standard_normal((3, 8, 8, 8)) + 1j * rng.standard_normal((3, 8, 8, 8))
     band = spectral.Band(grid8, grid8.dealias_cutoff)
-    assert len(band._block_pairs) == 8  # built once, with the band
+    # built once, with the band: four kz >= 0 blocks, nine reflected kz < 0 ones
+    assert (len(band._block_pairs), len(band._mirror_pairs)) == (4, 9)
     compact = band.truncate(full)
-    assert compact.shape == (3, 5, 5, 5)
+    assert compact.shape == (3, 5, 5, 3)
     padded = band.pad(compact)
-    assert np.array_equal(padded, full * band_mask(grid8))
+    # the kz >= 0 half is copied, the kz < 0 half is its conjugate reflection
+    assert np.array_equal(padded, hermitian(full * band_mask(grid8)))
     assert np.array_equal(band.truncate(padded), compact)
     # pad writes only inside the band
     into = np.full_like(full, 7.0)
     band.pad(compact, into)
-    assert np.array_equal(into[:, band_mask(grid8)], full[:, band_mask(grid8)])
+    assert np.array_equal(into[:, band_mask(grid8)], padded[:, band_mask(grid8)])
     assert np.all(into[:, ~band_mask(grid8)] == 7.0)
 
 
@@ -113,7 +117,7 @@ def test_a_field_on_the_band_agrees_with_its_padding(grid16, rand16):
     on_band = ld.SpectralField(grid16, band.truncate(rand16.coeffs), 0.5, band)
     full = on_band.padded()
     assert full.band is None and full.t == 0.5 and full.padded() is full
-    assert np.array_equal(full.coeffs, rand16.coeffs * band_mask(grid16))
+    assert np.array_equal(full.coeffs, hermitian(rand16.coeffs * band_mask(grid16)))
     spec = ld.FilterSpec(delta=0.5, order=3)
     # mode-by-mode operators keep the layout and the values
     for op in (ld.leray_project, lambda f: ld.apply_hn(f, spec), lambda f: ld.van_cittert(f, spec)):
@@ -134,6 +138,82 @@ def test_a_field_on_the_band_agrees_with_its_padding(grid16, rand16):
         ld.SpectralField(grid16, rand16.coeffs, band=band)
     with pytest.raises(ValueError, match="band of Grid"):
         ld.SpectralField(ld.Grid(8), on_band.coeffs, band=band)
+
+
+@pytest.mark.parametrize("n, cutoff", [(8, 0), (8, 2), (16, 5), (16, 7), (32, 10)])
+def test_band_pad_of_truncate_is_the_identity_on_a_hermitian_array(n, cutoff):
+    grid = ld.Grid(n)
+    band = spectral.Band(grid, cutoff)
+    rng = np.random.default_rng(n + cutoff)
+    y = (rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))) * (grid.k_linf <= cutoff)
+    # held inside the band, and exactly Hermitian: a + conj(b) and b + conj(a) are conjugates bit for bit
+    x = 0.5 * (y + spectral.reflected_conjugate(y))
+    assert np.array_equal(x, spectral.reflected_conjugate(x))
+    # the kz >= 0 half loses nothing of it
+    half = band.truncate(x)
+    assert half.shape == (3, 2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1)
+    assert np.array_equal(band.pad(half), x)
+
+
+def _non_solenoidal_band_field(grid, band, seed, t=0.0):
+    """A real, mean-free, divergent field held on the band."""
+    rng = np.random.default_rng(seed)
+    f = ld.from_physical(grid, rng.standard_normal((3,) + (grid.n,) * 3))
+    return ld.SpectralField(grid, band.restrict(f), t, band)
+
+
+def test_a_band_field_and_its_padding_give_the_same_reductions(grid16):
+    band = ld.solver.integration_band(grid16)
+    f = _non_solenoidal_band_field(grid16, band, seed=31, t=0.25)
+    g = _non_solenoidal_band_field(grid16, band, seed=32, t=0.25)
+    full = f.padded()
+    # the band field holds the kz >= 0 half, so its sums must weigh kz > 0 twice
+    assert f.coeffs.shape == (3, band.side, band.side, band.cutoff + 1)
+
+    def agree(a, b):
+        assert a == pytest.approx(b, rel=1e-14, abs=0)
+
+    for s in (0, 1, 1.5, -1):
+        agree(ld.hs_norm(f, s), ld.hs_norm(full, s))
+    agree(ld.solenoidal_defect(f), ld.solenoidal_defect(full))
+    assert ld.solenoidal_defect(full) > 0.1  # a divergent field, so the defect is no rounding noise
+    assert ld.symmetry_defect(f) == ld.symmetry_defect(full)
+    on_band = ld.diagnostics.energy_record(f, 0.1, g)
+    padded = ld.diagnostics.energy_record(full, 0.1, g.padded())
+    assert padded.input_power != 0.0
+    for name in ("energy", "h1_seminorm_sq", "dissipation", "input_power"):
+        agree(getattr(on_band, name), getattr(padded, name))
+
+    def trajectory(*snapshots):
+        return SimpleNamespace(snapshots=list(snapshots))
+
+    later = [_non_solenoidal_band_field(grid16, band, seed=33 + i, t=0.5 * (i % 2)) for i in range(4)]
+    on_band = ld.model_error(trajectory(*later[:2]), trajectory(*later[2:]))
+    padded = ld.model_error(trajectory(*(s.padded() for s in later[:2])),
+                            trajectory(*(s.padded() for s in later[2:])))
+    for name in ("l2_final", "l2l2", "h1_timeavg"):
+        agree(getattr(on_band, name), getattr(padded, name))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("on_band", [False, True], ids=["grid", "band"])
+def test_forward_transform_of_a_view_of_its_own_work(n, on_band):
+    """Guard: samples that are the real part of the forward transform's own
+    work buffer, as the inverse transform leaves them, transform as a copy
+    of them does (numpy casts the real input to a fresh complex array before
+    the first pass writes into work)."""
+    grid = ld.Grid(n)
+    band = ld.solver.integration_band(grid) if on_band else None
+    f = ld.random_solenoidal(grid, seed=n)
+    c = band.restrict(f) if on_band else f.coeffs
+    work = np.empty_like(f.coeffs)
+    samples = spectral.inverse_transform(c, band, work=work)
+    assert np.shares_memory(samples, work)
+    expected = spectral.forward_transform(samples.copy(), band, out=np.empty_like(c),
+                                          work=np.empty_like(work))
+    out = np.empty_like(c) if on_band else work
+    got = spectral.forward_transform(samples, band, out=out, work=work)
+    assert np.array_equal(got, expected)
 
 
 def test_mode_index_roundtrip(grid16):
