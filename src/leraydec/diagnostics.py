@@ -44,7 +44,7 @@ def energy_record(state: SpectralField, nu: float, forcing: SpectralField | None
     by the run loop."""
     c, f = state.coeffs, None if forcing is None else forcing.coeffs
     weight = state.modes._weight
-    density = (c.real**2 + c.imag**2).sum(axis=0) * weight
+    density = spectral._mode_energy_density(state)
     h1_sq = float((density * state.modes.k_sq).sum())
     return DiagRecord(
         t=state.t,
@@ -155,7 +155,7 @@ def filter_error_bounds_check(
     k_sq = grid.k_sq
     g = filtering.transfer_g(grid.k_mag, spec)
     err_mult = 1.0 - g  # multiplier of u - filtered u
-    w2 = (u.coeffs.real**2 + u.coeffs.imag**2).sum(axis=0) * grid._weight
+    w2 = spectral._mode_energy_density(u)
     kvecs = grid.wavevectors()
 
     rows = []

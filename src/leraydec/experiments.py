@@ -78,8 +78,8 @@ class StudySpec:
         spectral.check_grid_size("grid_n", self.grid_n)  # Grid's rule, before any grid is built
         if not (np.isfinite(self.k_max) and self.k_max > 0):
             raise spectral.ParameterError("k_max", f"k_max must be positive and finite, got {self.k_max}")
-        if self.k_points < 1:
-            raise spectral.ParameterError("k_points", f"k_points must be >= 1, got {self.k_points}")
+        if not 1 <= self.k_points <= 10**6:  # before np.linspace allocates them
+            raise spectral.ParameterError("k_points", f"k_points must be in [1, 1000000], got {self.k_points}")
         self.deltas = ds
 
 

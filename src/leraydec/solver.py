@@ -23,6 +23,9 @@ multiply the state.  The deconvolution is performed by the van Cittert
 iteration, one filter application per order, which keeps the advertised
 linear-in-N cost model honest; the closed-form multiplier in `filtering`
 is the cross-check.
+
+One object, `_Stepper`, holds a run; `run`, `step` and `nonlinear_term` each
+build one, and the model/filter check lives only in `SolverConfig`.
 """
 
 from __future__ import annotations
@@ -92,17 +95,6 @@ class ModelKind:
         return self.family == "leray_deconv"
 
 
-def _check_model(model: ModelKind, filter_spec: FilterSpec | None) -> None:
-    """Reject a model and filter the advection kernel cannot run."""
-    if model.is_regularized:
-        if filter_spec is None:
-            raise ParameterError("filter", "regularized model requires a filter")
-        if filter_spec.order != model.order:
-            raise ParameterError(
-                "filter", f"filter order {filter_spec.order} disagrees with model order {model.order}"
-            )
-
-
 @dataclass
 class SolverConfig:
     grid: Grid
@@ -130,7 +122,13 @@ class SolverConfig:
             raise ParameterError("dt", f"dt must be positive, got {self.dt}")
         check_finite("dt", self.dt)
         step_count(self.t_end, self.dt)  # fail on a bad t_end/dt pair now, not at run time
-        _check_model(self.model, self.filter)
+        if self.model.is_regularized:
+            if self.filter is None:
+                raise ParameterError("filter", "regularized model requires a filter")
+            if self.filter.order != self.model.order:
+                raise ParameterError(
+                    "filter", f"filter order {self.filter.order} disagrees with model order {self.model.order}"
+                )
         if self.snapshot_every < 1:
             raise ParameterError("snapshot_every", "snapshot_every must be >= 1")
 
@@ -205,52 +203,82 @@ def integration_band(grid: Grid) -> spectral.Band:
     return spectral.Band(grid, grid.dealias_cutoff)
 
 
-class _Advection:
-    """The advection kernel: multipliers, counters and a workspace of its own.
+class _Stepper:
+    """The run object: the advection kernel's multipliers, counters and
+    workspace, the integrating factors, the effective forcing, the band state
+    `u` with its low-storage carry `p`, the step index `m`, and the run's
+    records, snapshots and statistics.
 
     Coefficients live on the integration band, its kz >= 0 half; only the
     transforms see the full grid, and the inverse one fills the kz < 0 half
     of its input by conjugate reflection.  Real multipliers and the Leray
     projection commute exactly with that reflection, so the half band gives
     the full band's values mode by mode once the transform input is
-    completed.  The workspace is two complex band buffers, one complex
+    completed.  The state starts from `state` restricted to the band, or
+    without one from the configured initial condition.
+
+    Nothing full-grid is kept but the workspace, allocated last, once the
+    evaluated fields are gone: two complex band buffers, one complex
     (3, n, n, n) transform buffer and two real (3, n, n, n) buffers (the
-    advecting-velocity samples and the product accumulator), all allocated
-    once by `allocate_workspace`.  The transform buffer is the `work` of
-    every spectral.inverse_transform and forward_transform call on the band;
-    the gradient samples are read straight from its real part.  Between a
-    forward transform's truncation and the next inverse transform the
-    transform buffer is idle, and van Cittert's scratch is a band-shaped
-    view of its head.  Every evaluation runs inside the workspace with no
-    field-sized temporaries of its own.  Each operation keeps the operand
-    order of the plain full-grid array expression it replaces, so for a
-    power-of-two n results are bit for bit those of an allocate-per-operation
-    evaluation (up to the sign of a zero coefficient): the first product is
-    written straight into the accumulator, which adding it to zeros would
-    leave unchanged.
+    advecting-velocity samples and the product accumulator).  The transform
+    buffer is the `work` of every spectral.inverse_transform and
+    forward_transform call on the band; the gradient samples are read
+    straight from its real part.  Between a forward transform's truncation
+    and the next inverse transform the transform buffer is idle, and van
+    Cittert's scratch is a band-shaped view of its head.  Every evaluation
+    runs inside the workspace with no field-sized temporaries of its own.
+    Each operation keeps the operand order of the plain full-grid array
+    expression it replaces, so for a power-of-two n results are bit for bit
+    those of an allocate-per-operation evaluation (up to the sign of a zero
+    coefficient): the first product is written straight into the
+    accumulator, which adding it to zeros would leave unchanged.
     """
 
-    def __init__(self, grid: Grid, model: ModelKind, filter_spec: FilterSpec | None):
-        _check_model(model, filter_spec)
-        self.grid = grid
-        self.band = integration_band(grid)
+    def __init__(self, config: SolverConfig, state: SpectralField | None = None):
+        self.wall_start = time.perf_counter()
+        self.config, self.grid, model = config, config.grid, config.model
+        self.band = integration_band(self.grid)
         self.stats = RunStats()
 
         self.g_hat = (
-            filtering.transfer_g(self.band.k_mag, filter_spec) if model.is_regularized else None
+            filtering.transfer_g(self.band.k_mag, config.filter) if model.is_regularized else None
         )
         self.order = model.order if model.is_regularized else 0
         self.ik = [1j * kj for kj in self.band.wavevectors()]
 
-    def allocate_workspace(self) -> None:
-        # Called last by whoever builds the kernel, while its set-up fields are
-        # still held: allocated first, the buffers raised the peak RSS of
-        # repeated 64^3 runs by 6 MiB.
+        gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
+        # with nu = 0 every factor is exactly 1.0, so the update keeps every bit;
+        # a rate nu k^2 dt that overflows to inf gives the decay's limit, 0
+        with np.errstate(over="ignore"):
+            self.decays = [np.exp(-config.nu * self.band.k_sq * config.dt * gap) for gap in gaps]
+
+        f = self._prepared(config.forcing, config.filter_forcing)
+        self.f_eff = f if np.any(f) else None
+        self.forcing = None if self.f_eff is None else SpectralField(self.grid, self.f_eff, band=self.band)
+        if state is None:
+            self.u = self._prepared(config.ic, config.filter_ic)
+        else:
+            self.u = self.band.restrict(state)
+        self.p = np.zeros_like(self.u)
+        self.m, self.records, self.snapshots = 0, [], []
+
+        # Allocated last, once _prepared's full-grid evaluations are freed:
+        # allocated first, the buffers raised the peak RSS of repeated 64^3
+        # runs by 6 MiB.
         full = (3, self.grid.n, self.grid.n, self.grid.n)
         self.cwork = [np.empty(self.band.shape, dtype=np.complex128) for _ in range(2)]
         self.spectrum = np.empty(full, dtype=np.complex128)
         self.vc_scratch = self.spectrum.reshape(-1)[:self.cwork[0].size].reshape(self.band.shape)
         self.rwork = [np.empty(full) for _ in range(2)]
+
+    def _prepared(self, spec: FieldSpec, smooth: bool) -> np.ndarray:
+        """Band coefficients of an evaluated field, Leray-projected and, for a
+        regularized model when asked, smoothed by h_N."""
+        c = self.band.restrict(spec.evaluate(self.grid))
+        spectral.leray_project_inplace(c, self.band, np.empty_like(c[:2]))
+        if self.config.model.is_regularized and smooth:
+            c *= filtering.transfer_hn(self.band.k_mag, self.config.filter)
+        return c
 
     def advecting_velocity(self, w: np.ndarray) -> np.ndarray:
         """Deconvolved advecting velocity by van Cittert iteration, timed.
@@ -291,48 +319,6 @@ class _Advection:
         out = spectral.forward_transform(conv, band, out=c0, work=spectrum)
         np.negative(out, out=out)
         return spectral.leray_project_inplace(out, band, c1[:2])
-
-
-class _Stepper(_Advection):
-    """The run object: the advection kernel plus integrating factors,
-    effective forcing, the band state `u` with its low-storage carry `p`, the
-    step index `m`, and the run's records, snapshots and statistics.
-
-    The state starts from `state` restricted to the band, or without one from
-    the configured initial condition.  Nothing full-grid is kept but the
-    transform workspace, allocated last, once the evaluated fields are gone.
-    """
-
-    def __init__(self, config: SolverConfig, state: SpectralField | None = None):
-        self.wall_start = time.perf_counter()
-        super().__init__(config.grid, config.model, config.filter)
-        self.config = config
-
-        gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])
-        # with nu = 0 every factor is exactly 1.0, so the update keeps every bit;
-        # a rate nu k^2 dt that overflows to inf gives the decay's limit, 0
-        with np.errstate(over="ignore"):
-            self.decays = [np.exp(-config.nu * self.band.k_sq * config.dt * gap) for gap in gaps]
-
-        f = self._prepared(config.forcing, config.filter_forcing)
-        self.f_eff = f if np.any(f) else None
-        self.forcing = None if self.f_eff is None else SpectralField(self.grid, self.f_eff, band=self.band)
-        if state is None:
-            self.u = self._prepared(config.ic, config.filter_ic)
-        else:
-            self.u = self.band.restrict(state)
-        self.p = np.zeros_like(self.u)
-        self.m, self.records, self.snapshots = 0, [], []
-        self.allocate_workspace()
-
-    def _prepared(self, spec: FieldSpec, smooth: bool) -> np.ndarray:
-        """Band coefficients of an evaluated field, Leray-projected and, for a
-        regularized model when asked, smoothed by h_N."""
-        c = self.band.restrict(spec.evaluate(self.grid))
-        spectral.leray_project_inplace(c, self.band, np.empty_like(c[:2]))
-        if self.config.model.is_regularized and smooth:
-            c *= filtering.transfer_hn(self.band.k_mag, self.config.filter)
-        return c
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
         out = self.nonlinear(w)
@@ -387,12 +373,14 @@ def nonlinear_term(state: SpectralField, model: ModelKind,
     The input is restricted to the dealias band first, so the retained
     quadratic interactions are exactly the alias-free ones; with a
     solenoidal advecting velocity the result is L2-orthogonal to the state.
-    The term is evaluated by a fresh kernel and returned on the full grid.
+    The term is evaluated by the run object of an unforced inviscid run on
+    the state, and returned on the full grid.
     """
-    kernel = _Advection(state.grid, model, filter_spec)
-    kernel.allocate_workspace()
-    w = kernel.band.restrict(state)
-    return SpectralField(state.grid, kernel.nonlinear(w), state.t, kernel.band).padded()
+    # nu = 0 makes every decay exactly 1, and only advance() reads dt, which
+    # this helper never calls: both are placeholders.
+    config = SolverConfig(state.grid, model, nu=0.0, dt=1.0, t_end=1.0, filter=filter_spec)
+    stepper = _Stepper(config, state=state)
+    return SpectralField(state.grid, stepper.nonlinear(stepper.u), state.t, stepper.band).padded()
 
 
 def step(state: SpectralField, config: SolverConfig) -> SpectralField:

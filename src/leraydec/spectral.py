@@ -341,8 +341,10 @@ def from_physical(grid: Grid, samples: np.ndarray, t: float = 0.0) -> SpectralFi
 
 
 def _mode_energy_density(f: SpectralField) -> np.ndarray:
+    """|c|^2 summed over components, weighted by the modes each stored
+    coefficient stands for; the one spelling of every weighted mode sum."""
     c = f.coeffs
-    return c.real**2 + c.imag**2
+    return (c.real**2 + c.imag**2).sum(axis=0) * f.modes._weight
 
 
 def hs_norm(f: SpectralField, s: float) -> float:
@@ -351,7 +353,7 @@ def hs_norm(f: SpectralField, s: float) -> float:
     For s = 0 this is the L2 norm under the fixed (2 pi)^-3 normalization.
     """
     g = f.modes
-    w2 = _mode_energy_density(f).sum(axis=0) * g._weight
+    w2 = _mode_energy_density(f)
     if s == 0:
         total = w2.sum() - w2[0, 0, 0]
     elif s == 1:

@@ -220,7 +220,7 @@ def test_transfer_tables(tmp_path):
 @pytest.mark.parametrize("args", [
     ["--points", "0"], ["--delta", "0"], ["--orders", "-1"],
     ["--figures", "--k-max", "-1"], ["--figures", "--points", "0"],
-    ["--k-max", "inf"], ["--k-max", "nan"],
+    ["--k-max", "inf"], ["--k-max", "nan"], ["--points", "10000000000000"],
 ], ids="-".join)
 def test_transfer_rejects_before_creating_output(tmp_path, capsys, args):
     out = tmp_path / "tf"

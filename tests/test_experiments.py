@@ -98,6 +98,7 @@ def test_study_spec_rejects_nondecreasing_deltas():
     ("orders", (0, -1)), ("deltas", (0.4, float("nan"), 0.1)), ("deltas", (0.2, 0.1, -0.1)),
     ("k_max", -1.0), ("k_max", 0.0), ("k_max", float("nan")), ("k_points", 0),
     ("orders", (0, 65)), ("smoother_orders", (0, -1)), ("grid_n", 7), ("grid_n", 2),
+    ("k_points", 10**13),
 ])
 def test_study_spec_rejects_each_bad_value_by_its_field(name, value):
     with pytest.raises(ld.ParameterError) as err:

@@ -509,3 +509,26 @@ def test_only_observe_forms_records_and_only_run_observes():
 
     visit(ast.parse(Path(ld.solver.__file__).read_text()), "")
     assert calls == {("energy_record", "_Stepper.observe"), ("observe", "run")}
+
+
+def test_every_solver_entry_point_builds_one_run_object(grid8, monkeypatch):
+    """run, step and nonlinear_term each build exactly one _Stepper, the one
+    class that holds a run; the advection kernel has no class of its own."""
+    made = []
+
+    class Recorded(ld.solver._Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(ld.solver, "_Stepper", Recorded)
+    cfg = _cfg(grid8, model="leray_deconv", order=2, t_end=0.02)
+    state = ld.taylor_green(grid8)
+    counts = []
+    for call in (lambda: ld.solver.run(cfg), lambda: ld.solver.step(state, cfg),
+                 lambda: ld.solver.nonlinear_term(state, cfg.model, cfg.filter)):
+        made.clear()
+        call()
+        counts.append(len(made))
+    assert counts == [1, 1, 1]
+    assert not hasattr(ld.solver, "_Advection")
