@@ -3,7 +3,7 @@
 The package is organized around a handful of small modules:
 
 - spectral:     grids, coefficient-space fields, norms, projections
-- filtering:    the inverse-Helmholtz smoother and its truncated inverse
+- filtering:    the inverse-Helmholtz smoother and its van Cittert inverse
 - fields:       initial conditions and forcings
 - solver:       time integration of the regularized momentum equation
 - diagnostics:  energy records, consistency measures, trajectory errors
@@ -19,7 +19,6 @@ from .spectral import (
     from_physical,
     hs_norm,
     leray_project,
-    project_pn,
     solenoidal_defect,
     symmetry_defect,
     to_physical,

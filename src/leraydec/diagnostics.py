@@ -42,16 +42,14 @@ def energy_record(state: SpectralField, nu: float, forcing: SpectralField | None
     grid or on its band (whose kz > 0 coefficients count twice); the
     forcing, if any, shares that layout.  The balance residual is filled in
     by the run loop."""
-    c, f = state.coeffs, None if forcing is None else forcing.coeffs
-    weight = state.modes._weight
-    density = spectral._mode_energy_density(state)
+    density = spectral._mode_inner(state, state)
     h1_sq = float((density * state.modes.k_sq).sum())
     return DiagRecord(
         t=state.t,
         energy=float(0.5 * density.sum()),
         h1_seminorm_sq=h1_sq,
         dissipation=nu * h1_sq,
-        input_power=0.0 if f is None else float(((f.real * c.real + f.imag * c.imag).sum(axis=0) * weight).sum()),
+        input_power=0.0 if forcing is None else float(spectral._mode_inner(forcing, state).sum()),
         balance_residual=0.0,
     )
 
@@ -110,7 +108,8 @@ def consistency_report(v: SpectralField, spec: FilterSpec) -> ConsistencyReport:
     its bounds.  tau = -e (x) v with e = v - D_N(filtered v) is rank one, so its
     pointwise Frobenius norm is exactly |e| |v|: the uniform-cell quadrature of
     that product has no difference of near-equal products to cancel."""
-    vb = spectral.project_pn(v, v.grid.dealias_cutoff)
+    band = spectral.integration_band(v.grid)
+    vb = SpectralField(v.grid, band.restrict(v.coeffs), v.t, band)
     e = spectral.to_physical(filtering.deconv_error_field(vb, spec))
     v_phys = spectral.to_physical(vb)
     pointwise = np.sqrt((e**2).sum(axis=0)) * np.sqrt((v_phys**2).sum(axis=0))
@@ -155,7 +154,7 @@ def filter_error_bounds_check(
     k_sq = grid.k_sq
     g = filtering.transfer_g(grid.k_mag, spec)
     err_mult = 1.0 - g  # multiplier of u - filtered u
-    w2 = spectral._mode_energy_density(u)
+    w2 = spectral._mode_inner(u, u)
     kvecs = grid.wavevectors()
 
     rows = []

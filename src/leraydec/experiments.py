@@ -4,7 +4,7 @@ A study runs a sweep, collects raw tables, and where meaningful fits a
 log-log rate by least squares.  Rates are asymptotic statements, so the
 default fit window is the three finest sweep points; the raw table is always
 retained alongside the fit, and fits are flagged instead of silently
-truncated when errors sit at the integrator floor or degenerate to zero.
+shortened when errors sit at the integrator floor or degenerate to zero.
 
 The three rate studies (deconv_rate, delta_rate, consistency_rate) are each
 a `measure(delta, order)` closure run by one kernel, `_rate_study`, which
@@ -14,6 +14,7 @@ and the flags; it is the only caller of `fit_rate`.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, field, replace
 
@@ -227,19 +228,17 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
                        {"orders": orders, "deltas": deltas}, {**metadata, "wall_seconds": wall})
 
 
-def deconv_unit_cost(grid: spectral.Grid, delta: float) -> float:
+def deconv_unit_cost(g_hat: np.ndarray, fbar: np.ndarray) -> float:
     """Wall-clock cost of one van Cittert iteration as the stepper runs it.
 
-    The kernel is timed on the stepper's band-shaped arrays
-    (solver.integration_band) with preallocated buffers, so the unit matches
-    what RunStats.deconv_seconds accumulates.  Measured as a difference of
-    order-8 and order-0 applications so setup cost cancels; the minimum
-    over 7 repeats rejects scheduler noise.
+    The kernel is timed on the filter multiplier g_hat and filtered field
+    fbar on the stepper's layout (spectral.integration_band), with
+    preallocated buffers, so the unit matches what RunStats.deconv_seconds
+    accumulates.  Measured as a difference of order-8 and order-0
+    applications so setup cost cancels; the minimum over 7 repeats rejects
+    scheduler noise.
     """
     order_hi, repeats = 8, 7
-    band = solver.integration_band(grid)
-    g_hat = filtering.transfer_g(band.k_mag, FilterSpec(delta=delta))
-    fbar = g_hat * band.restrict(fields.random_solenoidal(grid, seed=973))
     out, scratch = np.empty_like(fbar), np.empty_like(fbar)
 
     def best(order: int) -> float:
@@ -260,9 +259,15 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
     Reports the trajectory error to the same-grid reference per order plus
     the exact filter-application counts, the deconvolution wall time, and a
     microbenchmarked per-iteration unit cost for the cost-model comparison.
+    The unit is read before each model run and after the last; their median
+    is `unit_filter_seconds`, and `unit_filter_readings` keeps them all.
     """
     orders = spec.orders or (0, 1, 2, 4, 8)
     reference, metadata = _reference(spec, "n_limit_study")
+    band = spectral.integration_band(spec.base.grid)  # deconv_unit_cost's operand, built once
+    g_hat = filtering.transfer_g(band.k_mag, FilterSpec(delta=spec.delta))
+    fbar = g_hat * band.restrict(fields.random_solenoidal(spec.base.grid, seed=973).coeffs)
+    units = []
 
     table: dict = {
         "order": list(orders),
@@ -274,6 +279,7 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
         "rhs_evals": [],
     }
     for order in orders:
+        units.append(deconv_unit_cost(g_hat, fbar))
         traj = solver.run(_model_config(spec.base, spec.delta, order))
         err = diagnostics.model_error(traj, reference)
         table["l2l2"].append(err.l2l2)
@@ -283,7 +289,7 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
         table["filter_applications"].append(traj.stats.filter_applications)
         table["rhs_evals"].append(traj.stats.rhs_evals)
 
-    unit = deconv_unit_cost(spec.base.grid, spec.delta)
+    units.append(deconv_unit_cost(g_hat, fbar))
     errs = table["l2l2"]
     flags = []
     if not all(b < a for a, b in zip(errs, errs[1:])):
@@ -294,7 +300,8 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
         params={"orders": orders, "delta": spec.delta},
         tables={"main": table},
         flags=flags,
-        metadata={**metadata, "unit_filter_seconds": unit},
+        # statistics.median, not np.median, whose first call imports numpy.ma (0.5 MiB)
+        metadata={**metadata, "unit_filter_seconds": statistics.median(units), "unit_filter_readings": units},
     )
 
 

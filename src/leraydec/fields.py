@@ -114,10 +114,10 @@ def random_solenoidal(
 ) -> SpectralField:
     """Seeded random divergence-free field with shell energies ~ |k|^slope.
 
-    White noise is sampled on the collocation grid (which makes the
-    coefficients conjugate-symmetric by construction), shaped per mode by
-    |k|^{(slope - 2)/2} to account for the |k|^2 growth of shell populations,
-    band-limited, projected, and rescaled to the requested L2 norm.
+    White noise is sampled on the collocation grid and transformed; on the
+    band |k|_inf <= cut it is shaped per mode by |k|^{(slope - 2)/2} to
+    account for the |k|^2 growth of shell populations, projected, rescaled
+    to the requested L2 norm and padded, once, to the full grid.
 
     The one constructor that transforms samples: drawing the band modes in
     spectral space would move every seeded field, and perfbench's oracle
@@ -128,21 +128,21 @@ def random_solenoidal(
     _checked_slope(slope, cut)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((3, grid.n, grid.n, grid.n))
-    c = spectral.from_physical(grid, noise).coeffs
+    modes = spectral.Band(grid, cut)
+    c = modes.restrict(spectral.from_physical(grid, noise).coeffs)
 
-    k_mag = grid.k_mag  # Grid computes it on every read
+    k_mag = modes.k_mag
     shaping = np.zeros(k_mag.shape)
-    shaped = (k_mag > 0) & (grid.k_linf <= cut)
-    shaping[shaped] = k_mag[shaped] ** ((slope - 2.0) / 2.0)
+    shaping[k_mag > 0] = k_mag[k_mag > 0] ** ((slope - 2.0) / 2.0)
 
     c *= shaping
-    spectral.leray_project_inplace(c, grid, np.empty_like(c[:2]))
-    f = SpectralField(grid, c)
+    spectral.leray_project_inplace(c, modes, np.empty_like(c[:2]))
+    f = SpectralField(grid, c, band=modes)
     norm = spectral.hs_norm(f, 0)
     if norm == 0.0:
         raise ValueError("random field collapsed to zero; widen the band")
     c *= amplitude / norm
-    return f
+    return f.padded()
 
 
 def _checked_band(grid: Grid, band: int | None) -> int:

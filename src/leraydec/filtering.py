@@ -7,7 +7,7 @@ multiplier
 
     g(k) = 1 / (1 + x),
 
-N van Cittert corrections compose to the truncated geometric series
+N van Cittert corrections compose to the partial geometric series
 
     d_N(k) = sum_{m=0..N} (1 - g)^m = (1 + x) * (1 - r^{N+1}),   r = x / (1 + x),
 

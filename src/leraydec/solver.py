@@ -11,10 +11,10 @@ the collocation grid, dealiases, and Leray-projects:
 The stepper integrates only the modes that can be nonzero and are not
 conjugates of others: the state, multipliers and forcing live on the kz >= 0
 half of the compact dealias band (spectral.Band, |k|_inf <= n/3 by the
-two-thirds rule).  The transform pair takes and gives band coefficients:
-spectral.inverse_transform pads the band to the full grid, the kz < 0 half
-by conjugate reflection, and spectral.forward_transform truncates back to
-it.  That truncation is the dealiasing; no mask is applied.
+two-thirds rule, spectral.integration_band).  The transform pair takes and
+gives band coefficients: spectral.inverse_transform pads the band to the full
+grid, the kz < 0 half by conjugate reflection, and forward_transform restricts
+back to it.  That restriction is the dealiasing; no mask is applied.
 
 Time stepping is the three-stage low-storage Runge-Kutta of Williamson
 combined with an exact integrating factor for the viscous term, so pure
@@ -197,12 +197,6 @@ def _cfl_limit(samples: np.ndarray) -> float:
     return dx / speed if speed > 0 else float("inf")
 
 
-def integration_band(grid: Grid) -> spectral.Band:
-    """The modes the stepper integrates, the dealias band |k|_inf <= n/3; the one
-    place that builds a Band, so deconv_unit_cost times the stepper's layout."""
-    return spectral.Band(grid, grid.dealias_cutoff)
-
-
 class _Stepper:
     """The run object: the advection kernel's multipliers, counters and
     workspace, the integrating factors, the effective forcing, the band state
@@ -223,7 +217,7 @@ class _Stepper:
     advecting-velocity samples and the product accumulator).  The transform
     buffer is the `work` of every spectral.inverse_transform and
     forward_transform call on the band; the gradient samples are read
-    straight from its real part.  Between a forward transform's truncation
+    straight from its real part.  Between a forward transform's restriction
     and the next inverse transform the transform buffer is idle, and van
     Cittert's scratch is a band-shaped view of its head.  Every evaluation
     runs inside the workspace with no field-sized temporaries of its own.
@@ -237,7 +231,9 @@ class _Stepper:
     def __init__(self, config: SolverConfig, state: SpectralField | None = None):
         self.wall_start = time.perf_counter()
         self.config, self.grid, model = config, config.grid, config.model
-        self.band = integration_band(self.grid)
+        if state is not None and state.grid != self.grid:
+            raise ValueError(f"state on {state.grid} given for a run on {self.grid}")
+        self.band = spectral.integration_band(self.grid)
         self.stats = RunStats()
 
         self.g_hat = (
@@ -258,7 +254,7 @@ class _Stepper:
         if state is None:
             self.u = self._prepared(config.ic, config.filter_ic)
         else:
-            self.u = self.band.restrict(state)
+            self.u = self.band.restrict(state.coeffs)
         self.p = np.zeros_like(self.u)
         self.m, self.records, self.snapshots = 0, [], []
 
@@ -274,7 +270,7 @@ class _Stepper:
     def _prepared(self, spec: FieldSpec, smooth: bool) -> np.ndarray:
         """Band coefficients of an evaluated field, Leray-projected and, for a
         regularized model when asked, smoothed by h_N."""
-        c = self.band.restrict(spec.evaluate(self.grid))
+        c = self.band.restrict(spec.evaluate(self.grid).coeffs)
         spectral.leray_project_inplace(c, self.band, np.empty_like(c[:2]))
         if self.config.model.is_regularized and smooth:
             c *= filtering.transfer_hn(self.band.k_mag, self.config.filter)
@@ -300,7 +296,7 @@ class _Stepper:
         """-P[(u_adv . grad) w] on the band, P the Leray projection.
 
         w holds band coefficients; the result is a workspace buffer,
-        overwritten by the next call.  Truncating the product spectrum to the
+        overwritten by the next call.  Restricting the product spectrum to the
         band is the dealiasing.
         """
         band, spectrum = self.band, self.spectrum

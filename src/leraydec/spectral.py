@@ -111,11 +111,6 @@ class _Wavenumbers:
         k_sq_safe[0, 0, 0] = 1.0
         return k_sq_safe
 
-    @_OnDemand
-    def k_linf(self) -> np.ndarray:
-        """|k|_inf per mode."""
-        return np.maximum(np.abs(self.kx), np.maximum(np.abs(self.ky), np.abs(self.kz)))
-
     def wavevectors(self):
         return self.kx, self.ky, self.kz
 
@@ -124,7 +119,7 @@ class Grid(_Wavenumbers):
     """Uniform n^3 Fourier grid.
 
     It holds O(n) memory: n, the dealias cutoff and the three broadcast
-    wavenumber vectors kx, ky, kz.  k_sq, k_mag, _k_sq_safe and k_linf are
+    wavenumber vectors kx, ky, kz.  k_sq, k_mag and _k_sq_safe are
     full-grid arrays computed afresh on every read, so a caller that needs
     one twice binds it once.
 
@@ -159,12 +154,12 @@ class Band(_Wavenumbers):
 
     The x and y axes hold the wavenumbers 0, 1, ..., c, -c, ..., -1 in FFT
     order, side 2c + 1, and the z axis holds 0, 1, ..., c, so the shape is
-    (3, side, side, c + 1).  The cutoff lies in [0, n/2), so the cube is
-    closed under negation and never holds a Nyquist plane.  A real field's
-    kz < 0 coefficients are the conjugates of its kz > 0 ones, w(-k) =
-    conj w(k): pad writes them by that reflection, truncate drops them, and
-    `_weight` counts each kz > 0 coefficient twice in a coefficient sum.
-    The wavenumber attributes carry Grid's names, so wavevector_dot and
+    (3, side, side, c + 1), whatever n is.  The cutoff lies in [0, n/2), so
+    the cube is closed under negation and never holds a Nyquist plane.  A
+    real field's kz < 0 coefficients are the conjugates of its kz > 0 ones,
+    w(-k) = conj w(k): pad writes them by that reflection, restrict drops
+    them, and `_weight` counts each kz > 0 coefficient twice in a sum.  The
+    wavenumber attributes carry Grid's names, so wavevector_dot and
     leray_project_inplace run on band-shaped arrays as they do on full ones,
     mode by mode with the same values; both commute exactly with the
     conjugate reflection.
@@ -178,15 +173,10 @@ class Band(_Wavenumbers):
         self.grid = grid
         self.cutoff = c
         self.side = side = 2 * c + 1
-        # (full-grid slice, band slice) of the nonnegative and the negative wavenumbers
-        blocks = [(slice(0, c + 1), slice(0, c + 1)), (slice(n - c, n), slice(c + 1, side))]
-        super().__init__(np.concatenate([grid.kx.ravel()[full] for full, _ in blocks]))
+        super().__init__(np.concatenate([grid.kx.ravel()[:c + 1], grid.kx.ravel()[n - c:]]))
         self.kz = self.kz[..., :c + 1]
         self.shape = (3, side, side, c + 1)
         self._weight = np.where(self.kz > 0, 2.0, 1.0)
-        # (full-grid index, band index) of the four kz >= 0 blocks pad and truncate copy
-        self._block_pairs = [((..., bx[0], by[0], blocks[0][0]), (..., bx[1], by[1], blocks[0][1]))
-                             for bx, by in itertools.product(blocks, repeat=2)]
         # (full-grid slice of k, band slice of -k) along x and y: 0, then 1..c, then -c..-1
         mirror = [(slice(0, 1), slice(0, 1)), (slice(1, c + 1), slice(side - 1, c, -1)),
                   (slice(n - c, n), slice(c, 0, -1))]
@@ -211,27 +201,43 @@ class Band(_Wavenumbers):
         """
         if full is None:
             full = np.zeros(compact.shape[:-3] + (self.grid.n,) * 3, dtype=compact.dtype)
-        for f, c in self._block_pairs:
+        for c, f in _blocks(self.side, self.grid.n, self.cutoff):
             full[f] = compact[c]
         for f, c in self._mirror_pairs:
             np.conjugate(compact[c], out=full[f])
         return full
 
-    def truncate(self, full: np.ndarray, compact: np.ndarray | None = None) -> np.ndarray:
-        """The in-band kz >= 0 coefficients of a full-grid array, into
-        `compact` if given."""
-        if compact is None:
-            compact = np.empty(full.shape[:-3] + self.shape[1:], dtype=full.dtype)
-        for f, c in self._block_pairs:
-            compact[c] = full[f]
-        return compact
+    def restrict(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """This band's coefficients of `coeffs`, the full grid of any n or a
+        band of any grid, into `out` if given.  The source's cutoff is read
+        from its x/y side as (side - 1) // 2; the four kz >= 0 blocks up to
+        the smaller cutoff are copied, and the band is zero-filled first only
+        when the source is the narrower."""
+        side, side_y, nz = coeffs.shape[-3:] if coeffs.ndim >= 3 else (0, 0, 0)
+        if not (side == side_y > 0 and nz == (side if side % 2 == 0 else (side + 1) // 2)):
+            raise ValueError(f"coefficients of shape {coeffs.shape} are neither a full grid nor a band")
+        m = min((side - 1) // 2, self.cutoff)
+        if out is None:
+            out = np.empty(coeffs.shape[:-3] + self.shape[1:], dtype=coeffs.dtype)
+        if m < self.cutoff:
+            out.fill(0.0)
+        for src, dst in _blocks(side, self.side, m):
+            out[dst] = coeffs[src]
+        return out
 
-    def restrict(self, f: SpectralField) -> np.ndarray:
-        """A fresh array of the coefficients of f on this band; f may be held
-        on the full grid or on any band of it."""
-        if f.coeffs.shape == self.shape:
-            return f.coeffs.copy()
-        return self.truncate(f.padded().coeffs)
+
+def _blocks(src_side: int, dst_side: int, m: int) -> list:
+    """(source, destination) index pairs of the four kz >= 0 blocks |k|_inf <= m
+    between two layouts of these x/y sides in FFT order: 0..m, then -m..-1."""
+    rows = [(slice(0, m + 1), slice(0, m + 1)), (slice(src_side - m, src_side), slice(dst_side - m, dst_side))]
+    kz = slice(0, m + 1)
+    return [((..., sx, sy, kz), (..., dx, dy, kz)) for (sx, dx), (sy, dy) in itertools.product(rows, repeat=2)]
+
+
+def integration_band(grid: Grid) -> Band:
+    """The dealias band a run integrates; deconv_unit_cost times van Cittert
+    on it and consistency_report integrates on it."""
+    return Band(grid, grid.dealias_cutoff)
 
 
 @dataclass
@@ -321,7 +327,7 @@ def forward_transform(samples: np.ndarray, band: Band | None = None, out=None, w
     """
     if band is None:
         return np.fft.fftn(samples, axes=_AXES, norm="forward", out=out)
-    return band.truncate(np.fft.fftn(samples, axes=_AXES, norm="forward", out=work), out)
+    return band.restrict(np.fft.fftn(samples, axes=_AXES, norm="forward", out=work), out)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
@@ -340,11 +346,12 @@ def from_physical(grid: Grid, samples: np.ndarray, t: float = 0.0) -> SpectralFi
     return SpectralField(grid, forward_transform(samples), t)
 
 
-def _mode_energy_density(f: SpectralField) -> np.ndarray:
-    """|c|^2 summed over components, weighted by the modes each stored
-    coefficient stands for; the one spelling of every weighted mode sum."""
-    c = f.coeffs
-    return (c.real**2 + c.imag**2).sum(axis=0) * f.modes._weight
+def _mode_inner(f: SpectralField, g: SpectralField) -> np.ndarray:
+    """Re f_hat . conj(g_hat) summed over components, weighted by the modes
+    each stored coefficient stands for, of two fields on one layout; the one
+    spelling of every weighted mode sum, the energy density for g = f."""
+    a, b = f.coeffs, g.coeffs
+    return (a.real * b.real + a.imag * b.imag).sum(axis=0) * f.modes._weight
 
 
 def hs_norm(f: SpectralField, s: float) -> float:
@@ -353,7 +360,7 @@ def hs_norm(f: SpectralField, s: float) -> float:
     For s = 0 this is the L2 norm under the fixed (2 pi)^-3 normalization.
     """
     g = f.modes
-    w2 = _mode_energy_density(f)
+    w2 = _mode_inner(f, f)
     if s == 0:
         total = w2.sum() - w2[0, 0, 0]
     elif s == 1:
@@ -400,16 +407,6 @@ def leray_project(f: SpectralField) -> SpectralField:
     c = f.coeffs.copy()
     leray_project_inplace(c, f.modes, np.empty_like(c[:2]))
     return f.with_coeffs(c)
-
-
-def project_pn(f: SpectralField, m: int) -> SpectralField:
-    """Truncation to the cube of modes with |k|_inf <= m, on the full grid."""
-    f = f.padded()
-    if m < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {m}")
-    if m >= f.grid.n // 2:
-        return f.copy()
-    return f.with_coeffs(f.coeffs * (f.grid.k_linf <= m))
 
 
 def reflected_conjugate(coeffs: np.ndarray) -> np.ndarray:

@@ -51,9 +51,14 @@ def inner(f, g):
     return float((c.real * d.real + c.imag * d.imag).sum())
 
 
+def k_linf(grid):
+    """|k|_inf per mode of the full grid."""
+    return np.maximum(np.abs(grid.kx), np.maximum(np.abs(grid.ky), np.abs(grid.kz)))
+
+
 def band_mask(grid):
     """Full-grid mask of the integrated modes: the dealias band |k|_inf <= n/3."""
-    return grid.k_linf <= grid.dealias_cutoff
+    return k_linf(grid) <= grid.dealias_cutoff
 
 
 def hermitian(coeffs):

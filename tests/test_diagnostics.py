@@ -34,12 +34,12 @@ def test_band_and_full_grid_records_agree(grid16):
     # a run forms its records on the band; the full-grid record of the same
     # state sums the same terms (plus zeros) in another order
     traj = _viscous_tg_run(grid16, dt=0.01, t_end=0.03, order=2)
-    band = ld.solver.integration_band(grid16)
+    band = ld.spectral.integration_band(grid16)
     state = traj.terminal
-    forcing = ld.SpectralField(grid16, band.pad(band.truncate(ld.random_solenoidal(grid16, seed=14).coeffs)))
+    forcing = ld.SpectralField(grid16, band.pad(band.restrict(ld.random_solenoidal(grid16, seed=14).coeffs)))
     full = diagnostics.energy_record(state, 0.1, forcing)
-    on_band = diagnostics.energy_record(ld.SpectralField(grid16, band.truncate(state.coeffs), state.t, band),
-                                        0.1, ld.SpectralField(grid16, band.truncate(forcing.coeffs), band=band))
+    on_band = diagnostics.energy_record(ld.SpectralField(grid16, band.restrict(state.coeffs), state.t, band),
+                                        0.1, ld.SpectralField(grid16, band.restrict(forcing.coeffs), band=band))
     assert full.input_power != 0.0
     for name in ("energy", "h1_seminorm_sq", "dissipation", "input_power"):
         assert getattr(on_band, name) == pytest.approx(getattr(full, name), rel=1e-14, abs=0)
@@ -92,7 +92,8 @@ def test_consistency_integral_matches_the_explicit_tensor(grid16):
     # pointwise and integrated by its Frobenius norm; consistency_report
     # integrates |v - a| |v| instead, the same rank-one norm
     v = ld.random_solenoidal(grid16, seed=22)
-    vb = ld.project_pn(v, grid16.dealias_cutoff)
+    band = ld.spectral.integration_band(grid16)
+    vb = ld.SpectralField(grid16, band.restrict(v.coeffs), band=band)
     vp = ld.to_physical(vb)
     for delta, order in ((0.3, 1), (0.5, 0), (0.5, 2)):
         spec = ld.FilterSpec(delta=delta, order=order)

@@ -1,6 +1,7 @@
 """Sweep drivers: rate fits, study tables, flags, and dispatch."""
 
 import ast
+import statistics
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -257,6 +258,10 @@ def test_n_limit_study_counts_and_errors(grid8):
         assert apps == (order + 1) * rhs
     assert all(w > 0 for w in table["wall_seconds"])
     assert rep.metadata["unit_filter_seconds"] > 0
+    # a unit reading before each model run and one after the last; the unit is their median
+    readings = rep.metadata["unit_filter_readings"]
+    assert len(readings) == len(table["order"]) + 1
+    assert rep.metadata["unit_filter_seconds"] == statistics.median(readings)
 
 
 @pytest.mark.parametrize("dealias", [ld.SolverConfig.dealias])  # the pinned dealiasing, in the id
@@ -271,9 +276,14 @@ def test_unit_cost_times_van_cittert_on_the_stepper_layout(grid8, monkeypatch, d
         return kernel(g_hat, fbar, out, scratch, order)
 
     monkeypatch.setattr(ld.filtering, "van_cittert_iterate", spy)
+    operands = []
+    unit_cost = experiments.deconv_unit_cost
+    monkeypatch.setattr(experiments, "deconv_unit_cost", lambda *a: operands.append(a) or unit_cost(*a))
     base = _small_base(grid8)
     experiments.run_study(experiments.StudySpec(kind="n_limit", delta=0.5, orders=(0, 2), base=base))
-    band = ld.solver.integration_band(grid8)
+    # read before each model run and after the last, on one operand built once per study
+    assert len(operands) == 3 and all(a[0] is operands[0][0] and a[1] is operands[0][1] for a in operands)
+    band = ld.spectral.integration_band(grid8)
     # the kz >= 0 half of the band the stepper integrates
     half = (3, band.side, band.side, band.cutoff + 1)
     assert band.shape == half

@@ -7,7 +7,7 @@ import pytest
 import leraydec as ld
 from leraydec import fields
 
-from conftest import curl, energy, shell_energies
+from conftest import curl, energy, k_linf, shell_energies
 
 
 @pytest.mark.parametrize(
@@ -24,7 +24,7 @@ def test_constructors_satisfy_invariants(grid16, spec):
     f = spec.evaluate(grid16)
     ld.validate_field(f, solenoidal=True)
     # nothing beyond the negation-closed band (no Nyquist planes)
-    assert not np.any(f.coeffs[:, grid16.k_linf > grid16.n // 2 - 1])
+    assert not np.any(f.coeffs[:, k_linf(grid16) > grid16.n // 2 - 1])
 
 
 def test_field_spec_rejects_unknown_kind():
@@ -119,7 +119,7 @@ def test_random_solenoidal_determinism(grid16):
 def test_random_solenoidal_normalization_and_band(grid16):
     f = ld.random_solenoidal(grid16, seed=0, amplitude=2.5, band=3)
     assert ld.hs_norm(f, 0) == pytest.approx(2.5, rel=1e-12)
-    assert np.all(f.coeffs[:, grid16.k_linf > 3] == 0)
+    assert np.all(f.coeffs[:, k_linf(grid16) > 3] == 0)
 
 
 def test_random_solenoidal_spectrum_slope(grid32):

@@ -100,7 +100,7 @@ def test_snapshot_io_holds_at_most_one_field_copy(tmp_path, rand16, grid16):
     padding alone."""
     field_bytes = rand16.coeffs.nbytes
     band = ld.spectral.Band(grid16, grid16.dealias_cutoff)
-    on_band = ld.SpectralField(grid16, band.truncate(rand16.coeffs), 0.25, band)
+    on_band = ld.SpectralField(grid16, band.restrict(rand16.coeffs), 0.25, band)
     full_path, band_path = tmp_path / "full.snap", tmp_path / "band.snap"
     assert _peak_bytes(snapshots.write_snapshot, full_path, rand16) < 0.25 * field_bytes
     assert _peak_bytes(snapshots.write_snapshot, band_path, on_band) < 1.25 * field_bytes

@@ -10,7 +10,7 @@ import pytest
 import leraydec as ld
 from leraydec import diagnostics, spectral
 
-from conftest import band_mask, hermitian, inner, rel_l2
+from conftest import band_mask, hermitian, inner, k_linf, rel_l2
 
 
 def _cfg(grid, model="nse", order=0, delta=0.5, nu=0.05, dt=0.01, t_end=0.1, **kw):
@@ -172,6 +172,27 @@ def test_step_matches_run(grid16):
         state = ld.step(state, cfg)
         np.testing.assert_allclose(state.coeffs, expected.padded().coeffs, rtol=0, atol=1e-15)
         assert state.t == pytest.approx(expected.t, abs=1e-12)
+
+
+@pytest.mark.parametrize("state_n, run_n", [(16, 8), (8, 16)])
+def test_a_state_from_another_grid_is_rejected_not_regridded(state_n, run_n):
+    # restricted blindly, a 16^3 state's rows k = 6, 7 would be read as
+    # k = -2, -1 of the 8^3 band, and an 8^3 state would not fit a 16^3 one
+    state = ld.taylor_green(ld.Grid(state_n))
+    with pytest.raises(ValueError, match=rf"state on Grid\(n={state_n}\) given for a run on Grid\(n={run_n}\)"):
+        ld.step(state, _cfg(ld.Grid(run_n), dt=0.01, t_end=0.01))
+
+
+def test_nonlinear_term_agrees_across_grids_on_the_common_band(grid8, grid16):
+    # nonlinear_term runs on its state's grid; Taylor-Green's products reach
+    # only |k|_inf <= 2, inside both dealias bands, so the two grids' terms
+    # agree on either band, restricted up or down
+    model, spec = ld.ModelKind.leray_deconvolution(2), ld.FilterSpec(delta=0.3, order=2)
+    coarse = ld.nonlinear_term(ld.taylor_green(grid8), model, spec).coeffs
+    fine = ld.nonlinear_term(ld.taylor_green(grid16), model, spec).coeffs
+    assert np.abs(coarse).max() > 0.01
+    for band in (spectral.integration_band(grid8), spectral.integration_band(grid16)):
+        np.testing.assert_allclose(band.restrict(coarse), band.restrict(fine), rtol=0, atol=1e-16)
 
 
 # the dealiasing the cases below pin, named in their ids
@@ -363,12 +384,12 @@ def _reference_run(cfg):
             coeffs = coeffs * ld.transfer_hn(g.k_mag, cfg.filter)
         return coeffs
 
-    band = ld.solver.integration_band(g)
+    band = spectral.integration_band(g)
 
     def record(u, t):
         # the run's records are sums over the band, in the band's order
-        forcing = ld.SpectralField(g, band.truncate(f), band=band)
-        return diagnostics.energy_record(ld.SpectralField(g, band.truncate(u), t, band), cfg.nu, forcing)
+        forcing = ld.SpectralField(g, band.restrict(f), band=band)
+        return diagnostics.energy_record(ld.SpectralField(g, band.restrict(u), t, band), cfg.nu, forcing)
 
     u = prepared(cfg.ic, cfg.filter_ic)
     f = prepared(cfg.forcing, cfg.filter_forcing)
@@ -430,7 +451,7 @@ def test_padded_transform_input_stays_zero_outside_the_band(grid8, monkeypatch):
     # per step three right-hand sides of four inverse transforms, plus the CFL limit's
     assert len(inputs) == 3 * 3 * 4 + 1
     for c in inputs:
-        outside = c[:, grid8.k_linf > stepper.band.cutoff]
+        outside = c[:, k_linf(grid8) > stepper.band.cutoff]
         assert outside.size > 0
         assert np.all(outside == 0)
         assert not (np.signbit(outside.real).any() or np.signbit(outside.imag).any())

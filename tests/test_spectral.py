@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 import leraydec as ld
 from leraydec import spectral
 
-from conftest import band_mask, energy, hermitian, inner
+from conftest import band_mask, energy, hermitian, inner, k_linf
 
 
 def test_grid_validation():
@@ -41,8 +42,7 @@ def test_on_demand_wavenumbers_equal_the_eager_expressions(grid16):
     k_sq = kx**2 + ky**2 + kz**2
     k_sq_safe = k_sq.copy()
     k_sq_safe[0, 0, 0] = 1.0
-    eager = {"k_sq": k_sq, "k_mag": np.sqrt(k_sq), "_k_sq_safe": k_sq_safe,
-             "k_linf": np.maximum(np.abs(kx), np.maximum(np.abs(ky), np.abs(kz)))}
+    eager = {"k_sq": k_sq, "k_mag": np.sqrt(k_sq), "_k_sq_safe": k_sq_safe}
     for name, expected in eager.items():
         got = getattr(g, name)
         assert got.dtype == np.float64 and np.array_equal(got, expected)
@@ -72,15 +72,15 @@ def test_dealias_cutoff_values():
 @pytest.mark.parametrize("dealias, side", [(ld.SolverConfig.dealias, 5)])  # the pinned dealiasing, in the id
 def test_band_side_and_wavenumbers(dealias, side):
     g = ld.Grid(8)
-    band = ld.solver.integration_band(g)
+    band = spectral.integration_band(g)
     # the z axis holds only kz = 0..c, the conjugates of the kz < 0 half
     assert band.side == side and band.shape == (3, side, side, band.cutoff + 1)
     # each band mode carries the wavenumbers of the grid mode it stands for
-    for name in ("kx", "ky", "kz", "k_sq", "k_mag", "_k_sq_safe", "k_linf"):
+    for name in ("kx", "ky", "kz", "k_sq", "k_mag", "_k_sq_safe"):
         full = np.broadcast_to(getattr(g, name), (3, 8, 8, 8))
-        assert np.array_equal(band.truncate(full), np.broadcast_to(getattr(band, name), band.shape))
-    # the band stores the arrays the stepper reads every step; k_linf stays on demand
-    assert {"k_sq", "k_mag", "_k_sq_safe"} <= set(vars(band)) and "k_linf" not in vars(band)
+        assert np.array_equal(band.restrict(full), np.broadcast_to(getattr(band, name), band.shape))
+    # the band stores the arrays the stepper reads every step
+    assert {"k_sq", "k_mag", "_k_sq_safe"} <= set(vars(band))
     in_band = band_mask(g)
     assert np.array_equal(band.pad(np.ones(band.shape)) == 1, np.broadcast_to(in_band, (3, 8, 8, 8)))
 
@@ -97,14 +97,14 @@ def test_band_pad_truncate_roundtrip(grid8):
     rng = np.random.default_rng(0)
     full = rng.standard_normal((3, 8, 8, 8)) + 1j * rng.standard_normal((3, 8, 8, 8))
     band = spectral.Band(grid8, grid8.dealias_cutoff)
-    # built once, with the band: four kz >= 0 blocks, nine reflected kz < 0 ones
-    assert (len(band._block_pairs), len(band._mirror_pairs)) == (4, 9)
-    compact = band.truncate(full)
+    # four kz >= 0 blocks, nine reflected kz < 0 ones built once with the band
+    assert (len(spectral._blocks(band.side, 8, band.cutoff)), len(band._mirror_pairs)) == (4, 9)
+    compact = band.restrict(full)
     assert compact.shape == (3, 5, 5, 3)
     padded = band.pad(compact)
     # the kz >= 0 half is copied, the kz < 0 half is its conjugate reflection
     assert np.array_equal(padded, hermitian(full * band_mask(grid8)))
-    assert np.array_equal(band.truncate(padded), compact)
+    assert np.array_equal(band.restrict(padded), compact)
     # pad writes only inside the band
     into = np.full_like(full, 7.0)
     band.pad(compact, into)
@@ -114,7 +114,7 @@ def test_band_pad_truncate_roundtrip(grid8):
 
 def test_a_field_on_the_band_agrees_with_its_padding(grid16, rand16):
     band = spectral.Band(grid16, grid16.dealias_cutoff)
-    on_band = ld.SpectralField(grid16, band.truncate(rand16.coeffs), 0.5, band)
+    on_band = ld.SpectralField(grid16, band.restrict(rand16.coeffs), 0.5, band)
     full = on_band.padded()
     assert full.band is None and full.t == 0.5 and full.padded() is full
     assert np.array_equal(full.coeffs, hermitian(rand16.coeffs * band_mask(grid16)))
@@ -129,11 +129,10 @@ def test_a_field_on_the_band_agrees_with_its_padding(grid16, rand16):
         assert ld.hs_norm(on_band, s) == pytest.approx(ld.hs_norm(full, s), rel=1e-14)
     assert ld.symmetry_defect(on_band) == ld.symmetry_defect(full)
     # restrict: a fresh array from either layout, on the same band or another
-    same = band.restrict(on_band)
+    same = band.restrict(on_band.coeffs)
     assert np.array_equal(same, on_band.coeffs) and not np.shares_memory(same, on_band.coeffs)
-    assert np.array_equal(band.restrict(rand16), on_band.coeffs)
     wider = spectral.Band(grid16, 7)
-    assert np.array_equal(wider.restrict(on_band), wider.truncate(full.coeffs))
+    assert np.array_equal(wider.restrict(on_band.coeffs), wider.restrict(full.coeffs))
     with pytest.raises(ValueError, match="shape"):
         ld.SpectralField(grid16, rand16.coeffs, band=band)
     with pytest.raises(ValueError, match="band of Grid"):
@@ -145,25 +144,60 @@ def test_band_pad_of_truncate_is_the_identity_on_a_hermitian_array(n, cutoff):
     grid = ld.Grid(n)
     band = spectral.Band(grid, cutoff)
     rng = np.random.default_rng(n + cutoff)
-    y = (rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))) * (grid.k_linf <= cutoff)
+    y = (rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))) * (k_linf(grid) <= cutoff)
     # held inside the band, and exactly Hermitian: a + conj(b) and b + conj(a) are conjugates bit for bit
     x = 0.5 * (y + spectral.reflected_conjugate(y))
     assert np.array_equal(x, spectral.reflected_conjugate(x))
     # the kz >= 0 half loses nothing of it
-    half = band.truncate(x)
+    half = band.restrict(x)
     assert half.shape == (3, 2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1)
     assert np.array_equal(band.pad(half), x)
+
+
+@pytest.mark.parametrize("make", [ld.taylor_green, ld.abc_flow, lambda g: ld.single_mode(g, (2, -1, 1))],
+                         ids=["taylor_green", "abc_flow", "single_mode"])
+def test_restrict_crosses_grids_exactly(grid8, grid16, make):
+    """A band's layout depends on its cutoff alone and coefficients are
+    normalized independently of n, so an analytic field built on 8^3 and on
+    16^3 restricts to the same band coefficients, bit for bit, in both
+    directions and from the full grid or a band."""
+    coarse, fine = make(grid8), make(grid16)
+    on_band = {f.grid.n: spectral.integration_band(f.grid).restrict(f.coeffs) for f in (coarse, fine)}
+    for target in (spectral.integration_band(grid8), spectral.integration_band(grid16)):
+        expected = on_band[target.grid.n]
+        for source in (coarse.coeffs, fine.coeffs, on_band[8], on_band[16]):
+            assert np.array_equal(target.restrict(source), expected)
+
+
+def test_restrict_twice_is_one_restriction_and_widening_is_undone(grid8, grid16, rand16):
+    middle, narrow = spectral.Band(grid16, 3), spectral.integration_band(grid8)
+    once = narrow.restrict(rand16.coeffs)
+    assert np.array_equal(narrow.restrict(middle.restrict(rand16.coeffs)), once)
+    # widening into a wider band of another grid zero-fills what the source lacks
+    wide = spectral.integration_band(grid16)
+    widened = wide.restrict(once, out=np.full(wide.shape, np.nan, dtype=complex))
+    kept = narrow.cutoff
+    inside = (np.abs(wide.kx) <= kept) & (np.abs(wide.ky) <= kept) & (wide.kz <= kept)
+    assert np.all(widened[:, ~inside] == 0) and not np.isnan(widened).any()
+    assert np.array_equal(narrow.restrict(widened), once)
+    assert np.array_equal(narrow.restrict(narrow.pad(once)), once)
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 5, 4), (3, 8, 8, 7), (3, 5, 7, 3), (3, 7, 7, 7), (3, 0, 0, 0), (5, 5)])
+def test_restrict_rejects_a_malformed_layout(grid8, shape):
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}"):
+        spectral.integration_band(grid8).restrict(np.zeros(shape, dtype=complex))
 
 
 def _non_solenoidal_band_field(grid, band, seed, t=0.0):
     """A real, mean-free, divergent field held on the band."""
     rng = np.random.default_rng(seed)
     f = ld.from_physical(grid, rng.standard_normal((3,) + (grid.n,) * 3))
-    return ld.SpectralField(grid, band.restrict(f), t, band)
+    return ld.SpectralField(grid, band.restrict(f.coeffs), t, band)
 
 
 def test_a_band_field_and_its_padding_give_the_same_reductions(grid16):
-    band = ld.solver.integration_band(grid16)
+    band = spectral.integration_band(grid16)
     f = _non_solenoidal_band_field(grid16, band, seed=31, t=0.25)
     g = _non_solenoidal_band_field(grid16, band, seed=32, t=0.25)
     full = f.padded()
@@ -203,9 +237,9 @@ def test_forward_transform_of_a_view_of_its_own_work(n, on_band):
     of them does (numpy casts the real input to a fresh complex array before
     the first pass writes into work)."""
     grid = ld.Grid(n)
-    band = ld.solver.integration_band(grid) if on_band else None
+    band = spectral.integration_band(grid) if on_band else None
     f = ld.random_solenoidal(grid, seed=n)
-    c = band.restrict(f) if on_band else f.coeffs
+    c = band.restrict(f.coeffs) if on_band else f.coeffs
     work = np.empty_like(f.coeffs)
     samples = spectral.inverse_transform(c, band, work=work)
     assert np.shares_memory(samples, work)
@@ -257,7 +291,7 @@ def test_transforms_are_the_unnormalized_numpy_fft_scaled_by_n_cubed(grid16, ran
 
 def test_the_transform_pair_takes_band_coefficients(grid16, rand16):
     band = spectral.Band(grid16, grid16.dealias_cutoff)
-    on_band = band.truncate(rand16.coeffs)
+    on_band = band.restrict(rand16.coeffs)
     full = band.pad(on_band)
     work = np.full_like(full, np.nan)  # whatever work holds outside the band is overwritten
     samples = spectral.inverse_transform(on_band, band, work=work)
@@ -265,13 +299,13 @@ def test_the_transform_pair_takes_band_coefficients(grid16, rand16):
     assert np.array_equal(samples, spectral.inverse_transform(full))
     samples, out = samples.copy(), np.empty_like(on_band)
     assert spectral.forward_transform(samples, band, out=out, work=work) is out
-    assert np.array_equal(out, band.truncate(spectral.forward_transform(samples)))
+    assert np.array_equal(out, band.restrict(spectral.forward_transform(samples)))
 
 
 def test_to_physical_of_a_band_field_holds_one_and_a_half_fields(grid16, rand16):
     """One complex work buffer and the real result; no padded copy."""
     band = spectral.Band(grid16, grid16.dealias_cutoff)
-    on_band = ld.SpectralField(grid16, band.truncate(rand16.coeffs), band=band)
+    on_band = ld.SpectralField(grid16, band.restrict(rand16.coeffs), band=band)
     tracemalloc.start()
     try:
         ld.to_physical(on_band)
@@ -283,12 +317,13 @@ def test_to_physical_of_a_band_field_holds_one_and_a_half_fields(grid16, rand16)
 
 def test_only_spectral_pads_or_truncates():
     """Guard: the band-to-grid boundary is spectral.py's; every other module
-    goes through the transform pair, SpectralField.padded or Band.restrict."""
+    goes through the transform pair, SpectralField.padded or Band.restrict,
+    the one truncation."""
     callers = set()
     for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("pad", "truncate")):
+                    and node.func.attr == "pad"):
                 callers.add(path.stem)
     assert callers == {"spectral"}
 
@@ -318,9 +353,10 @@ def test_only_the_transform_functions_call_numpy_fft():
 
 
 def test_only_the_integration_band_builds_a_band():
-    """Guard: solver.integration_band is the one place in the package that
-    constructs a spectral.Band, so the stepper and deconv_unit_cost, which
-    times van Cittert on the stepper's layout, cannot drift apart."""
+    """Guard: spectral.integration_band is the one place in the package that
+    constructs the stepper's spectral.Band, so the stepper, consistency_report
+    and deconv_unit_cost, which times van Cittert on the stepper's layout,
+    cannot drift apart; random_solenoidal builds the band of its own cutoff."""
     callers = set()
 
     def visit(node, module, scope):
@@ -335,7 +371,7 @@ def test_only_the_integration_band_builds_a_band():
 
     for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "<module>")
-    assert callers == {("solver", "integration_band")}
+    assert callers == {("spectral", "integration_band"), ("fields", "random_solenoidal")}
 
 
 def test_import_leaves_scipy_unloaded():
@@ -420,18 +456,6 @@ def test_leray_projection_orthogonality(grid16):
     p = ld.leray_project(raw)
     residual = raw.with_coeffs(raw.coeffs - p.coeffs)
     assert abs(inner(p, residual)) < 1e-13
-
-
-def test_project_pn(grid16, rand16):
-    t = ld.project_pn(rand16, 3)
-    g = grid16
-    assert np.all(t.coeffs[:, g.k_linf > 3] == 0)
-    kept = rand16.coeffs[:, g.k_linf <= 3]
-    np.testing.assert_array_equal(t.coeffs[:, g.k_linf <= 3], kept)
-    # m beyond the grid is the identity
-    np.testing.assert_array_equal(ld.project_pn(rand16, 8).coeffs, rand16.coeffs)
-    with pytest.raises(ValueError):
-        ld.project_pn(rand16, -1)
 
 
 def test_symmetry_defect_real_field(rand16):
