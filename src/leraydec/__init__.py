@@ -27,7 +27,6 @@ from .spectral import (
 )
 from .filtering import (
     FilterSpec,
-    TransferTable,
     apply_dn,
     apply_filter,
     apply_hn,

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import diagnostics, experiments, filtering, tables
+from . import diagnostics, experiments, tables
 from .config import ConfigError, _built, _parse_floats, _parse_ints, parse_config, render_effective
 from .filtering import FilterSpec
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
@@ -132,12 +132,12 @@ def cmd_transfer(args) -> int:
         return 0
 
     ks = np.linspace(0.0, spec.k_max, spec.k_points)
-    built = [filtering.TransferTable.build(FilterSpec(delta=spec.delta, order=order), ks) for order in spec.orders]
-    os.makedirs(args.out, exist_ok=True)  # only once every table is built
+    filters = [FilterSpec(delta=spec.delta, order=order) for order in spec.orders]
+    os.makedirs(args.out, exist_ok=True)  # only once every filter is built
     written = []
-    for order, table in zip(spec.orders, built):
-        path = os.path.join(args.out, f"transfer_order_{order}.csv")
-        tables.write_transfer_csv(path, table)
+    for fs in filters:
+        path = os.path.join(args.out, f"transfer_order_{fs.order}.csv")
+        tables.write_transfer_csv(path, fs, ks)
         written.append(path)
     tables.write_manifest(args.out, written, digest)
     print(f"wrote {len(written) + 1} files to {args.out}")

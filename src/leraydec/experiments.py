@@ -9,7 +9,10 @@ shortened when errors sit at the integrator floor or degenerate to zero.
 The three rate studies (deconv_rate, delta_rate, consistency_rate) are each
 a `measure(delta, order)` closure run by one kernel, `_rate_study`, which
 owns the sweep, the `<name>_order_<N>` table, the fit against delta^(2N+2)
-and the flags; it is the only caller of `fit_rate`.
+and the flags; it is the only caller of `fit_rate`.  The two trajectory
+studies (delta_rate, n_limit) run each model point through
+`_trajectory_point`, and every study turns its rows into table columns
+through `_columns`.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ class StudySpec:
         ds = tuple(float(d) for d in self.deltas)
         if not all(np.isfinite(d) and d >= 0 for d in ds):
             raise spectral.ParameterError("deltas", f"deltas must be finite and >= 0, got {ds}")
+        if 0.0 in ds and self.kind != "delta_rate":  # delta = 0 runs the NSE, a point of delta_rate only
+            raise spectral.ParameterError("deltas", f"deltas must be positive for {self.kind}, got {ds}")
         if ds and any(b >= a for a, b in zip(ds, ds[1:])):
             raise spectral.ParameterError("deltas", "deltas must be strictly decreasing")
         if self.kind in ("deconv_rate", "delta_rate", "consistency_rate") and 0 < len(ds) < 3:
@@ -141,6 +146,11 @@ def fit_rate(
     )
 
 
+def _columns(rows) -> dict:
+    """Rows of {name: value} as the table {name: [value per row]}, in the rows' key order."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
 def _rate_study(kind, spec, orders, deltas, measure, floor, params, metadata) -> StudyReport:
     """Sweep delta per order; fit the first measured quantity against delta^(2N+2).
 
@@ -151,8 +161,7 @@ def _rate_study(kind, spec, orders, deltas, measure, floor, params, metadata) ->
     table: dict = {"delta": list(deltas)}
     fits = {}
     for order in orders:
-        rows = [measure(d, order) for d in deltas]
-        columns = {name: [row[name] for row in rows] for name in rows[0]}
+        columns = _columns([measure(d, order) for d in deltas])
         table.update((f"{name}_order_{order}", col) for name, col in columns.items())
         fits[f"order_{order}"] = fit_rate(
             deltas, next(iter(columns.values())), expected=2.0 * (order + 1),
@@ -184,16 +193,11 @@ def deconv_rate_study(spec: StudySpec) -> StudyReport:
                        {"field": "single_mode"})
 
 
-def _nse_reference(base: SolverConfig) -> SolverConfig:
-    return replace(base, model=ModelKind.nse(), filter=None)
-
-
-def _model_config(base: SolverConfig, delta: float, order: int) -> SolverConfig:
-    return replace(
-        base,
-        model=ModelKind.leray_deconvolution(order),
-        filter=FilterSpec(delta=delta, order=order),
-    )
+def _scenario(base: SolverConfig, delta: float, order: int) -> SolverConfig:
+    """The study's run of base: the NSE at delta = 0, else the order-N model at radius delta."""
+    if delta == 0:
+        return replace(base, model=ModelKind.nse(), filter=None)
+    return replace(base, model=ModelKind.leray_deconvolution(order), filter=FilterSpec(delta=delta, order=order))
 
 
 def _reference(spec: StudySpec, study: str):
@@ -202,7 +206,20 @@ def _reference(spec: StudySpec, study: str):
     if base is None:
         raise ValueError(f"{study} requires a base SolverConfig")
     metadata = {"n": base.grid.n, "nu": base.nu, "dt": base.dt, "t_end": base.t_end}
-    return solver.run(_nse_reference(base)), metadata
+    return solver.run(_scenario(base, 0.0, 0)), metadata
+
+
+def _trajectory_point(base: SolverConfig, reference, delta: float, order: int) -> dict:
+    """One model run of a trajectory study: its error to the reference and its cost.
+
+    The trajectory is dropped on return, so a sweep holds one model
+    trajectory at a time beside the reference.
+    """
+    traj = solver.run(_scenario(base, delta, order))
+    err, stats = diagnostics.model_error(traj, reference), traj.stats
+    return {"l2l2": err.l2l2, "l2_final": err.l2_final, "h1_avg": err.h1_timeavg,
+            "wall_seconds": stats.wall_seconds, "deconv_seconds": stats.deconv_seconds,
+            "filter_applications": stats.filter_applications, "rhs_evals": stats.rhs_evals}
 
 
 def delta_rate_study(spec: StudySpec) -> StudyReport:
@@ -216,16 +233,9 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
     orders = spec.orders or (0,)
     deltas = spec.deltas or (0.4, 0.2, 0.1)
     reference, metadata = _reference(spec, "delta_rate_study")
-    wall = {}
-
-    def measure(d, order):
-        traj = solver.run(_nse_reference(spec.base) if d == 0 else _model_config(spec.base, d, order))
-        err = diagnostics.model_error(traj, reference)
-        wall[f"order_{order}_delta_{d:g}"] = traj.stats.wall_seconds
-        return {"l2l2": err.l2l2, "l2_final": err.l2_final, "h1_avg": err.h1_timeavg}
-
-    return _rate_study("delta_rate", spec, orders, deltas, measure, spec.floor,
-                       {"orders": orders, "deltas": deltas}, {**metadata, "wall_seconds": wall})
+    return _rate_study("delta_rate", spec, orders, deltas,
+                       lambda d, order: _trajectory_point(spec.base, reference, d, order),
+                       spec.floor, {"orders": orders, "deltas": deltas}, metadata)
 
 
 def deconv_unit_cost(g_hat: np.ndarray, fbar: np.ndarray) -> float:
@@ -267,29 +277,12 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
     band = spectral.integration_band(spec.base.grid)  # deconv_unit_cost's operand, built once
     g_hat = filtering.transfer_g(band.k_mag, FilterSpec(delta=spec.delta))
     fbar = g_hat * band.restrict(fields.random_solenoidal(spec.base.grid, seed=973).coeffs)
-    units = []
-
-    table: dict = {
-        "order": list(orders),
-        "l2l2": [],
-        "l2_final": [],
-        "wall_seconds": [],
-        "deconv_seconds": [],
-        "filter_applications": [],
-        "rhs_evals": [],
-    }
+    units, rows = [], []
     for order in orders:
         units.append(deconv_unit_cost(g_hat, fbar))
-        traj = solver.run(_model_config(spec.base, spec.delta, order))
-        err = diagnostics.model_error(traj, reference)
-        table["l2l2"].append(err.l2l2)
-        table["l2_final"].append(err.l2_final)
-        table["wall_seconds"].append(traj.stats.wall_seconds)
-        table["deconv_seconds"].append(traj.stats.deconv_seconds)
-        table["filter_applications"].append(traj.stats.filter_applications)
-        table["rhs_evals"].append(traj.stats.rhs_evals)
-
+        rows.append({"order": order, **_trajectory_point(spec.base, reference, spec.delta, order)})
     units.append(deconv_unit_cost(g_hat, fbar))
+    table = _columns(rows)
     errs = table["l2l2"]
     flags = []
     if not all(b < a for a, b in zip(errs, errs[1:])):
@@ -309,20 +302,17 @@ def cutoff_table_study(spec: StudySpec) -> StudyReport:
     """Cutoff wavenumber of the smoother across orders and filter radii."""
     orders = spec.orders or tuple(range(0, 51, 5))
     deltas = spec.deltas or (1.0, 0.5, 0.25)
-    table: dict = {"order": list(orders)}
-    for d in deltas:
-        kc = [filtering.cutoff_frequency(FilterSpec(delta=d, order=o)) for o in orders]
-        table[f"k_c_delta_{d:g}"] = kc
+    names = [f"k_c_delta_{d:g}" for d in deltas]
+    rows = [{"order": o, **{name: filtering.cutoff_frequency(FilterSpec(delta=d, order=o))
+                            for name, d in zip(names, deltas)}} for o in orders]
+    table = _columns(rows)
 
-    flags = []
-    for d in deltas:
-        kc = table[f"k_c_delta_{d:g}"]
-        if any(b < a for a, b in zip(kc, kc[1:])):
-            flags.append(f"not_monotone_in_order_delta_{d:g}")
-    for o_idx in range(len(orders)):
-        row = [table[f"k_c_delta_{d:g}"][o_idx] for d in deltas]
-        if any(b < a for a, b in zip(row, row[1:])):
-            flags.append(f"not_monotone_in_inverse_delta_order_{orders[o_idx]}")
+    def falls(values):
+        return any(b < a for a, b in zip(values, values[1:]))
+
+    flags = [f"not_monotone_in_order_delta_{d:g}" for name, d in zip(names, deltas) if falls(table[name])]
+    flags += [f"not_monotone_in_inverse_delta_order_{row['order']}" for row in rows
+              if falls([row[name] for name in names])]
 
     return StudyReport(
         kind="cutoff_table",

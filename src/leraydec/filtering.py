@@ -227,47 +227,3 @@ def operator_norm_dn(spec: FilterSpec, k_max: float) -> float:
     ks = np.linspace(0.0, k_max, 4097)
     return float(transfer_dn(ks, spec).max())
 
-
-@dataclass
-class TransferTable:
-    """Sampled transfer functions of filter, deconvolution, and smoother."""
-
-    spec: FilterSpec
-    k: np.ndarray
-    g_hat: np.ndarray
-    d_hat: np.ndarray
-    h_hat: np.ndarray
-
-    @classmethod
-    def build(cls, spec: FilterSpec, k) -> "TransferTable":
-        ks = np.asarray(k, dtype=np.float64)
-        if ks.ndim != 1 or ks.size == 0:
-            raise ValueError("k must be a non-empty 1-d array")
-        if not np.all(np.isfinite(ks)):
-            raise ValueError("k must be finite")
-        if np.any(np.diff(ks) <= 0):
-            raise ValueError("k must be strictly increasing")
-        if ks[0] < 0:
-            raise ValueError("k must be nonnegative")
-        return cls(
-            spec=spec,
-            k=ks,
-            g_hat=transfer_g(ks, spec),
-            d_hat=transfer_dn(ks, spec),
-            h_hat=transfer_hn(ks, spec),
-        )
-
-    def validate(self, tol: float = 1e-12) -> None:
-        # every range check below is false for NaN, so non-finite values go first
-        if not all(np.isfinite(m).all() for m in (self.g_hat, self.d_hat, self.h_hat)):
-            raise ValueError("multiplier is not finite")
-        # g = h = 0 (and d = N + 1) are the exact limits where (delta k)^2 overflows to inf
-        finite = np.isfinite(_x_of(self.k, self.spec))
-        if np.any(self.g_hat < 0) or np.any((self.g_hat == 0) & finite) or np.any(self.g_hat > 1):
-            raise ValueError("filter multiplier out of (0, 1]")
-        if np.any(self.d_hat < 1) or np.any(self.d_hat >= self.spec.order + 1 + tol):
-            raise ValueError("deconvolution multiplier out of [1, N + 1)")
-        if np.any(self.h_hat < 0) or np.any((self.h_hat == 0) & finite) or np.any(self.h_hat > 1):
-            raise ValueError("smoother multiplier out of (0, 1]")
-        if np.abs(self.h_hat - self.d_hat * self.g_hat).max() > tol:
-            raise ValueError("smoother multiplier is not the product of the factors")

@@ -323,8 +323,12 @@ def forward_transform(samples: np.ndarray, band: Band | None = None, out=None, w
     scaling is exact, so the bits are those of fftn(samples) / n**3; for
     any other n they may differ at rounding level.  With `band` given, the
     transform goes into work (complex, full grid) and only the band of it
-    is kept, into out; that truncation is the dealiasing.
+    is kept, into out; that truncation is the dealiasing.  samples must not
+    share memory with the buffer the transform writes (out without a band,
+    work with one): the transform would overwrite its input as it reads it.
     """
+    if np.may_share_memory(samples, work if band is not None else out):
+        raise ValueError("samples share memory with the transform's output buffer")
     if band is None:
         return np.fft.fftn(samples, axes=_AXES, norm="forward", out=out)
     return band.restrict(np.fft.fftn(samples, axes=_AXES, norm="forward", out=work), out)

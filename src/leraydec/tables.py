@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from .diagnostics import DiagRecord
-from .filtering import TransferTable
+from .filtering import FilterSpec, transfer_dn, transfer_g, transfer_hn
 
 DIAG_SCHEMA = ("diag", 1)
 STUDY_SCHEMA = ("study", 1)
@@ -95,10 +95,11 @@ def read_diag_csv(path):
     return [DiagRecord(*row) for row in _read_csv(path, DIAG_SCHEMA, DiagRecord.FIELDS)]
 
 
-def write_transfer_csv(path, table: TransferTable) -> None:
-    rows = zip(table.k, table.g_hat, table.d_hat, table.h_hat)
+def write_transfer_csv(path, spec: FilterSpec, k) -> None:
+    """The filter, deconvolution and smoother multipliers of spec at the wavenumbers k."""
+    rows = zip(k, transfer_g(k, spec), transfer_dn(k, spec), transfer_hn(k, spec))
     _write_csv(path, TRANSFER_SCHEMA, _TRANSFER_COLUMNS, rows,
-               extra_comments=(f"delta: {_fmt(table.spec.delta)} order: {table.spec.order}",))
+               extra_comments=(f"delta: {_fmt(spec.delta)} order: {spec.order}",))
 
 
 def read_transfer_csv(path):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leraydec import cli, solver, tables, validate_field
+from leraydec import cli, diagnostics, filtering, solver, tables, validate_field
 from leraydec.snapshots import read_snapshot
 
 BASE_CFG = """
@@ -244,6 +244,21 @@ def test_study_commands_reject_by_study_key(tmp_path, capsys, args, key):
     assert _run([*args, "--out", str(out)]) == 1
     assert f"error: invalid value for study.{key}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["consistency", "--deltas", "0.2,0.1,0", "--grid-n", "8"],
+    ["cutoff", "--deltas", "1,0.5,0", "--orders", "0,1"],
+])
+def test_a_zero_radius_is_rejected_by_key_before_any_sweep_point(tmp_path, capsys, monkeypatch, args):
+    # only delta_rate runs delta = 0 (the NSE); elsewhere it is rejected before the sweep starts
+    computed = []
+    monkeypatch.setattr(diagnostics, "consistency_report", lambda *a: computed.append(a))
+    monkeypatch.setattr(filtering, "cutoff_frequency", lambda *a: computed.append(a))
+    out = tmp_path / "never"
+    assert _run([*args, "--out", str(out)]) == 1
+    assert "error: invalid value for study.deltas: deltas must be positive" in capsys.readouterr().err
+    assert computed == [] and not out.exists()
 
 
 def test_only_study_spec_builds_study_specs():

@@ -90,8 +90,7 @@ def valid_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("valid")
     diag, transfer, snap = directory / "diag.csv", directory / "transfer.csv", directory / "0000.snap"
     tables.write_diag_csv(diag, [DiagRecord(0.01 * i, 0.125, 0.75, 0.075, 1e-3, -2.5e-17) for i in range(4)])
-    tables.write_transfer_csv(transfer, ld.TransferTable.build(ld.FilterSpec(delta=0.5, order=2),
-                                                               np.linspace(0.0, 4.0, 5)))
+    tables.write_transfer_csv(transfer, ld.FilterSpec(delta=0.5, order=2), np.linspace(0.0, 4.0, 5))
     snapshots.write_snapshot(snap, ld.random_solenoidal(ld.Grid(8), seed=5), "leray_deconv", 0.5, 2)
     manifest = tables.write_manifest(directory, [str(diag), str(transfer), str(snap)], "c0ffee")
     return {"read_diag_csv": diag, "read_transfer_csv": transfer, "read_manifest": Path(manifest),

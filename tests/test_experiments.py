@@ -2,6 +2,7 @@
 
 import ast
 import statistics
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -107,21 +108,41 @@ def test_study_spec_rejects_each_bad_value_by_its_field(name, value):
     assert err.value.parameter == name
 
 
-def test_only_the_rate_kernel_fits_rates():
-    """Every rate study runs through experiments._rate_study, which alone calls fit_rate."""
+def test_only_delta_rate_takes_a_zero_radius():
+    # delta = 0 is delta_rate's NSE pass-through; no other study can run it
+    for kind in set(experiments.STUDY_KINDS) - {"delta_rate"}:
+        with pytest.raises(ld.ParameterError, match="positive") as err:
+            experiments.StudySpec(kind=kind, deltas=(0.2, 0.1, 0.0))
+        assert err.value.parameter == "deltas"
+    assert experiments.StudySpec(kind="delta_rate", deltas=(0.2, 0.1, 0.0)).deltas == (0.2, 0.1, 0.0)
+
+
+def _callers(module, function):
+    """(module, enclosing function) of every call to `function` in the package."""
     callers = set()
 
     def visit(node, module, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if isinstance(node, ast.Call) and "fit_rate" in ast.unparse(node.func):
+        if isinstance(node, ast.Call) and function in ast.unparse(node.func):
             callers.add((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
-    for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
+    for path in sorted(Path(experiments.__file__).parent.glob(f"{module}.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "<module>")
-    assert callers == {("experiments", "_rate_study")}
+    return callers
+
+
+def test_only_the_rate_kernel_fits_rates():
+    """Every rate study runs through experiments._rate_study, which alone calls fit_rate."""
+    assert _callers("*", "fit_rate") == {("experiments", "_rate_study")}
+
+
+def test_only_the_point_and_the_reference_run_the_solver():
+    """A study runs a model point only through experiments._trajectory_point."""
+    assert _callers("experiments", "solver.run") == {("experiments", "_reference"),
+                                                     ("experiments", "_trajectory_point")}
 
 
 @pytest.mark.parametrize("kind", ["delta_rate", "deconv_rate", "consistency_rate"])
@@ -141,6 +162,11 @@ def test_cutoff_table_takes_fewer_than_three_deltas():
     assert {"k_c_delta_1", "k_c_delta_0.5"} <= set(rep.tables["main"])
 
 
+# what experiments._trajectory_point measures, in its order
+POINT_COLUMNS = ["l2l2", "l2_final", "h1_avg", "wall_seconds", "deconv_seconds", "filter_applications",
+                 "rhs_evals"]
+
+
 def _columns(measures, orders):
     return ["delta"] + [f"{m}_order_{o}" for o in orders for m in measures]
 
@@ -155,7 +181,7 @@ def test_rate_studies_keep_their_column_and_flag_order(grid8, monkeypatch):
     spec = experiments.StudySpec(kind="delta_rate", deltas=(0.4, 0.2, 0.1, 0.0), orders=(1, 0),
                                  base=_small_base(grid8))
     rep = experiments.run_study(spec)
-    assert list(rep.tables["main"]) == _columns(["l2l2", "l2_final", "h1_avg"], (1, 0))
+    assert list(rep.tables["main"]) == _columns(POINT_COLUMNS, (1, 0))
     assert rep.flags == ["order_1", "order_0"]
 
     measures = ["l1_tau", "bound_sharp", "bound_crude", "ratio"]
@@ -224,9 +250,10 @@ def test_delta_rate_study_small_grid(grid8):
     assert abs(fine - 2.0) < abs(coarse - 2.0)
     assert rep.metadata["n"] == 8
     assert rep.metadata["nu"] == pytest.approx(0.2)
-    assert set(rep.metadata["wall_seconds"]) == {
-        "order_0_delta_0.4", "order_0_delta_0.2", "order_0_delta_0.1"
-    }
+    # per-point run times are table columns, not metadata
+    assert "wall_seconds" not in rep.metadata
+    assert len(table["wall_seconds_order_0"]) == 3 and all(w > 0 for w in table["wall_seconds_order_0"])
+    assert all(apps == rhs for apps, rhs in zip(table["filter_applications_order_0"], table["rhs_evals_order_0"]))
 
 
 def test_delta_rate_study_zero_delta_passthrough(grid8):
@@ -262,6 +289,35 @@ def test_n_limit_study_counts_and_errors(grid8):
     readings = rep.metadata["unit_filter_readings"]
     assert len(readings) == len(table["order"]) + 1
     assert rep.metadata["unit_filter_seconds"] == statistics.median(readings)
+
+
+def test_n_limit_frees_each_trajectory_before_the_next_run(grid8, monkeypatch):
+    run, models, alive = ld.solver.run, [], []
+
+    def recording(config):
+        if config.filter is not None:  # a model point; the NSE reference lives through the study
+            alive.append(sum(ref() is not None for ref in models))
+        traj = run(config)
+        if config.filter is not None:
+            models.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(ld.solver, "run", recording)
+    experiments.run_study(experiments.StudySpec(kind="n_limit", delta=0.5, orders=(0, 1, 2),
+                                                base=_small_base(grid8)))
+    assert alive == [0, 0, 0]
+
+
+def test_the_trajectory_studies_carry_the_same_point_columns(grid8):
+    base = _small_base(grid8)
+    n_limit = experiments.run_study(experiments.StudySpec(kind="n_limit", delta=0.1, orders=(0,), base=base))
+    delta_rate = experiments.run_study(experiments.StudySpec(kind="delta_rate", deltas=(0.4, 0.2, 0.1),
+                                                             orders=(0,), base=base))
+    assert list(n_limit.tables["main"]) == ["order"] + POINT_COLUMNS
+    assert list(delta_rate.tables["main"]) == _columns(POINT_COLUMNS, (0,))
+    # one point, two tables: the deterministic columns agree to the bit
+    for name in ("l2l2", "l2_final", "h1_avg", "filter_applications", "rhs_evals"):
+        assert n_limit.tables["main"][name] == delta_rate.tables["main"][f"{name}_order_0"][-1:]
 
 
 @pytest.mark.parametrize("dealias", [ld.SolverConfig.dealias])  # the pinned dealiasing, in the id

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,45 +188,3 @@ def test_operator_norm_approaches_order_plus_one():
         nm = ld.operator_norm_dn(spec, k_max=1e3)
         assert nm <= order + 1
         assert (order + 1) - nm < 1e-3
-
-
-def test_transfer_table_build_and_validate():
-    spec = ld.FilterSpec(delta=0.5, order=3)
-    table = ld.TransferTable.build(spec, np.linspace(0.0, 20.0, 101))
-    table.validate()
-    with pytest.raises(ValueError):
-        ld.TransferTable.build(spec, np.array([1.0, 1.0, 2.0]))
-    with pytest.raises(ValueError):
-        ld.TransferTable.build(spec, np.array([-1.0, 0.0, 1.0]))
-    for bad in (np.array([0.0, 1.0, np.inf]), np.array([0.0, np.nan, 1.0])):
-        with pytest.raises(ValueError, match="k must be finite"):
-            ld.TransferTable.build(spec, bad)
-    broken = ld.TransferTable(spec, table.k, table.g_hat, table.d_hat, table.h_hat * 1.1)
-    with pytest.raises(ValueError):
-        broken.validate()
-    # a zero multiplier is the limit only where (delta k)^2 overflows, not at a finite one
-    for name, message in (("g_hat", "filter multiplier"), ("h_hat", "smoother multiplier")):
-        values = getattr(table, name).copy()
-        values[-1] = 0.0
-        with pytest.raises(ValueError, match=message):
-            dataclasses.replace(table, **{name: values}).validate()
-
-
-def test_transfer_table_rejects_non_finite_multipliers():
-    table = ld.TransferTable.build(ld.FilterSpec(delta=0.5, order=2), np.linspace(0.0, 4.0, 5))
-    table.validate()
-    g_hat = table.g_hat.copy()
-    g_hat[2] = np.nan
-    nan = np.full_like(table.k, np.nan)
-    for broken in (dataclasses.replace(table, g_hat=g_hat), dataclasses.replace(table, d_hat=nan, h_hat=nan)):
-        with pytest.raises(ValueError, match="not finite"):
-            broken.validate()
-
-
-def test_transfer_table_validates_the_limits_build_makes():
-    # where (delta k)^2 overflows to inf, build writes g = h = 0 and d = N + 1
-    for order in (0, 3):
-        table = ld.TransferTable.build(ld.FilterSpec(delta=1e308, order=order), [0.0, 1.0])
-        assert list(table.g_hat) == list(table.h_hat) == [1.0, 0.0]
-        assert list(table.d_hat) == [1.0, order + 1.0]
-        table.validate()

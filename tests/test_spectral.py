@@ -232,22 +232,25 @@ def test_a_band_field_and_its_padding_give_the_same_reductions(grid16):
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("on_band", [False, True], ids=["grid", "band"])
 def test_forward_transform_of_a_view_of_its_own_work(n, on_band):
-    """Guard: samples that are the real part of the forward transform's own
-    work buffer, as the inverse transform leaves them, transform as a copy
-    of them does (numpy casts the real input to a fresh complex array before
-    the first pass writes into work)."""
+    """Samples that share memory with the buffer the forward transform writes
+    are rejected: the real-part view the inverse transform leaves in work,
+    and work itself, whose transform would overwrite it while reading it."""
     grid = ld.Grid(n)
     band = spectral.integration_band(grid) if on_band else None
     f = ld.random_solenoidal(grid, seed=n)
     c = band.restrict(f.coeffs) if on_band else f.coeffs
     work = np.empty_like(f.coeffs)
+    out = np.empty_like(c) if on_band else work  # without a band the transform writes into out
     samples = spectral.inverse_transform(c, band, work=work)
     assert np.shares_memory(samples, work)
     expected = spectral.forward_transform(samples.copy(), band, out=np.empty_like(c),
                                           work=np.empty_like(work))
-    out = np.empty_like(c) if on_band else work
-    got = spectral.forward_transform(samples, band, out=out, work=work)
-    assert np.array_equal(got, expected)
+    before = work.copy()
+    for shared in (samples, work):
+        with pytest.raises(ValueError, match="share memory"):
+            spectral.forward_transform(shared, band, out=out, work=work)
+    assert np.array_equal(work, before)  # rejected before anything is written
+    assert np.array_equal(spectral.forward_transform(samples.copy(), band, out=out, work=work), expected)
 
 
 def test_mode_index_roundtrip(grid16):

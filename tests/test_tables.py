@@ -76,13 +76,13 @@ def test_diag_csv_rejects_changed_columns(tmp_path):
 
 def test_transfer_csv_round_trip(tmp_path):
     spec = ld.FilterSpec(delta=0.5, order=3)
-    table = ld.TransferTable.build(spec, np.linspace(0.0, 8.0, 33))
+    k = np.linspace(0.0, 8.0, 33)
     path = tmp_path / "transfer.csv"
-    tables.write_transfer_csv(path, table)
+    tables.write_transfer_csv(path, spec, k)
     cols = tables.read_transfer_csv(path)
     assert set(cols) == {"k", "g_hat", "d_hat", "h_hat"}
-    assert np.array_equal(cols["k"], table.k)
-    assert np.array_equal(cols["d_hat"], table.d_hat)
+    assert np.array_equal(cols["k"], k)
+    assert np.array_equal(cols["d_hat"], ld.transfer_dn(k, spec))
     assert "delta: 0.5 order: 3" in path.read_text()
 
 
@@ -183,9 +183,8 @@ def test_corrupted_diag_csv_is_rejected_by_path(tmp_path):
 
 
 def test_corrupted_transfer_csv_is_rejected_by_path(tmp_path):
-    table = ld.TransferTable.build(ld.FilterSpec(delta=0.5, order=3), np.linspace(0.0, 8.0, 9))
     path = tmp_path / "transfer.csv"
-    tables.write_transfer_csv(path, table)
+    tables.write_transfer_csv(path, ld.FilterSpec(delta=0.5, order=3), np.linspace(0.0, 8.0, 9))
     lines = path.read_text().splitlines(keepends=True)
     bad = tmp_path / "bad.csv"
     bad.write_text("".join(lines).replace(lines[4], "1,abc" + lines[4][lines[4].index(",", 2):]))
