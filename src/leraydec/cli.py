@@ -224,6 +224,7 @@ def cmd_compare(args) -> int:
     print(f"l2_final:   {err.l2_final:.12e}")
     print(f"l2l2:       {err.l2l2:.12e}")
     print(f"h1_timeavg: {err.h1_timeavg:.12e}")
+    print(f"cutoff:     {err.cutoff}")
     if args.json:
         payload = dataclasses.asdict(err)
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -177,31 +177,32 @@ class ModelError:
     l2_final: float
     l2l2: float
     h1_timeavg: float
+    cutoff: int  # of the band compared on
 
 
 def model_error(traj_model, traj_reference) -> ModelError:
     """Trajectory distance in terminal L2, L2-in-time L2, and time-averaged H1.
 
-    Snapshots held on the same band are compared on it; any other pair is
-    compared on the full grid.
+    Every snapshot is restricted onto spectral.integration_band of the coarser grid
+    (`cutoff`); full-grid content outside it, which no run holds, is not compared.
     """
-    if traj_model.snapshots[0].grid != traj_reference.snapshots[0].grid:
-        raise ValueError("trajectories live on different grids")
+    grid = min(traj_model.snapshots[0].grid, traj_reference.snapshots[0].grid, key=lambda g: g.n)
     ta = [s.t for s in traj_model.snapshots]
     tb = [s.t for s in traj_reference.snapshots]
     if len(ta) != len(tb) or not np.allclose(ta, tb, rtol=0, atol=1e-12):
         raise ValueError("trajectories have mismatched snapshot times")
 
-    l2_sq = []
-    h1_sq = []
+    band = spectral.integration_band(grid)
+    diff = SpectralField(grid, np.empty(band.shape, dtype=np.complex128), band=band)
+    other = np.empty_like(diff.coeffs)
+    l2_sq, h1_sq = [], []
     for a, b in zip(traj_model.snapshots, traj_reference.snapshots):
-        if a.coeffs.shape != b.coeffs.shape:
-            a, b = a.padded(), b.padded()
-        diff = a.with_coeffs(a.coeffs - b.coeffs)
+        band.restrict(a.coeffs, out=diff.coeffs)
+        diff.coeffs -= band.restrict(b.coeffs, out=other)
         l2_sq.append(spectral.hs_norm(diff, 0) ** 2)
         h1_sq.append(spectral.hs_norm(diff, 1) ** 2)
     ts = np.asarray(ta)
     span = ts[-1] - ts[0]
     l2l2 = float(np.sqrt(np.trapezoid(l2_sq, ts)))
     h1_avg = float(np.sqrt(np.trapezoid(h1_sq, ts) / span)) if span > 0 else float("nan")
-    return ModelError(l2_final=float(np.sqrt(l2_sq[-1])), l2l2=l2l2, h1_timeavg=h1_avg)
+    return ModelError(l2_final=float(np.sqrt(l2_sq[-1])), l2l2=l2l2, h1_timeavg=h1_avg, cutoff=band.cutoff)

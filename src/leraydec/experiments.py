@@ -64,7 +64,7 @@ class StudySpec:
         ds = tuple(float(d) for d in self.deltas)
         if not all(np.isfinite(d) and d >= 0 for d in ds):
             raise spectral.ParameterError("deltas", f"deltas must be finite and >= 0, got {ds}")
-        if 0.0 in ds and self.kind != "delta_rate":  # delta = 0 runs the NSE, a point of delta_rate only
+        if 0.0 in ds and self.kind != "delta_rate":  # delta = 0 is the NSE reference, a point of delta_rate only
             raise spectral.ParameterError("deltas", f"deltas must be positive for {self.kind}, got {ds}")
         if ds and any(b >= a for a, b in zip(ds, ds[1:])):
             raise spectral.ParameterError("deltas", "deltas must be strictly decreasing")
@@ -194,9 +194,7 @@ def deconv_rate_study(spec: StudySpec) -> StudyReport:
 
 
 def _scenario(base: SolverConfig, delta: float, order: int) -> SolverConfig:
-    """The study's run of base: the NSE at delta = 0, else the order-N model at radius delta."""
-    if delta == 0:
-        return replace(base, model=ModelKind.nse(), filter=None)
+    """The study's order-N model run of base at radius delta."""
     return replace(base, model=ModelKind.leray_deconvolution(order), filter=FilterSpec(delta=delta, order=order))
 
 
@@ -206,16 +204,16 @@ def _reference(spec: StudySpec, study: str):
     if base is None:
         raise ValueError(f"{study} requires a base SolverConfig")
     metadata = {"n": base.grid.n, "nu": base.nu, "dt": base.dt, "t_end": base.t_end}
-    return solver.run(_scenario(base, 0.0, 0)), metadata
+    return solver.run(replace(base, model=ModelKind.nse(), filter=None)), metadata
 
 
 def _trajectory_point(base: SolverConfig, reference, delta: float, order: int) -> dict:
-    """One model run of a trajectory study: its error to the reference and its cost.
+    """One point of a trajectory study: its error to the reference and its cost.
 
-    The trajectory is dropped on return, so a sweep holds one model
-    trajectory at a time beside the reference.
+    At delta = 0 the point is the reference itself, not a rerun.  A model
+    trajectory is dropped on return, so a sweep holds one beside the reference.
     """
-    traj = solver.run(_scenario(base, delta, order))
+    traj = reference if delta == 0 else solver.run(_scenario(base, delta, order))
     err, stats = diagnostics.model_error(traj, reference), traj.stats
     return {"l2l2": err.l2l2, "l2_final": err.l2_final, "h1_avg": err.h1_timeavg,
             "wall_seconds": stats.wall_seconds, "deconv_seconds": stats.deconv_seconds,
@@ -226,9 +224,8 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
     """Model-vs-reference trajectory error across filter radii at fixed order.
 
     Requires a base SolverConfig describing a smooth, well-resolved scenario.
-    delta = 0 is honored as an exact pass-through: the regularized run
-    degenerates to the reference path and the error row is zero, which the
-    fit then reports as degenerate rather than crashing.
+    A delta = 0 point is the reference itself, with its cost and a zero
+    error row, which the fit then reports as degenerate rather than crashing.
     """
     orders = spec.orders or (0,)
     deltas = spec.deltas or (0.4, 0.2, 0.1)
@@ -302,7 +299,8 @@ def cutoff_table_study(spec: StudySpec) -> StudyReport:
     """Cutoff wavenumber of the smoother across orders and filter radii."""
     orders = spec.orders or tuple(range(0, 51, 5))
     deltas = spec.deltas or (1.0, 0.5, 0.25)
-    names = [f"k_c_delta_{d:g}" for d in deltas]
+    # %g where it reads back as the radius, else repr, so no two radii share a column
+    names = [f"k_c_delta_{d:g}" if float(f"{d:g}") == d else f"k_c_delta_{d!r}" for d in deltas]
     rows = [{"order": o, **{name: filtering.cutoff_frequency(FilterSpec(delta=d, order=o))
                             for name, d in zip(names, deltas)}} for o in orders]
     table = _columns(rows)
@@ -310,7 +308,7 @@ def cutoff_table_study(spec: StudySpec) -> StudyReport:
     def falls(values):
         return any(b < a for a, b in zip(values, values[1:]))
 
-    flags = [f"not_monotone_in_order_delta_{d:g}" for name, d in zip(names, deltas) if falls(table[name])]
+    flags = [name.replace("k_c_", "not_monotone_in_order_") for name in names if falls(table[name])]
     flags += [f"not_monotone_in_inverse_delta_order_{row['order']}" for row in rows
               if falls([row[name] for name in names])]
 

@@ -235,8 +235,8 @@ def _blocks(src_side: int, dst_side: int, m: int) -> list:
 
 
 def integration_band(grid: Grid) -> Band:
-    """The dealias band a run integrates; deconv_unit_cost times van Cittert
-    on it and consistency_report integrates on it."""
+    """The dealias band a run integrates; deconv_unit_cost, consistency_report
+    and model_error (on the coarser grid's) work on it too."""
     return Band(grid, grid.dealias_cutoff)
 
 

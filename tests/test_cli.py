@@ -1,11 +1,13 @@
 """CLI end to end: artifacts on disk, reproducibility, exit codes."""
 
 import ast
+import dataclasses
 import json
 import os
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,6 +319,24 @@ def test_compare_identical_dirs(cfg_path, tmp_path, capsys):
     assert payload["l2_final"] == 0.0
     assert payload["l2l2"] == 0.0
     assert payload["h1_timeavg"] == 0.0
+
+
+def test_compare_runs_on_two_grids(cfg_path, tmp_path, capsys):
+    coarse, fine = str(tmp_path / "n8"), str(tmp_path / "n16")
+    assert _run(["run", "--config", cfg_path, "--out", coarse]) == 0
+    assert _run(["run", "--config", cfg_path, "--set", "grid.n=16", "--set", "model.kind=nse",
+                 "--out", fine]) == 0
+    metrics = str(tmp_path / "metrics.json")
+    capsys.readouterr()
+    assert _run(["compare", "--model", coarse, "--reference", fine, "--json", metrics]) == 0
+    assert "cutoff:     2\n" in capsys.readouterr().out
+    expected = diagnostics.model_error(*(_read_run(d) for d in (coarse, fine)))
+    assert json.loads(Path(metrics).read_text()) == dataclasses.asdict(expected)
+    assert expected.cutoff == 2 and expected.l2_final > 0.0
+
+
+def _read_run(out_dir):
+    return SimpleNamespace(snapshots=[read_snapshot(p)[0] for p in sorted(Path(out_dir).glob("*.snap"))])
 
 
 def test_compare_missing_dir_exits_one(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import ast
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -156,18 +160,25 @@ def test_model_error_zero_on_identical(grid16):
     assert err.h1_timeavg == 0.0
 
 
+def _nse_run(grid, t_end=0.02):
+    return ld.run(ld.SolverConfig(grid=grid, model=ld.ModelKind.nse(), nu=0.1,
+                                  dt=0.01, t_end=t_end, snapshot_every=1))
+
+
 def test_model_error_mismatch_detection(grid8, grid16):
-    cfg8 = ld.SolverConfig(grid=grid8, model=ld.ModelKind.nse(), nu=0.1,
-                           dt=0.01, t_end=0.02, snapshot_every=1)
-    cfg16 = ld.SolverConfig(grid=grid16, model=ld.ModelKind.nse(), nu=0.1,
-                            dt=0.01, t_end=0.02, snapshot_every=1)
-    t8, t16 = ld.run(cfg8), ld.run(cfg16)
-    with pytest.raises(ValueError, match="grids"):
-        diagnostics.model_error(t8, t16)
-    cfg_longer = ld.SolverConfig(grid=grid8, model=ld.ModelKind.nse(), nu=0.1,
-                                 dt=0.01, t_end=0.03, snapshot_every=1)
-    with pytest.raises(ValueError, match="times"):
-        diagnostics.model_error(t8, ld.run(cfg_longer))
+    # two grids are no mismatch: both compare on the coarser grid's integration band
+    t8, t16 = _nse_run(grid8), _nse_run(grid16)
+    band = ld.spectral.integration_band(grid8)
+    by_hand = SimpleNamespace(snapshots=[ld.SpectralField(grid8, band.restrict(s.coeffs), s.t, band)
+                                         for s in t16.snapshots])
+    err = diagnostics.model_error(t8, t16)
+    # dataclass equality: every norm bit for bit, and the band's cutoff
+    assert err == diagnostics.model_error(t16, t8) == diagnostics.model_error(t8, by_hand)
+    assert err.cutoff == band.cutoff == 2
+    assert err.l2_final > 0.0  # the 16^3 run fills modes the 8^3 one cannot hold
+    for longer in (_nse_run(grid8, t_end=0.03), _nse_run(grid16, t_end=0.03)):
+        with pytest.raises(ValueError, match="times"):
+            diagnostics.model_error(t8, longer)
 
 
 def test_model_error_known_difference(grid16):
@@ -186,3 +197,23 @@ def test_model_error_known_difference(grid16):
     assert err.l2_final == pytest.approx(d, rel=1e-12)
     assert err.l2l2 == pytest.approx(d * np.sqrt(0.04), rel=1e-12)
     assert err.h1_timeavg == pytest.approx(4.0 * d, rel=1e-12)
+
+
+def test_model_error_ignores_full_grid_content_outside_the_band(grid16):
+    # mode 7 lies outside the 16^3 integration band (cutoff 5), which no run
+    # fills, so an offset there is not compared
+    traj = _nse_run(grid16, t_end=0.04)
+    offset = ld.single_mode(grid16, (7, 0, 0), amplitude=0.1)
+    shifted = SimpleNamespace(snapshots=[ld.SpectralField(grid16, s.padded().coeffs + offset.coeffs, s.t)
+                                         for s in traj.snapshots])
+    err = diagnostics.model_error(shifted, traj)
+    assert (err.l2_final, err.l2l2, err.h1_timeavg, err.cutoff) == (0.0, 0.0, 0.0, 5)
+
+
+def test_model_error_pads_nothing():
+    """Guard: diagnostics compares fields on a band restricted to, never on a
+    padded full grid."""
+    tree = ast.parse(Path(diagnostics.__file__).read_text())
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "padded"] == []

@@ -266,6 +266,28 @@ def test_delta_rate_study_zero_delta_passthrough(grid8):
     assert "order_0" in rep.flags
 
 
+def test_a_zero_radius_point_is_the_reference_not_a_rerun(grid8, monkeypatch):
+    run, configs, nse = ld.solver.run, [], []
+
+    def recording(config):
+        configs.append(config)
+        traj = run(config)
+        if config.filter is None:
+            nse.append(traj)
+        return traj
+
+    monkeypatch.setattr(ld.solver, "run", recording)
+    spec = experiments.StudySpec(kind="delta_rate", deltas=(0.4, 0.2, 0.1, 0.0), orders=(1, 0),
+                                 base=_small_base(grid8))
+    table = experiments.run_study(spec).tables["main"]
+    # the reference, then three radii per order; no order reruns the NSE at delta = 0
+    assert len(configs) == 7 and len(nse) == 1
+    for order in (1, 0):
+        assert table[f"l2l2_order_{order}"][-1] == 0.0
+        assert table[f"wall_seconds_order_{order}"][-1] == nse[0].stats.wall_seconds
+        assert table[f"rhs_evals_order_{order}"][-1] == nse[0].stats.rhs_evals
+
+
 # ----------------------------------------------------------------- n_limit
 
 
@@ -360,6 +382,17 @@ def test_cutoff_table_study_defaults():
         kc = table[col]
         assert all(b >= a for a, b in zip(kc, kc[1:]))  # monotone in order
     assert rep.flags == []
+
+
+@pytest.mark.parametrize("deltas, labels", [
+    ((1.0, 0.5, 0.25), ["1", "0.5", "0.25"]),  # the %g spelling where it reads back as the radius
+    ((0.1000002, 0.1000001), ["0.1000002", "0.1000001"]),  # repr where %g would merge them
+])
+def test_cutoff_table_labels_each_radius_apart(monkeypatch, deltas, labels):
+    monkeypatch.setattr(ld.filtering, "cutoff_frequency", lambda fs: -fs.order)  # falls in every column
+    rep = experiments.run_study(experiments.StudySpec(kind="cutoff_table", deltas=deltas, orders=(0, 1)))
+    assert list(rep.tables["main"]) == ["order"] + [f"k_c_delta_{label}" for label in labels]
+    assert rep.flags == [f"not_monotone_in_order_delta_{label}" for label in labels]
 
 
 # ------------------------------------------------------- consistency_rate

@@ -357,9 +357,10 @@ def test_only_the_transform_functions_call_numpy_fft():
 
 def test_only_the_integration_band_builds_a_band():
     """Guard: spectral.integration_band is the one place in the package that
-    constructs the stepper's spectral.Band, so the stepper, consistency_report
-    and deconv_unit_cost, which times van Cittert on the stepper's layout,
-    cannot drift apart; random_solenoidal builds the band of its own cutoff."""
+    constructs the stepper's spectral.Band, so the stepper, consistency_report,
+    model_error (on the coarser grid's band) and deconv_unit_cost, which times
+    van Cittert on the stepper's layout, cannot drift apart; random_solenoidal
+    builds the band of its own cutoff."""
     callers = set()
 
     def visit(node, module, scope):
