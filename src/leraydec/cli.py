@@ -26,11 +26,6 @@ from .solver import BlowUpError, run
 from .tables import TableError
 
 
-def _args_hash(parts: dict) -> str:
-    canon = json.dumps(parts, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _write_effective(rc, out_dir) -> str:
     path = os.path.join(out_dir, "effective.cfg")
     with open(path, "w", encoding="utf-8") as fh:
@@ -57,10 +52,10 @@ _STUDY_FLAGS = {
     "orders": ("--orders", {}, _parse_ints),
     "delta": ("--delta", {"type": float}, None),
     "fit_window": ("--fit-window", {"type": int}, None),
-    "grid_n": ("--grid-n", {"type": int, "default": 16}, None),
-    "k_max": ("--k-max", {"type": float, "default": 10.0}, None),
-    "k_points": ("--points", {"type": int, "default": 201}, None),
-    "smoother_orders": ("--smoother-orders", {"default": "0,10,50"}, _parse_ints),
+    "grid_n": ("--grid-n", {"type": int}, None),
+    "k_max": ("--k-max", {"type": float}, None),
+    "k_points": ("--points", {"type": int}, None),
+    "smoother_orders": ("--smoother-orders", {}, _parse_ints),
 }
 
 
@@ -80,6 +75,16 @@ def _study_spec(args, kind: str, rc=None):
         except ValueError as exc:
             raise ConfigError(f"invalid value for study.{name}: {exc}") from exc
     return _built(experiments.StudySpec, kind=kind, section="study", **values)
+
+
+def _study_digest(command: str, spec, flags, rc=None, **extra) -> str:
+    """sha256 of the command, the run config's hash when it reads --config, the
+    resolved StudySpec value of each of its flags and `extra`: requests that
+    resolve alike share a digest however their flags are spelled."""
+    parts = {"cmd": command, **{name: getattr(spec, name) for name in flags}, **extra}
+    if rc is not None:
+        parts["config_sha256"] = rc.config_hash
+    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
 def cmd_run(args) -> int:
@@ -118,15 +123,14 @@ def cmd_run(args) -> int:
     return code
 
 
+_TRANSFER_FLAGS = ("delta", "orders", "smoother_orders", "k_max", "k_points")
+
+
 def cmd_transfer(args) -> int:
     spec = _study_spec(args, "transfer_figures")
     if not spec.orders:
         raise ConfigError("transfer needs at least one order")
-    digest = _args_hash({
-        "cmd": "transfer", "delta": args.delta, "orders": list(spec.orders),
-        "k_max": args.k_max, "points": args.k_points, "figures": args.figures,
-        "smoother_orders": args.smoother_orders,
-    })
+    digest = _study_digest("transfer", spec, _TRANSFER_FLAGS, figures=args.figures)
     if args.figures:
         _write_study(args.out, experiments.run_study(spec), digest)
         return 0
@@ -166,26 +170,23 @@ def _print_table(report) -> None:
         print("  ".join(f"{table[h][i]:>16}" for h in headers))
 
 
-# command: (study kind, help, printer, flags, required fields, manifest-digest flags).
-# A command without digest flags reads the scenario from --config and must be
-# given --out; its manifest digest covers the config hash and the resolved
-# values of its flags' study fields.
+# command: (study kind, help, printer, flags, required fields, reads --config).
+# A command that reads --config takes its scenario from there and must be given --out.
 _STUDY_COMMANDS = {
     "sweep-delta": ("delta_rate", "model-vs-reference error as the filter radius shrinks",
-                    _print_fits, ("deltas", "orders", "fit_window"), ("deltas", "orders"), None),
+                    _print_fits, ("deltas", "orders", "fit_window"), ("deltas", "orders"), True),
     "sweep-n": ("n_limit", "model error and cost as deconvolution order grows",
-                _print_orders, ("delta", "orders"), ("orders",), None),
+                _print_orders, ("delta", "orders"), ("orders",), True),
     "cutoff": ("cutoff_table", "smoother cutoff wavenumber table",
-               _print_table, ("deltas", "orders"), (), ("deltas", "orders")),
+               _print_table, ("deltas", "orders"), (), False),
     "consistency": ("consistency_rate", "consistency-tensor size and bounds on an analytic field",
-                    _print_fits, ("deltas", "orders", "grid_n", "fit_window"), (),
-                    ("deltas", "orders", "grid_n")),
+                    _print_fits, ("deltas", "orders", "grid_n", "fit_window"), (), False),
 }
 
 
 def cmd_study(args) -> int:
-    kind, _, printer, flags, required, digest_flags = _STUDY_COMMANDS[args.command]
-    rc = _load_run_config(args) if digest_flags is None else None
+    kind, _, printer, flags, required, reads_config = _STUDY_COMMANDS[args.command]
+    rc = _load_run_config(args) if reads_config else None
     spec = _study_spec(args, kind, rc)
     for name in required:
         if not getattr(spec, name):
@@ -195,26 +196,23 @@ def cmd_study(args) -> int:
     for flag in report.flags:
         print(f"flag: {flag}")
     if args.out:
-        if rc is not None:
-            digest = _args_hash({"cmd": args.command, "config_sha256": rc.config_hash,
-                                 **{name: getattr(spec, name) for name in flags}})
-        else:
-            digest = _args_hash({"cmd": args.command, **{name: getattr(args, name) for name in digest_flags}})
-        _write_study(args.out, report, digest)
+        _write_study(args.out, report, _study_digest(args.command, spec, flags, rc))
     return 1 if "bound_violated" in report.flags else 0
 
 
 def _read_snapshot_dir(path):
+    """The directory's snapshots, read one at a time as they are iterated."""
     files = sorted(glob.glob(os.path.join(path, "*.snap")))
     if not files:
         raise SnapshotError(f"{path}: no .snap files found")
-    snaps = []
-    grid = None
-    for f in files:
-        field, _ = read_snapshot(f, expected_grid=grid)
-        grid = field.grid
-        snaps.append(field)
-    return SimpleNamespace(snapshots=snaps)
+
+    def snapshots():
+        grid = None
+        for f in files:
+            field, _ = read_snapshot(f, expected_grid=grid)
+            grid = field.grid
+            yield field
+    return SimpleNamespace(snapshots=snapshots())
 
 
 def cmd_compare(args) -> int:
@@ -226,10 +224,7 @@ def cmd_compare(args) -> int:
     print(f"h1_timeavg: {err.h1_timeavg:.12e}")
     print(f"cutoff:     {err.cutoff}")
     if args.json:
-        payload = dataclasses.asdict(err)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        tables.write_json(args.json, dataclasses.asdict(err))
     return 0
 
 
@@ -254,19 +249,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("transfer", help="tabulate filter/deconvolution transfer functions")
-    _add_study_flags(p, ("delta", "orders", "smoother_orders", "k_max", "k_points"))
+    _add_study_flags(p, _TRANSFER_FLAGS)
     p.add_argument("--figures", action="store_true",
                    help="write combined curve tables on the rescaled axis instead")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_transfer, delta=1.0, orders="0,1,2")  # over the flags' defaults
+    p.set_defaults(func=cmd_transfer, delta=1.0, orders="0,1,2")  # over StudySpec's defaults
 
-    for command, (_, help_text, _, flags, _, digest_flags) in _STUDY_COMMANDS.items():
+    for command, (_, help_text, _, flags, _, reads_config) in _STUDY_COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        if digest_flags is None:
+        if reads_config:
             p.add_argument("--config", required=True)
             p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
         _add_study_flags(p, flags)
-        p.add_argument("--out", required=digest_flags is None)
+        p.add_argument("--out", required=reads_config)
         p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("compare", help="error norms between two snapshot directories")

@@ -14,6 +14,7 @@ ones, so Cauchy-Schwarz bounds hold with constant one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,23 +186,24 @@ def model_error(traj_model, traj_reference) -> ModelError:
 
     Every snapshot is restricted onto spectral.integration_band of the coarser grid
     (`cutoff`); full-grid content outside it, which no run holds, is not compared.
+    The two snapshot sequences are walked once, a pair at a time, so either
+    may be a generator that reads its snapshots as they are needed.
     """
-    grid = min(traj_model.snapshots[0].grid, traj_reference.snapshots[0].grid, key=lambda g: g.n)
-    ta = [s.t for s in traj_model.snapshots]
-    tb = [s.t for s in traj_reference.snapshots]
-    if len(ta) != len(tb) or not np.allclose(ta, tb, rtol=0, atol=1e-12):
-        raise ValueError("trajectories have mismatched snapshot times")
-
-    band = spectral.integration_band(grid)
-    diff = SpectralField(grid, np.empty(band.shape, dtype=np.complex128), band=band)
-    other = np.empty_like(diff.coeffs)
-    l2_sq, h1_sq = [], []
-    for a, b in zip(traj_model.snapshots, traj_reference.snapshots):
+    end = object()
+    ts, l2_sq, h1_sq = [], [], []
+    for a, b in itertools.zip_longest(traj_model.snapshots, traj_reference.snapshots, fillvalue=end):
+        if a is end or b is end or not np.isclose(a.t, b.t, rtol=0, atol=1e-12):
+            raise ValueError("trajectories have mismatched snapshot times")
+        if not ts:
+            grid = min(a.grid, b.grid, key=lambda g: g.n)
+            band = spectral.integration_band(grid)
+            diff = SpectralField(grid, np.empty(band.shape, dtype=np.complex128), band=band)
+            other = np.empty_like(diff.coeffs)
+        ts.append(a.t)
         band.restrict(a.coeffs, out=diff.coeffs)
         diff.coeffs -= band.restrict(b.coeffs, out=other)
         l2_sq.append(spectral.hs_norm(diff, 0) ** 2)
         h1_sq.append(spectral.hs_norm(diff, 1) ** 2)
-    ts = np.asarray(ta)
     span = ts[-1] - ts[0]
     l2l2 = float(np.sqrt(np.trapezoid(l2_sq, ts)))
     h1_avg = float(np.sqrt(np.trapezoid(h1_sq, ts) / span)) if span > 0 else float("nan")

@@ -108,20 +108,18 @@ def read_transfer_csv(path):
     return {name: np.asarray([row[i] for row in rows]) for i, name in enumerate(_TRANSFER_COLUMNS)}
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _plain(value):
+    """json.dump's fallback: a numpy array or scalar as its Python value."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def write_json(path, payload) -> None:
+    """The one JSON writer: indented, key-sorted and newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_plain)
+        fh.write("\n")
 
 
 def write_study_tables(out_dir, report) -> list:
@@ -137,19 +135,15 @@ def write_study_tables(out_dir, report) -> list:
                    extra_comments=(f"study: {report.kind}",))
         written.append(path)
 
-    fits = {key: dataclasses.asdict(fit) for key, fit in report.fits.items()}
     report_path = os.path.join(out_dir, f"{report.kind}_report.json")
-    payload = {
+    write_json(report_path, {
         "schema": f"{STUDY_SCHEMA[0]}/{STUDY_SCHEMA[1]}",
         "kind": report.kind,
-        "params": _jsonable(report.params),
-        "fits": _jsonable(fits),
-        "flags": _jsonable(report.flags),
-        "metadata": _jsonable(report.metadata),
-    }
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "params": report.params,
+        "fits": {key: dataclasses.asdict(fit) for key, fit in report.fits.items()},
+        "flags": report.flags,
+        "metadata": report.metadata,
+    })
     written.append(report_path)
     return written
 
@@ -171,15 +165,12 @@ def write_manifest(out_dir, paths, config_hash: str) -> str:
             "bytes": os.path.getsize(path),
             "sha256": file_sha256(path),
         })
-    manifest = {
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    write_json(manifest_path, {
         "schema": f"{MANIFEST_SCHEMA[0]}/{MANIFEST_SCHEMA[1]}",
         "config_sha256": config_hash,
         "files": entries,
-    }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return manifest_path
 
 

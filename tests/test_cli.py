@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -335,6 +336,25 @@ def test_compare_runs_on_two_grids(cfg_path, tmp_path, capsys):
     assert expected.cutoff == 2 and expected.l2_final > 0.0
 
 
+def test_compare_reads_the_directories_pair_by_pair(cfg_path, tmp_path):
+    """compare reads the two directories pair by pair: its peak stays at a few
+    full-grid fields (the pair compared and the next one read), not the 22
+    snapshots the two runs wrote."""
+    dirs = [str(tmp_path / name) for name in ("model", "ref")]
+    for out, kind in zip(dirs, ("leray_deconv", "nse")):
+        assert _run(["run", "--config", cfg_path, "--set", "grid.n=16", "--set", "time.t_end=0.5",
+                     "--set", "time.snapshot_every=1", "--set", f"model.kind={kind}", "--out", out]) == 0
+        assert len(list(Path(out).glob("*.snap"))) == 11
+    field_bytes = 3 * 16**3 * 16
+    tracemalloc.start()
+    try:
+        assert _run(["compare", "--model", dirs[0], "--reference", dirs[1]]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * field_bytes
+
+
 def _read_run(out_dir):
     return SimpleNamespace(snapshots=[read_snapshot(p)[0] for p in sorted(Path(out_dir).glob("*.snap"))])
 
@@ -411,21 +431,42 @@ def test_sweep_n(cfg_path, tmp_path, capsys):
     assert "n_limit_main.csv" in set(os.listdir(out))
 
 
-@pytest.mark.parametrize("first, second", [
-    (["sweep-n", "--orders", "0"], ["sweep-n", "--orders", "0,1,2", "--delta", "0.3"]),
+_CONSISTENCY = ["consistency", "--orders", "0", "--grid-n", "8"]
+
+
+@pytest.mark.parametrize("first, second, same", [
+    (["sweep-n", "--orders", "0"], ["sweep-n", "--orders", "0,1,2", "--delta", "0.3"], False),
     (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0"],
-     ["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "1"]),
-], ids=["sweep-n", "sweep-delta"])
-def test_sweep_digest_covers_the_study_flags(cfg_path, tmp_path, capsys, first, second):
+     ["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "1"], False),
+    ([*_CONSISTENCY, "--deltas", "0.2,0.1,0.05,0.025", "--fit-window", "3"],
+     [*_CONSISTENCY, "--deltas", "0.2,0.1,0.05,0.025", "--fit-window", "4"], False),
+    ([*_CONSISTENCY, "--deltas", "0.2,0.10,0.05,0.025"], [*_CONSISTENCY, "--deltas", "0.2,0.1,0.05,0.025"], True),
+    (["transfer", "--figures", "--smoother-orders", "0, 10, 50"], ["transfer", "--figures"], True),
+], ids=["sweep-n", "sweep-delta", "consistency-fit-window", "deltas-spelling", "transfer-default-flag"])
+def test_sweep_digest_covers_the_study_flags(cfg_path, tmp_path, capsys, first, second, same):
+    """A study manifest's digest names the resolved StudySpec value of every
+    flag the command takes, not the flag's spelling or whether it was given."""
     out = str(tmp_path / "sw")
 
     def digest(args):
-        assert _run([args[0], "--config", cfg_path, *args[1:], "--out", out]) == 0
+        config = ["--config", cfg_path] if args[0] in ("sweep-n", "sweep-delta") else []
+        assert _run([args[0], *config, *args[1:], "--out", out]) == 0
         return tables.read_manifest(os.path.join(out, "manifest.json"))["config_sha256"]
 
     a = digest(first)
-    assert digest(second) != a
+    assert (digest(second) == a) is same
     assert digest(first) == a
+
+
+@pytest.mark.parametrize("args, message", [
+    (["cutoff", "--deltas", "1,abc"], "error: invalid value for study.deltas:"),
+    (["transfer", "--orders", ""], "error: transfer needs at least one order"),
+])
+def test_a_flag_without_a_config_is_rejected_before_any_output(tmp_path, capsys, args, message):
+    out = tmp_path / "never"
+    assert _run([*args, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_consistency_command(tmp_path, capsys):

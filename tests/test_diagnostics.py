@@ -181,6 +181,20 @@ def test_model_error_mismatch_detection(grid8, grid16):
             diagnostics.model_error(t8, longer)
 
 
+def test_model_error_walks_generators_once(grid8):
+    # compare reads its snapshots lazily; a count mismatch is still one of times,
+    # and any other error inside the walk keeps its own message
+    traj = _nse_run(grid8, t_end=0.03)
+    lazy = SimpleNamespace(snapshots=(s for s in traj.snapshots))
+    assert diagnostics.model_error(lazy, traj) == diagnostics.model_error(traj, traj)
+    for short in (traj.snapshots[:-1], traj.snapshots[1:]):
+        with pytest.raises(ValueError, match="mismatched snapshot times"):
+            diagnostics.model_error(SimpleNamespace(snapshots=iter(short)), traj)
+    bad = SimpleNamespace(coeffs=np.zeros((3, 8, 8, 7), dtype=np.complex128), t=0.0, grid=grid8)
+    with pytest.raises(ValueError, match="neither a full grid nor a band"):
+        diagnostics.model_error(SimpleNamespace(snapshots=[bad, *traj.snapshots[1:]]), traj)
+
+
 def test_model_error_known_difference(grid16):
     # trajectories that differ by a fixed field at every snapshot
     cfg = ld.SolverConfig(grid=grid16, model=ld.ModelKind.nse(), nu=0.1,

@@ -318,6 +318,15 @@ def test_to_physical_of_a_band_field_holds_one_and_a_half_fields(grid16, rand16)
     assert peak < 1.6 * rand16.coeffs.nbytes
 
 
+def test_from_physical_rejects_a_wrong_shape(grid8):
+    with pytest.raises(ValueError, match=r"samples must have shape \(3, 8, 8, 8\), got \(8, 8, 8\)"):
+        ld.from_physical(grid8, np.zeros((8, 8, 8)))
+
+
+def test_solenoidal_defect_of_a_zero_field_is_zero(grid8):
+    assert ld.solenoidal_defect(ld.SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=np.complex128))) == 0.0
+
+
 def test_only_spectral_pads_or_truncates():
     """Guard: the band-to-grid boundary is spectral.py's; every other module
     goes through the transform pair, SpectralField.padded or Band.restrict,

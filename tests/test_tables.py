@@ -1,5 +1,6 @@
 """CSV/JSON table IO: schema markers, exact round trips, manifests."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -108,6 +109,32 @@ def test_study_tables_and_report(tmp_path):
     text = Path(csv_path).read_text()
     assert text.startswith("# schema: study/1")
     assert "error_order_1" in text.splitlines()[2]
+
+
+def test_write_json_writes_numpy_values_as_python_ones(tmp_path):
+    path = tmp_path / "payload.json"
+    tables.write_json(path, {"b": np.float64(0.1), "a": (np.int64(3), np.bool_(True)), "c": np.arange(2)})
+    assert path.read_text() == '{\n  "a": [\n    3,\n    true\n  ],\n  "b": 0.1,\n  "c": [\n    0,\n    1\n  ]\n}\n'
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        tables.write_json(path, {"a": object()})
+
+
+def test_only_write_json_calls_json_dump():
+    """Guard: every JSON file the package writes goes through tables.write_json,
+    so all of them are indented, key-sorted and newline-terminated alike."""
+    callers = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.dump", "dump"):
+            callers.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(tables.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    assert callers == [("tables", "write_json")]
 
 
 def test_manifest_round_trip(tmp_path):
