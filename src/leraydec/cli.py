@@ -16,11 +16,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import diagnostics, experiments, tables
 from .config import ConfigError, _built, _parse_floats, _parse_ints, parse_config, render_effective
-from .filtering import FilterSpec
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
 from .solver import BlowUpError, run
 from .tables import TableError
@@ -55,7 +52,6 @@ _STUDY_FLAGS = {
     "grid_n": ("--grid-n", {"type": int}, None),
     "k_max": ("--k-max", {"type": float}, None),
     "k_points": ("--points", {"type": int}, None),
-    "smoother_orders": ("--smoother-orders", {}, _parse_ints),
 }
 
 
@@ -77,11 +73,11 @@ def _study_spec(args, kind: str, rc=None):
     return _built(experiments.StudySpec, kind=kind, section="study", **values)
 
 
-def _study_digest(command: str, spec, flags, rc=None, **extra) -> str:
-    """sha256 of the command, the run config's hash when it reads --config, the
-    resolved StudySpec value of each of its flags and `extra`: requests that
-    resolve alike share a digest however their flags are spelled."""
-    parts = {"cmd": command, **{name: getattr(spec, name) for name in flags}, **extra}
+def _study_digest(command: str, spec, flags, rc=None) -> str:
+    """sha256 of the command, the run config's hash when it reads --config and
+    the resolved StudySpec value of each of its flags: requests that resolve
+    alike share a digest however their flags are spelled."""
+    parts = {"cmd": command, **{name: getattr(spec, name) for name in flags}}
     if rc is not None:
         parts["config_sha256"] = rc.config_hash
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
@@ -123,31 +119,6 @@ def cmd_run(args) -> int:
     return code
 
 
-_TRANSFER_FLAGS = ("delta", "orders", "smoother_orders", "k_max", "k_points")
-
-
-def cmd_transfer(args) -> int:
-    spec = _study_spec(args, "transfer_figures")
-    if not spec.orders:
-        raise ConfigError("transfer needs at least one order")
-    digest = _study_digest("transfer", spec, _TRANSFER_FLAGS, figures=args.figures)
-    if args.figures:
-        _write_study(args.out, experiments.run_study(spec), digest)
-        return 0
-
-    ks = np.linspace(0.0, spec.k_max, spec.k_points)
-    filters = [FilterSpec(delta=spec.delta, order=order) for order in spec.orders]
-    os.makedirs(args.out, exist_ok=True)  # only once every filter is built
-    written = []
-    for fs in filters:
-        path = os.path.join(args.out, f"transfer_order_{fs.order}.csv")
-        tables.write_transfer_csv(path, fs, ks)
-        written.append(path)
-    tables.write_manifest(args.out, written, digest)
-    print(f"wrote {len(written) + 1} files to {args.out}")
-    return 0
-
-
 def _print_fits(report) -> None:
     for key, fit in sorted(report.fits.items()):
         if fit.degenerate:
@@ -164,15 +135,16 @@ def _print_orders(report) -> None:
 
 def _print_table(report) -> None:
     table = report.tables["main"]
-    headers = list(table.keys())
-    print("  ".join(f"{h:>16s}" for h in headers))
-    for i in range(len(table["order"])):
-        print("  ".join(f"{table[h][i]:>16}" for h in headers))
+    print("  ".join(f"{h:>16s}" for h in table))
+    for row in zip(*table.values()):
+        print("  ".join(f"{v:>16}" for v in row))
 
 
 # command: (study kind, help, printer, flags, required fields, reads --config).
 # A command that reads --config takes its scenario from there and must be given --out.
 _STUDY_COMMANDS = {
+    "transfer": ("transfer", "tabulate filter, deconvolution and smoother multipliers at one radius",
+                 _print_table, ("delta", "orders", "k_max", "k_points"), ("orders",), False),
     "sweep-delta": ("delta_rate", "model-vs-reference error as the filter radius shrinks",
                     _print_fits, ("deltas", "orders", "fit_window"), ("deltas", "orders"), True),
     "sweep-n": ("n_limit", "model error and cost as deconvolution order grows",
@@ -190,7 +162,8 @@ def cmd_study(args) -> int:
     spec = _study_spec(args, kind, rc)
     for name in required:
         if not getattr(spec, name):
-            raise ConfigError(f"{args.command} needs {_STUDY_FLAGS[name][0]} or a [study] {name} entry")
+            entry = f" or a [study] {name} entry" if reads_config else ""
+            raise ConfigError(f"{args.command} needs {_STUDY_FLAGS[name][0]}{entry}")
     report = experiments.run_study(spec)
     printer(report)
     for flag in report.flags:
@@ -212,6 +185,7 @@ def _read_snapshot_dir(path):
             field, _ = read_snapshot(f, expected_grid=grid)
             grid = field.grid
             yield field
+            del field  # not held while the next one is read
     return SimpleNamespace(snapshots=snapshots())
 
 
@@ -248,13 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (overrides output.dir)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("transfer", help="tabulate filter/deconvolution transfer functions")
-    _add_study_flags(p, _TRANSFER_FLAGS)
-    p.add_argument("--figures", action="store_true",
-                   help="write combined curve tables on the rescaled axis instead")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_transfer, delta=1.0, orders="0,1,2")  # over StudySpec's defaults
-
     for command, (_, help_text, _, flags, _, reads_config) in _STUDY_COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         if reads_config:
@@ -263,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_study_flags(p, flags)
         p.add_argument("--out", required=reads_config)
         p.set_defaults(func=cmd_study)
+        if command == "transfer":
+            p.set_defaults(delta=1.0, orders="0,1,2")  # over StudySpec's defaults
 
     p = sub.add_parser("compare", help="error norms between two snapshot directories")
     p.add_argument("--model", required=True, help="directory of model .snap files")

@@ -12,8 +12,9 @@ from __future__ import annotations
 import configparser
 import contextlib
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
+from .experiments import StudySpec
 from .fields import FieldSpec
 from .filtering import DEFAULT_MAX_ORDER, FilterSpec
 from .solver import ModelKind, SolverConfig
@@ -71,6 +72,8 @@ def _retired(parse, value, reason: str) -> tuple:
     return convert, value
 
 
+_STUDY_DEFAULTS = {f.name: f.default for f in dataclass_fields(StudySpec)}
+
 _FIELD_KEYS = {
     "kind": (str, "zero"),
     "amplitude": (float, 1.0),
@@ -109,13 +112,10 @@ SCHEMA: dict = {
         "dir": (str, "out"),
         "formats": (str, "csv,snapshot"),
     },
-    "study": {
-        "deltas": (_parse_floats, ()),
-        "orders": (_parse_ints, ()),
-        "delta": (float, 0.5),
-        "fit_window": (int, None),
-        "floor": (float, 1e-12),
-    },
+    # sweep defaults, each key defaulting to its StudySpec field's default
+    "study": {key: (convert, _STUDY_DEFAULTS[key]) for key, convert in (
+        ("deltas", _parse_floats), ("orders", _parse_ints), ("delta", float),
+        ("fit_window", int), ("floor", float))},
 }
 
 

@@ -14,7 +14,6 @@ ones, so Cauchy-Schwarz bounds hold with constant one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,12 +185,17 @@ def model_error(traj_model, traj_reference) -> ModelError:
 
     Every snapshot is restricted onto spectral.integration_band of the coarser grid
     (`cutoff`); full-grid content outside it, which no run holds, is not compared.
-    The two snapshot sequences are walked once, a pair at a time, so either
-    may be a generator that reads its snapshots as they are needed.
+    The two snapshot sequences are walked once, a pair at a time, and a pair
+    is released before the next is read, so either may be a generator that
+    reads its snapshots as they are needed and one pair is held at a time.
     """
     end = object()
+    model, reference = iter(traj_model.snapshots), iter(traj_reference.snapshots)
     ts, l2_sq, h1_sq = [], [], []
-    for a, b in itertools.zip_longest(traj_model.snapshots, traj_reference.snapshots, fillvalue=end):
+    while True:
+        a, b = next(model, end), next(reference, end)
+        if a is end and b is end:
+            break
         if a is end or b is end or not np.isclose(a.t, b.t, rtol=0, atol=1e-12):
             raise ValueError("trajectories have mismatched snapshot times")
         if not ts:
@@ -204,6 +208,7 @@ def model_error(traj_model, traj_reference) -> ModelError:
         diff.coeffs -= band.restrict(b.coeffs, out=other)
         l2_sq.append(spectral.hs_norm(diff, 0) ** 2)
         h1_sq.append(spectral.hs_norm(diff, 1) ** 2)
+        del a, b  # the pair is released before the next one is read
     span = ts[-1] - ts[0]
     l2l2 = float(np.sqrt(np.trapezoid(l2_sq, ts)))
     h1_avg = float(np.sqrt(np.trapezoid(h1_sq, ts) / span)) if span > 0 else float("nan")

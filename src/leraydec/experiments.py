@@ -56,7 +56,6 @@ class StudySpec:
     grid_n: int = 16
     k_max: float = 10.0
     k_points: int = 201
-    smoother_orders: tuple = (0, 10, 50)
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
@@ -76,11 +75,10 @@ class StudySpec:
             raise spectral.ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
         if not (np.isfinite(self.floor) and self.floor >= 0):
             raise spectral.ParameterError("floor", f"floor must be finite and >= 0, got {self.floor}")
-        for name in ("orders", "smoother_orders"):
-            orders = tuple(int(n) for n in getattr(self, name))
-            if any(n < 0 or n > DEFAULT_MAX_ORDER for n in orders):  # FilterSpec's cap, before any run
-                raise spectral.ParameterError(name, f"{name} must be in [0, {DEFAULT_MAX_ORDER}], got {orders}")
-            setattr(self, name, orders)
+        orders = tuple(int(n) for n in self.orders)
+        if any(n < 0 or n > DEFAULT_MAX_ORDER for n in orders):  # FilterSpec's cap, before any run
+            raise spectral.ParameterError("orders", f"orders must be in [0, {DEFAULT_MAX_ORDER}], got {orders}")
+        self.orders = orders
         spectral.check_grid_size("grid_n", self.grid_n)  # Grid's rule, before any grid is built
         if not (np.isfinite(self.k_max) and self.k_max > 0):
             raise spectral.ParameterError("k_max", f"k_max must be positive and finite, got {self.k_max}")
@@ -343,35 +341,26 @@ def consistency_rate_study(spec: StudySpec) -> StudyReport:
     return report
 
 
-def transfer_figures_study(spec: StudySpec) -> StudyReport:
-    """Transfer-function curves on the rescaled axis (delta = 1).
+def transfer_study(spec: StudySpec) -> StudyReport:
+    """Filter, deconvolution and smoother multipliers at one radius, per order.
 
-    Produces one table for the deconvolution multipliers next to the exact
-    inverse-filter curve 1 + k^2, and one for the smoother multipliers at
-    representative orders.
+    One table over k in [0, k_max]: the filter g_hat and the exact inverse
+    filter d_exact = 1 + (delta k)^2, then d_hat_order_<N> and
+    h_hat_order_<N> for each requested order, which rise to d_exact and to
+    1 as N grows.
     """
     ks = np.linspace(0.0, spec.k_max, spec.k_points)
-    orders = spec.orders or (0, 1, 2)
-    deconv: dict = {"k": ks.tolist()}
-    for order in orders:
-        fs = FilterSpec(delta=1.0, order=order)
-        deconv[f"d_hat_order_{order}"] = filtering.transfer_dn(ks, fs).tolist()
-    deconv["d_exact"] = filtering.transfer_exact(ks, FilterSpec(delta=1.0)).tolist()
-
-    smoother: dict = {"k": ks.tolist()}
-    for order in spec.smoother_orders:
-        fs = FilterSpec(delta=1.0, order=order)
-        smoother[f"h_hat_order_{order}"] = filtering.transfer_hn(ks, fs).tolist()
-
+    exact = FilterSpec(delta=spec.delta)
+    table = {"k": ks.tolist(), "g_hat": filtering.transfer_g(ks, exact).tolist(),
+             "d_exact": filtering.transfer_exact(ks, exact).tolist()}
+    for order in spec.orders:
+        fs = FilterSpec(delta=spec.delta, order=order)
+        table[f"d_hat_order_{order}"] = filtering.transfer_dn(ks, fs).tolist()
+        table[f"h_hat_order_{order}"] = filtering.transfer_hn(ks, fs).tolist()
     return StudyReport(
-        kind="transfer_figures",
-        params={
-            "orders": orders,
-            "smoother_orders": spec.smoother_orders,
-            "k_max": spec.k_max,
-            "k_points": spec.k_points,
-        },
-        tables={"deconvolution": deconv, "smoother": smoother},
+        kind="transfer",
+        params={"delta": spec.delta, "orders": spec.orders, "k_max": spec.k_max, "k_points": spec.k_points},
+        tables={"main": table},
     )
 
 
@@ -381,7 +370,7 @@ _STUDY_RUNNERS = {
     "n_limit": n_limit_study,
     "cutoff_table": cutoff_table_study,
     "consistency_rate": consistency_rate_study,
-    "transfer_figures": transfer_figures_study,
+    "transfer": transfer_study,
 }
 STUDY_KINDS = tuple(_STUDY_RUNNERS)
 

@@ -220,12 +220,15 @@ class _Stepper:
     straight from its real part.  Between a forward transform's restriction
     and the next inverse transform the transform buffer is idle, and van
     Cittert's scratch is a band-shaped view of its head.  Every evaluation
-    runs inside the workspace with no field-sized temporaries of its own.
-    Each operation keeps the operand order of the plain full-grid array
-    expression it replaces, so for a power-of-two n results are bit for bit
-    those of an allocate-per-operation evaluation (up to the sign of a zero
-    coefficient): the first product is written straight into the
-    accumulator, which adding it to zeros would leave unchanged.
+    runs inside the workspace except the forward transform's input cast:
+    on each call numpy.fft.fftn casts the real samples to a fresh complex
+    (3, n, n, n) array, a field-sized temporary (12 MiB at 64^3), before it
+    transforms them into the buffer.  Each operation keeps the operand order of
+    the plain full-grid array expression it replaces, so for a power-of-two
+    n results are bit for bit those of an allocate-per-operation evaluation
+    (up to the sign of a zero coefficient): the first product is written
+    straight into the accumulator, which adding it to zeros would leave
+    unchanged.
     """
 
     def __init__(self, config: SolverConfig, state: SpectralField | None = None):

@@ -16,13 +16,10 @@ import os
 import numpy as np
 
 from .diagnostics import DiagRecord
-from .filtering import FilterSpec, transfer_dn, transfer_g, transfer_hn
 
 DIAG_SCHEMA = ("diag", 1)
 STUDY_SCHEMA = ("study", 1)
-TRANSFER_SCHEMA = ("transfer", 1)
 MANIFEST_SCHEMA = ("manifest", 1)
-_TRANSFER_COLUMNS = ("k", "g_hat", "d_hat", "h_hat")
 
 
 class TableError(ValueError):
@@ -93,19 +90,6 @@ def write_diag_csv(path, records) -> None:
 
 def read_diag_csv(path):
     return [DiagRecord(*row) for row in _read_csv(path, DIAG_SCHEMA, DiagRecord.FIELDS)]
-
-
-def write_transfer_csv(path, spec: FilterSpec, k) -> None:
-    """The filter, deconvolution and smoother multipliers of spec at the wavenumbers k."""
-    rows = zip(k, transfer_g(k, spec), transfer_dn(k, spec), transfer_hn(k, spec))
-    _write_csv(path, TRANSFER_SCHEMA, _TRANSFER_COLUMNS, rows,
-               extra_comments=(f"delta: {_fmt(spec.delta)} order: {spec.order}",))
-
-
-def read_transfer_csv(path):
-    """Read a transfer CSV back as a dict of float column arrays."""
-    rows = _read_csv(path, TRANSFER_SCHEMA, _TRANSFER_COLUMNS)
-    return {name: np.asarray([row[i] for row in rows]) for i, name in enumerate(_TRANSFER_COLUMNS)}
 
 
 def _plain(value):

@@ -10,7 +10,6 @@ the contract is cheap and repeatable.
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -78,7 +77,6 @@ def test_every_key_takes_any_value_or_rejects_it_by_key(values):
 
 READERS = {
     "read_diag_csv": (tables.read_diag_csv, tables.TableError),
-    "read_transfer_csv": (tables.read_transfer_csv, tables.TableError),
     "read_manifest": (tables.read_manifest, tables.TableError),
     "read_snapshot": (snapshots.read_snapshot, snapshots.SnapshotError),
 }
@@ -88,13 +86,11 @@ READERS = {
 def valid_files(tmp_path_factory):
     """One small valid file of each kind the readers read back, by reader name."""
     directory = tmp_path_factory.mktemp("valid")
-    diag, transfer, snap = directory / "diag.csv", directory / "transfer.csv", directory / "0000.snap"
+    diag, snap = directory / "diag.csv", directory / "0000.snap"
     tables.write_diag_csv(diag, [DiagRecord(0.01 * i, 0.125, 0.75, 0.075, 1e-3, -2.5e-17) for i in range(4)])
-    tables.write_transfer_csv(transfer, ld.FilterSpec(delta=0.5, order=2), np.linspace(0.0, 4.0, 5))
     snapshots.write_snapshot(snap, ld.random_solenoidal(ld.Grid(8), seed=5), "leray_deconv", 0.5, 2)
-    manifest = tables.write_manifest(directory, [str(diag), str(transfer), str(snap)], "c0ffee")
-    return {"read_diag_csv": diag, "read_transfer_csv": transfer, "read_manifest": Path(manifest),
-            "read_snapshot": snap}
+    manifest = tables.write_manifest(directory, [str(diag), str(snap)], "c0ffee")
+    return {"read_diag_csv": diag, "read_manifest": Path(manifest), "read_snapshot": snap}
 
 
 # an edit is (where, wrapped to the length, so small offsets and the header

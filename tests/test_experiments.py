@@ -99,7 +99,7 @@ def test_study_spec_rejects_nondecreasing_deltas():
     ("floor", float("nan")), ("floor", -1.0), ("floor", float("inf")),
     ("orders", (0, -1)), ("deltas", (0.4, float("nan"), 0.1)), ("deltas", (0.2, 0.1, -0.1)),
     ("k_max", -1.0), ("k_max", 0.0), ("k_max", float("nan")), ("k_points", 0),
-    ("orders", (0, 65)), ("smoother_orders", (0, -1)), ("grid_n", 7), ("grid_n", 2),
+    ("orders", (0, 65)), ("grid_n", 7), ("grid_n", 2),
     ("k_points", 10**13),
 ])
 def test_study_spec_rejects_each_bad_value_by_its_field(name, value):
@@ -411,18 +411,26 @@ def test_consistency_rate_study_defaults():
         assert all(0.0 < r <= 1.0 + 1e-12 for r in ratios)
 
 
-# ------------------------------------------------------- transfer_figures
+# ------------------------------------------------------- transfer
 
 
 def test_transfer_figures_tables():
-    rep = experiments.run_study(experiments.StudySpec(kind="transfer_figures"))
-    dec = rep.tables["deconvolution"]
-    smo = rep.tables["smoother"]
-    assert len(dec["k"]) == 201
-    assert dec["k"][-1] == pytest.approx(10.0)
-    assert dec["d_hat_order_2"][0] == pytest.approx(1.0)
-    assert dec["d_exact"][-1] == pytest.approx(1.0 + 10.0**2)
-    for order in (0, 10, 50):
-        h = smo[f"h_hat_order_{order}"]
+    """At delta = 1 the table holds the curves of the paper's transfer figures:
+    d_N rises to the exact inverse filter 1 + k^2 and h_N to 1 as N grows."""
+    rep = experiments.run_study(experiments.StudySpec(kind="transfer", delta=1.0, orders=(0, 2, 10, 50)))
+    assert list(rep.tables) == ["main"]
+    table = rep.tables["main"]
+    assert list(table)[:3] == ["k", "g_hat", "d_exact"]
+    assert len(table["k"]) == 201
+    assert table["k"][-1] == pytest.approx(10.0)
+    assert table["d_hat_order_2"][0] == pytest.approx(1.0)
+    assert table["d_exact"][-1] == pytest.approx(1.0 + 10.0**2)
+    for order in (0, 2, 10, 50):
+        h = table[f"h_hat_order_{order}"]
         assert h[0] == pytest.approx(1.0)
         assert all(b <= a + 1e-15 for a, b in zip(h, h[1:]))  # decays with k
+    for lower, higher in ((0, 2), (2, 10), (10, 50)):
+        assert all(lo <= hi <= ex for lo, hi, ex in zip(
+            table[f"d_hat_order_{lower}"], table[f"d_hat_order_{higher}"], table["d_exact"]))
+        assert all(lo <= hi <= 1.0 for lo, hi in zip(
+            table[f"h_hat_order_{lower}"], table[f"h_hat_order_{higher}"]))

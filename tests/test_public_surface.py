@@ -13,7 +13,6 @@ UNCALLED = {
     "apply_hn": "the closed-form smoother, the oracle the stepper's van Cittert layout is tested against",
     "cfl_max_dt": "the advisory CFL limit of a state at hand; run() takes its own from _cfl_limit",
     "read_diag_csv": "reads back the diag.csv that `leraydec run` writes",
-    "read_transfer_csv": "reads back the transfer.csv that `leraydec transfer` writes",
 }
 
 

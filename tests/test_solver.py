@@ -553,3 +553,47 @@ def test_every_solver_entry_point_builds_one_run_object(grid8, monkeypatch):
         counts.append(len(made))
     assert counts == [1, 1, 1]
     assert not hasattr(ld.solver, "_Advection")
+
+
+# The box's symmetries act on full-grid coefficients c[component, kx, ky, kz],
+# each axis in FFT order.  step must commute with each of a generating set.
+_TOLERANCE = 64 * np.finfo(np.float64).eps  # relative to the largest coefficient
+
+
+def _swap_xy(c, grid):  # u'(x, y, z) = (u_y, u_x, u_z)(y, x, z)
+    return c[[1, 0, 2]].transpose(0, 2, 1, 3)
+
+
+def _reflect_x(c, grid):  # u'(x, y, z) = (-u_x, u_y, u_z)(-x, y, z): kx -> -kx, index i -> -i mod n
+    out = np.roll(np.flip(c, axis=1), 1, axis=1)
+    out[0] *= -1
+    return out
+
+
+def _shift_x(c, grid):  # u'(x) = u(x - h e_x) for one cell h = 2 pi / n
+    return c * np.exp(-1j * grid.kx * (2 * np.pi / grid.n))
+
+
+def _swap_xy_axes_only(c, grid):  # a wrong component map: the axes swapped, the components not
+    return c.transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("symmetry, commutes", [
+    (_swap_xy, True), (_reflect_x, True), (_shift_x, True), (_swap_xy_axes_only, False),
+], ids=["swap-xy", "reflect-x", "shift-x", "wrong-component-map"])
+def test_step_commutes_with_the_box_symmetries(symmetry, commutes):
+    """Five order-3 steps of a transformed field are the transformed five
+    steps, to a few rounding errors; a wrong component map does not commute."""
+    grid = ld.Grid(16)
+    cfg = _cfg(grid, model="leray_deconv", order=3)
+    start = ld.random_solenoidal(grid, seed=4)
+
+    def five_steps(state):
+        for _ in range(5):
+            state = ld.step(state, cfg)
+        return state.coeffs
+
+    end = five_steps(start)
+    moved_then_stepped = five_steps(start.with_coeffs(symmetry(start.coeffs, grid)))
+    defect = np.abs(moved_then_stepped - symmetry(end, grid)).max() / np.abs(end).max()
+    assert (defect <= _TOLERANCE) == commutes, defect

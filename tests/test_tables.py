@@ -78,13 +78,16 @@ def test_diag_csv_rejects_changed_columns(tmp_path):
 def test_transfer_csv_round_trip(tmp_path):
     spec = ld.FilterSpec(delta=0.5, order=3)
     k = np.linspace(0.0, 8.0, 33)
-    path = tmp_path / "transfer.csv"
-    tables.write_transfer_csv(path, spec, k)
-    cols = tables.read_transfer_csv(path)
-    assert set(cols) == {"k", "g_hat", "d_hat", "h_hat"}
-    assert np.array_equal(cols["k"], k)
-    assert np.array_equal(cols["d_hat"], ld.transfer_dn(k, spec))
-    assert "delta: 0.5 order: 3" in path.read_text()
+    rep = experiments.run_study(
+        experiments.StudySpec(kind="transfer", delta=0.5, orders=(3,), k_max=8.0, k_points=33))
+    path = tmp_path / "transfer_main.csv"
+    assert tables.write_study_tables(tmp_path, rep)[0] == str(path)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["# schema: study/1", "# study: transfer", "k,g_hat,d_exact,d_hat_order_3,h_hat_order_3"]
+    cols = np.array([[float(v) for v in ln.split(",")] for ln in lines[3:]]).T
+    assert np.array_equal(cols[0], k)  # %.17g preserves doubles exactly
+    for col, transfer in zip(cols[1:], (ld.transfer_g, ld.transfer_exact, ld.transfer_dn, ld.transfer_hn)):
+        assert np.array_equal(col, transfer(k, spec))
 
 
 def test_study_tables_and_report(tmp_path):
@@ -207,17 +210,3 @@ def test_corrupted_diag_csv_is_rejected_by_path(tmp_path):
     _rejected_by_path(tables.read_diag_csv, bad, "no header line")
     bad.write_bytes(text.encode().replace(b"0.125", b"0.\xff25", 1))
     _rejected_by_path(tables.read_diag_csv, bad, "codec can't decode")
-
-
-def test_corrupted_transfer_csv_is_rejected_by_path(tmp_path):
-    path = tmp_path / "transfer.csv"
-    tables.write_transfer_csv(path, ld.FilterSpec(delta=0.5, order=3), np.linspace(0.0, 8.0, 9))
-    lines = path.read_text().splitlines(keepends=True)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("".join(lines).replace(lines[4], "1,abc" + lines[4][lines[4].index(",", 2):]))
-    _rejected_by_path(tables.read_transfer_csv, bad, "could not convert")
-    bad.write_text("".join(lines[:4] + [lines[4].rsplit(",", 1)[0] + "\n"] + lines[5:]))
-    _rejected_by_path(tables.read_transfer_csv, bad, "data row 2 has 3 fields, expected 4")
-    bad.write_text("".join(lines[:2]))
-    _rejected_by_path(tables.read_transfer_csv, bad, "no header line")
-
