@@ -140,30 +140,28 @@ def _print_table(report) -> None:
         print("  ".join(f"{v:>16}" for v in row))
 
 
-# command: (study kind, help, printer, flags, required fields, reads --config).
+# command: (study kind, help, printer, flags, reads --config).
 # A command that reads --config takes its scenario from there and must be given --out.
+# A flag left out takes its [study] value or else StudySpec's default; for --orders
+# and --deltas that is the kind's default sweep, which StudySpec alone chooses.
 _STUDY_COMMANDS = {
     "transfer": ("transfer", "tabulate filter, deconvolution and smoother multipliers at one radius",
-                 _print_table, ("delta", "orders", "k_max", "k_points"), ("orders",), False),
+                 _print_table, ("delta", "orders", "k_max", "k_points"), False),
     "sweep-delta": ("delta_rate", "model-vs-reference error as the filter radius shrinks",
-                    _print_fits, ("deltas", "orders", "fit_window"), ("deltas", "orders"), True),
+                    _print_fits, ("deltas", "orders", "fit_window"), True),
     "sweep-n": ("n_limit", "model error and cost as deconvolution order grows",
-                _print_orders, ("delta", "orders"), ("orders",), True),
+                _print_orders, ("delta", "orders"), True),
     "cutoff": ("cutoff_table", "smoother cutoff wavenumber table",
-               _print_table, ("deltas", "orders"), (), False),
+               _print_table, ("deltas", "orders"), False),
     "consistency": ("consistency_rate", "consistency-tensor size and bounds on an analytic field",
-                    _print_fits, ("deltas", "orders", "grid_n", "fit_window"), (), False),
+                    _print_fits, ("deltas", "orders", "grid_n", "fit_window"), False),
 }
 
 
 def cmd_study(args) -> int:
-    kind, _, printer, flags, required, reads_config = _STUDY_COMMANDS[args.command]
+    kind, _, printer, flags, reads_config = _STUDY_COMMANDS[args.command]
     rc = _load_run_config(args) if reads_config else None
     spec = _study_spec(args, kind, rc)
-    for name in required:
-        if not getattr(spec, name):
-            entry = f" or a [study] {name} entry" if reads_config else ""
-            raise ConfigError(f"{args.command} needs {_STUDY_FLAGS[name][0]}{entry}")
     report = experiments.run_study(spec)
     printer(report)
     for flag in report.flags:
@@ -222,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (overrides output.dir)")
     p.set_defaults(func=cmd_run)
 
-    for command, (_, help_text, _, flags, _, reads_config) in _STUDY_COMMANDS.items():
+    for command, (_, help_text, _, flags, reads_config) in _STUDY_COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         if reads_config:
             p.add_argument("--config", required=True)
@@ -231,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=reads_config)
         p.set_defaults(func=cmd_study)
         if command == "transfer":
-            p.set_defaults(delta=1.0, orders="0,1,2")  # over StudySpec's defaults
+            p.set_defaults(delta=1.0)  # over StudySpec's 0.5
 
     p = sub.add_parser("compare", help="error norms between two snapshot directories")
     p.add_argument("--model", required=True, help="directory of model .snap files")

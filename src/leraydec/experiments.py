@@ -44,7 +44,11 @@ class RateFit:
 
 @dataclass
 class StudySpec:
-    """Sweep request shared by all studies; unused knobs are ignored per kind."""
+    """Sweep request shared by all studies; unused knobs are ignored per kind.
+
+    An empty `orders` or `deltas` takes the kind's default sweep from
+    `_STUDIES` here, the one place it is chosen, and is checked like a given one.
+    """
 
     kind: str
     deltas: tuple = ()
@@ -60,22 +64,26 @@ class StudySpec:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}, expected one of {STUDY_KINDS}")
-        ds = tuple(float(d) for d in self.deltas)
+        _, default_orders, default_deltas = _STUDIES[self.kind]
+        ds = tuple(float(d) for d in self.deltas) or default_deltas
         if not all(np.isfinite(d) and d >= 0 for d in ds):
             raise spectral.ParameterError("deltas", f"deltas must be finite and >= 0, got {ds}")
         if 0.0 in ds and self.kind != "delta_rate":  # delta = 0 is the NSE reference, a point of delta_rate only
             raise spectral.ParameterError("deltas", f"deltas must be positive for {self.kind}, got {ds}")
         if ds and any(b >= a for a, b in zip(ds, ds[1:])):
             raise spectral.ParameterError("deltas", "deltas must be strictly decreasing")
-        if self.kind in ("deconv_rate", "delta_rate", "consistency_rate") and 0 < len(ds) < 3:
+        if self.kind in _RATE_KINDS and len(ds) < 3:
             raise spectral.ParameterError("deltas", "a rate fit needs at least three sweep points")
         if self.fit_window is not None and self.fit_window < 3:
             raise spectral.ParameterError("fit_window", f"fit_window must be >= 3, got {self.fit_window}")
+        if self.kind in _RATE_KINDS and (self.fit_window or 0) > len(ds):
+            raise spectral.ParameterError(
+                "fit_window", f"fit_window must be at most the sweep's {len(ds)} points, got {self.fit_window}")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise spectral.ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
         if not (np.isfinite(self.floor) and self.floor >= 0):
             raise spectral.ParameterError("floor", f"floor must be finite and >= 0, got {self.floor}")
-        orders = tuple(int(n) for n in self.orders)
+        orders = tuple(int(n) for n in self.orders) or default_orders
         if any(n < 0 or n > DEFAULT_MAX_ORDER for n in orders):  # FilterSpec's cap, before any run
             raise spectral.ParameterError("orders", f"orders must be in [0, {DEFAULT_MAX_ORDER}], got {orders}")
         self.orders = orders
@@ -149,25 +157,26 @@ def _columns(rows) -> dict:
     return {name: [row[name] for row in rows] for name in rows[0]}
 
 
-def _rate_study(kind, spec, orders, deltas, measure, floor, params, metadata) -> StudyReport:
+def _rate_study(kind, spec, measure, floor, metadata, **params) -> StudyReport:
     """Sweep delta per order; fit the first measured quantity against delta^(2N+2).
 
     measure(delta, order) returns {name: value}; each name becomes the
     column `<name>_order_<N>`, in the order measure returns them.  Fits
     that are degenerate or floor-limited are flagged by their order key.
+    The report's params are the sweep's orders and deltas plus **params.
     """
-    table: dict = {"delta": list(deltas)}
+    table: dict = {"delta": list(spec.deltas)}
     fits = {}
-    for order in orders:
-        columns = _columns([measure(d, order) for d in deltas])
+    for order in spec.orders:
+        columns = _columns([measure(d, order) for d in spec.deltas])
         table.update((f"{name}_order_{order}", col) for name, col in columns.items())
         fits[f"order_{order}"] = fit_rate(
-            deltas, next(iter(columns.values())), expected=2.0 * (order + 1),
+            spec.deltas, next(iter(columns.values())), expected=2.0 * (order + 1),
             window=spec.fit_window, floor=floor,
         )
     flags = [k for k, f in fits.items() if f.degenerate or f.floor_limited]
-    return StudyReport(kind=kind, params=params, tables={"main": table}, fits=fits,
-                       flags=flags, metadata=metadata)
+    return StudyReport(kind=kind, params={"orders": spec.orders, "deltas": spec.deltas, **params},
+                       tables={"main": table}, fits=fits, flags=flags, metadata=metadata)
 
 
 def deconv_rate_study(spec: StudySpec) -> StudyReport:
@@ -178,17 +187,14 @@ def deconv_rate_study(spec: StudySpec) -> StudyReport:
     """
     mode = (1, 0, 0)
     phi = fields.single_mode(spectral.Grid(spec.grid_n), mode)
-    orders = spec.orders or (0, 1, 2)
-    deltas = spec.deltas or (0.2, 0.1, 0.05, 0.025)
 
     def measure(d, order):
         fspec = FilterSpec(delta=d, order=order)
         recovered = filtering.van_cittert(filtering.apply_filter(phi, fspec), fspec)
         return {"error": spectral.hs_norm(phi.with_coeffs(phi.coeffs - recovered.coeffs), 0)}
 
-    params = {"mode": mode, "orders": orders, "deltas": deltas, "grid_n": spec.grid_n}
-    return _rate_study("deconv_rate", spec, orders, deltas, measure, 0.0, params,
-                       {"field": "single_mode"})
+    return _rate_study("deconv_rate", spec, measure, 0.0, {"field": "single_mode"},
+                       mode=mode, grid_n=spec.grid_n)
 
 
 def _scenario(base: SolverConfig, delta: float, order: int) -> SolverConfig:
@@ -225,12 +231,9 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
     A delta = 0 point is the reference itself, with its cost and a zero
     error row, which the fit then reports as degenerate rather than crashing.
     """
-    orders = spec.orders or (0,)
-    deltas = spec.deltas or (0.4, 0.2, 0.1)
     reference, metadata = _reference(spec, "delta_rate_study")
-    return _rate_study("delta_rate", spec, orders, deltas,
-                       lambda d, order: _trajectory_point(spec.base, reference, d, order),
-                       spec.floor, {"orders": orders, "deltas": deltas}, metadata)
+    return _rate_study("delta_rate", spec, lambda d, order: _trajectory_point(spec.base, reference, d, order),
+                       spec.floor, metadata)
 
 
 def deconv_unit_cost(g_hat: np.ndarray, fbar: np.ndarray) -> float:
@@ -267,13 +270,12 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
     The unit is read before each model run and after the last; their median
     is `unit_filter_seconds`, and `unit_filter_readings` keeps them all.
     """
-    orders = spec.orders or (0, 1, 2, 4, 8)
     reference, metadata = _reference(spec, "n_limit_study")
     band = spectral.integration_band(spec.base.grid)  # deconv_unit_cost's operand, built once
     g_hat = filtering.transfer_g(band.k_mag, FilterSpec(delta=spec.delta))
     fbar = g_hat * band.restrict(fields.random_solenoidal(spec.base.grid, seed=973).coeffs)
     units, rows = [], []
-    for order in orders:
+    for order in spec.orders:
         units.append(deconv_unit_cost(g_hat, fbar))
         rows.append({"order": order, **_trajectory_point(spec.base, reference, spec.delta, order)})
     units.append(deconv_unit_cost(g_hat, fbar))
@@ -285,7 +287,7 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
 
     return StudyReport(
         kind="n_limit",
-        params={"orders": orders, "delta": spec.delta},
+        params={"orders": spec.orders, "delta": spec.delta},
         tables={"main": table},
         flags=flags,
         # statistics.median, not np.median, whose first call imports numpy.ma (0.5 MiB)
@@ -295,12 +297,10 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
 
 def cutoff_table_study(spec: StudySpec) -> StudyReport:
     """Cutoff wavenumber of the smoother across orders and filter radii."""
-    orders = spec.orders or tuple(range(0, 51, 5))
-    deltas = spec.deltas or (1.0, 0.5, 0.25)
     # %g where it reads back as the radius, else repr, so no two radii share a column
-    names = [f"k_c_delta_{d:g}" if float(f"{d:g}") == d else f"k_c_delta_{d!r}" for d in deltas]
+    names = [f"k_c_delta_{d:g}" if float(f"{d:g}") == d else f"k_c_delta_{d!r}" for d in spec.deltas]
     rows = [{"order": o, **{name: filtering.cutoff_frequency(FilterSpec(delta=d, order=o))
-                            for name, d in zip(names, deltas)}} for o in orders]
+                            for name, d in zip(names, spec.deltas)}} for o in spec.orders]
     table = _columns(rows)
 
     def falls(values):
@@ -312,7 +312,7 @@ def cutoff_table_study(spec: StudySpec) -> StudyReport:
 
     return StudyReport(
         kind="cutoff_table",
-        params={"orders": orders, "deltas": deltas},
+        params={"orders": spec.orders, "deltas": spec.deltas},
         tables={"main": table},
         flags=flags,
     )
@@ -322,8 +322,6 @@ def consistency_rate_study(spec: StudySpec) -> StudyReport:
     """Consistency-tensor magnitude against delta on a frozen analytic field."""
     grid = spectral.Grid(spec.grid_n)
     v = fields.taylor_green(grid)
-    orders = spec.orders or (0, 1)
-    deltas = spec.deltas or (0.2, 0.1, 0.05, 0.025)
     violated = []
 
     def measure(d, order):
@@ -333,9 +331,7 @@ def consistency_rate_study(spec: StudySpec) -> StudyReport:
         return {"l1_tau": rep.l1_tau, "bound_sharp": rep.bound_sharp,
                 "bound_crude": rep.bound_crude, "ratio": rep.ratio}
 
-    params = {"orders": orders, "deltas": deltas, "grid_n": spec.grid_n}
-    report = _rate_study("consistency_rate", spec, orders, deltas, measure, 0.0, params,
-                         {"field": "taylor_green"})
+    report = _rate_study("consistency_rate", spec, measure, 0.0, {"field": "taylor_green"}, grid_n=spec.grid_n)
     if violated:
         report.flags.insert(0, "bound_violated")
     return report
@@ -364,16 +360,17 @@ def transfer_study(spec: StudySpec) -> StudyReport:
     )
 
 
-_STUDY_RUNNERS = {
-    "deconv_rate": deconv_rate_study,
-    "delta_rate": delta_rate_study,
-    "n_limit": n_limit_study,
-    "cutoff_table": cutoff_table_study,
-    "consistency_rate": consistency_rate_study,
-    "transfer": transfer_study,
+_STUDIES = {  # kind: (study, default orders, default deltas)
+    "deconv_rate": (deconv_rate_study, (0, 1, 2), (0.2, 0.1, 0.05, 0.025)),
+    "delta_rate": (delta_rate_study, (0,), (0.4, 0.2, 0.1)),
+    "n_limit": (n_limit_study, (0, 1, 2, 4, 8), ()),
+    "cutoff_table": (cutoff_table_study, tuple(range(0, 51, 5)), (1.0, 0.5, 0.25)),
+    "consistency_rate": (consistency_rate_study, (0, 1), (0.2, 0.1, 0.05, 0.025)),
+    "transfer": (transfer_study, (0, 1, 2), ()),
 }
-STUDY_KINDS = tuple(_STUDY_RUNNERS)
+STUDY_KINDS = tuple(_STUDIES)
+_RATE_KINDS = ("deconv_rate", "delta_rate", "consistency_rate")
 
 
 def run_study(spec: StudySpec) -> StudyReport:
-    return _STUDY_RUNNERS[spec.kind](spec)
+    return _STUDIES[spec.kind][0](spec)

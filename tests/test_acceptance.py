@@ -107,6 +107,7 @@ def test_criterion_05_cutoff_frequencies():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_06_inviscid_energy_conservation(grid32):
     def drift(dt: float) -> float:
         cfg = ld.SolverConfig(
@@ -132,6 +133,7 @@ def test_criterion_06_inviscid_energy_conservation(grid32):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_energy_balance_and_a_priori_bound(grid32):
     nu, t_end = 0.1, 0.5
     ic = ld.FieldSpec(kind="taylor_green")
@@ -225,6 +227,7 @@ def _trajectory_base(grid32):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_trajectory_error_second_order_in_delta(grid32):
     rep = experiments.run_study(StudySpec(
         kind="delta_rate",
@@ -255,6 +258,7 @@ def test_criterion_10_trajectory_error_second_order_in_delta(grid32):
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_order_sweep_accuracy_and_cost(grid32):
     rep = experiments.run_study(StudySpec(
         kind="n_limit",

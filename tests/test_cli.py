@@ -422,11 +422,12 @@ def test_sweep_delta(cfg_path, tmp_path, capsys):
     assert payload["fits"]["order_0"]["expected"] == 2.0
 
 
-def test_sweep_delta_needs_deltas(cfg_path, tmp_path, capsys):
-    code = _run(["sweep-delta", "--config", cfg_path,
-                 "--orders", "0", "--out", str(tmp_path / "sw")])
-    assert code == 1
-    assert "needs --deltas" in capsys.readouterr().err
+def test_sweep_delta_runs_its_default_radii(cfg_path, tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert _run(["sweep-delta", "--config", cfg_path, "--out", str(out)]) == 0
+    assert "order_0: slope" in capsys.readouterr().out
+    report = json.loads((out / "delta_rate_report.json").read_text())
+    assert report["params"] == {"orders": [0], "deltas": [0.4, 0.2, 0.1]}
 
 
 def test_sweeps_read_study_section_without_kind(cfg_path, tmp_path, capsys):
@@ -455,6 +456,7 @@ def test_sweeps_read_study_section_without_kind(cfg_path, tmp_path, capsys):
     (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0", "--set", "study.floor=-1"], "floor"),
     (["sweep-delta", "--orders", "0", "--set", "study.deltas=0.1,0.2,0.3"], "deltas"),
     (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0", "--fit-window", "2"], "fit_window"),
+    (["sweep-delta", "--fit-window", "4"], "fit_window"),  # wider than the three default radii
 ])
 def test_sweep_rejects_before_any_run_or_output(cfg_path, tmp_path, capsys, monkeypatch, args, key):
     runs = []
@@ -532,7 +534,9 @@ def test_no_study_flag_is_ignored(tmp_path, command, base):
 
 @pytest.mark.parametrize("args, message", [
     (["cutoff", "--deltas", "1,abc"], "error: invalid value for study.deltas:"),
-    (["transfer", "--orders", ""], "error: transfer needs --orders"),
+    (["transfer", "--orders", "1,,2"], "error: invalid value for study.orders:"),
+    (["consistency", "--grid-n", "8", "--deltas", "0.2,0.1,0.05", "--fit-window", "9"],
+     "error: invalid value for study.fit_window:"),
 ])
 def test_a_flag_without_a_config_is_rejected_before_any_output(tmp_path, capsys, args, message):
     out = tmp_path / "never"
@@ -548,3 +552,46 @@ def test_consistency_command(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "order_0: slope" in stdout
     assert "consistency_rate_main.csv" in set(os.listdir(tmp_path / "c"))
+
+
+# each study command's default sweep, spelled out as flags
+_DEFAULT_SWEEP_FLAGS = {
+    "transfer": ["--orders", "0,1,2"],
+    "sweep-delta": ["--orders", "0", "--deltas", "0.4,0.2,0.1"],
+    "sweep-n": ["--orders", "0,1,2,4,8"],
+    "cutoff": ["--orders", "0,5,10,15,20,25,30,35,40,45,50", "--deltas", "1,0.5,0.25"],
+    "consistency": ["--orders", "0,1", "--deltas", "0.2,0.1,0.05,0.025"],
+}
+
+
+def _untimed(table_csv: bytes) -> list:
+    """A study table's rows without its measured-time columns."""
+    rows = list(csv.reader(ln for ln in table_csv.decode().splitlines() if not ln.startswith("#")))
+    keep = [i for i, name in enumerate(rows[0]) if "_seconds" not in name]
+    return [[row[i] for i in keep] for row in rows]
+
+
+@pytest.mark.parametrize("command", list(cli._STUDY_COMMANDS))
+def test_a_sweep_left_out_is_the_kinds_default_sweep(cfg_path, tmp_path, command):
+    """A study run with no sweep flag and one given its kind's default
+    --orders/--deltas write the same bytes, manifest digest included; the
+    trajectory sweeps differ only in their measured times."""
+    head = {"sweep-delta": ["--config", cfg_path], "sweep-n": ["--config", cfg_path],
+            "consistency": ["--grid-n", "8"]}.get(command, [])
+    out = tmp_path / "out"  # one directory, since a run config's hash covers output.dir
+
+    def written(flags):
+        assert _run([command, *head, *flags, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    left_out, spelled = written([]), written(_DEFAULT_SWEEP_FLAGS[command])
+    assert left_out.keys() == spelled.keys()
+    if command in ("sweep-delta", "sweep-n"):
+        def digest(files):
+            return json.loads(files["manifest.json"])["config_sha256"]
+
+        assert digest(left_out) == digest(spelled)
+        for name in (n for n in left_out if n.endswith(".csv")):
+            assert _untimed(left_out[name]) == _untimed(spelled[name]), name
+    else:
+        assert left_out == spelled

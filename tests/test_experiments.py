@@ -101,11 +101,34 @@ def test_study_spec_rejects_nondecreasing_deltas():
     ("k_max", -1.0), ("k_max", 0.0), ("k_max", float("nan")), ("k_points", 0),
     ("orders", (0, 65)), ("grid_n", 7), ("grid_n", 2),
     ("k_points", 10**13),
+    ("fit_window", 5),  # wider than deconv_rate's four default radii
 ])
 def test_study_spec_rejects_each_bad_value_by_its_field(name, value):
     with pytest.raises(ld.ParameterError) as err:
-        experiments.StudySpec(kind="n_limit", **{name: value})
+        experiments.StudySpec(kind="deconv_rate", **{name: value})
     assert err.value.parameter == name
+
+
+@pytest.mark.parametrize("kind, orders, deltas", [
+    ("deconv_rate", (0, 1, 2), (0.2, 0.1, 0.05, 0.025)),
+    ("delta_rate", (0,), (0.4, 0.2, 0.1)),
+    ("n_limit", (0, 1, 2, 4, 8), ()),
+    ("cutoff_table", (0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50), (1.0, 0.5, 0.25)),
+    ("consistency_rate", (0, 1), (0.2, 0.1, 0.05, 0.025)),
+    ("transfer", (0, 1, 2), ()),
+])
+def test_study_spec_resolves_each_kinds_default_sweep(kind, orders, deltas):
+    """An empty orders or deltas is the kind's default sweep once the spec is
+    built, so every study reads the resolved values and a fit window is
+    checked against them."""
+    spec = experiments.StudySpec(kind=kind)
+    assert (spec.orders, spec.deltas) == (orders, deltas)
+    assert experiments.StudySpec(kind=kind, orders=[], deltas=[]) == spec
+    if kind.endswith("_rate"):
+        assert experiments.StudySpec(kind=kind, fit_window=len(deltas)).fit_window == len(deltas)
+        with pytest.raises(ld.ParameterError, match="at most the sweep's") as err:
+            experiments.StudySpec(kind=kind, fit_window=len(deltas) + 1)
+        assert err.value.parameter == "fit_window"
 
 
 def test_only_delta_rate_takes_a_zero_radius():

@@ -556,7 +556,8 @@ def test_every_solver_entry_point_builds_one_run_object(grid8, monkeypatch):
 
 
 # The box's symmetries act on full-grid coefficients c[component, kx, ky, kz],
-# each axis in FFT order.  step must commute with each of a generating set.
+# each axis in FFT order.  step and nonlinear_term must commute with each of a
+# generating set.
 _TOLERANCE = 64 * np.finfo(np.float64).eps  # relative to the largest coefficient
 
 
@@ -564,36 +565,56 @@ def _swap_xy(c, grid):  # u'(x, y, z) = (u_y, u_x, u_z)(y, x, z)
     return c[[1, 0, 2]].transpose(0, 2, 1, 3)
 
 
-def _reflect_x(c, grid):  # u'(x, y, z) = (-u_x, u_y, u_z)(-x, y, z): kx -> -kx, index i -> -i mod n
-    out = np.roll(np.flip(c, axis=1), 1, axis=1)
-    out[0] *= -1
-    return out
+def _reflect(axis):  # u' = u with coordinate and component `axis` negated: k_axis -> -k_axis
+    def reflect(c, grid):  # along the axis, index i -> -i mod n
+        out = np.roll(np.flip(c, axis=axis + 1), 1, axis=axis + 1)
+        out[axis] *= -1
+        return out
+    return reflect
 
 
-def _shift_x(c, grid):  # u'(x) = u(x - h e_x) for one cell h = 2 pi / n
-    return c * np.exp(-1j * grid.kx * (2 * np.pi / grid.n))
+def _shift(axis):  # u'(x) = u(x - h e_axis) for one cell h = 2 pi / n
+    return lambda c, grid: c * np.exp(-1j * grid.wavevectors()[axis] * (2 * np.pi / grid.n))
 
 
 def _swap_xy_axes_only(c, grid):  # a wrong component map: the axes swapped, the components not
     return c.transpose(0, 2, 1, 3)
 
 
+def _five_steps(state, cfg):
+    for _ in range(5):
+        state = ld.step(state, cfg)
+    return state.coeffs
+
+
+def _advection(state, cfg):
+    return ld.solver.nonlinear_term(state, cfg.model, cfg.filter).coeffs
+
+
+@pytest.fixture(scope="module")
+def symmetry_runs():
+    """Per grid size: the config, an order-3 start field and, for each of
+    _five_steps and _advection, its value on that field."""
+    runs = {}
+    for n in (8, 16):
+        grid = ld.Grid(n)
+        cfg = _cfg(grid, model="leray_deconv", order=3)
+        start = ld.random_solenoidal(grid, seed=4)
+        runs[n] = cfg, start, {op: op(start, cfg) for op in (_five_steps, _advection)}
+    return runs
+
+
 @pytest.mark.parametrize("symmetry, commutes", [
-    (_swap_xy, True), (_reflect_x, True), (_shift_x, True), (_swap_xy_axes_only, False),
-], ids=["swap-xy", "reflect-x", "shift-x", "wrong-component-map"])
-def test_step_commutes_with_the_box_symmetries(symmetry, commutes):
-    """Five order-3 steps of a transformed field are the transformed five
-    steps, to a few rounding errors; a wrong component map does not commute."""
-    grid = ld.Grid(16)
-    cfg = _cfg(grid, model="leray_deconv", order=3)
-    start = ld.random_solenoidal(grid, seed=4)
-
-    def five_steps(state):
-        for _ in range(5):
-            state = ld.step(state, cfg)
-        return state.coeffs
-
-    end = five_steps(start)
-    moved_then_stepped = five_steps(start.with_coeffs(symmetry(start.coeffs, grid)))
-    defect = np.abs(moved_then_stepped - symmetry(end, grid)).max() / np.abs(end).max()
-    assert (defect <= _TOLERANCE) == commutes, defect
+    (_swap_xy, True), (_reflect(0), True), (_reflect(1), True), (_reflect(2), True),
+    (_shift(0), True), (_shift(1), True), (_shift(2), True), (_swap_xy_axes_only, False),
+], ids=["swap-xy", "reflect-x", "reflect-y", "reflect-z", "shift-x", "shift-y", "shift-z",
+        "wrong-component-map"])
+def test_step_commutes_with_the_box_symmetries(symmetry_runs, symmetry, commutes):
+    """Five order-3 steps, and the nonlinear term, of a transformed field are
+    the transformed ones, to a few rounding errors, at 8^3 and 16^3; a wrong
+    component map does not commute."""
+    for n, (cfg, start, values) in symmetry_runs.items():
+        moved = start.with_coeffs(symmetry(start.coeffs, cfg.grid))
+        for op, value in values.items():
+            defect = np.abs(op(moved, cfg) - symmetry(value, cfg.grid)).max() / np.abs(value).max()
+            assert (defect <= _TOLERANCE) == commutes, (n, op.__name__, defect)
