@@ -46,8 +46,8 @@ class RateFit:
 class StudySpec:
     """Sweep request shared by all studies; unused knobs are ignored per kind.
 
-    An empty `orders` or `deltas` takes the kind's default sweep from
-    `_STUDIES` here, the one place it is chosen, and is checked like a given one.
+    An empty `orders` or `deltas` is resolved here, the one place a default
+    sweep is chosen, to the kind's entry in `_STUDIES`, then checked like a given one.
     """
 
     kind: str
