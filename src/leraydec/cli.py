@@ -17,7 +17,7 @@ import sys
 from types import SimpleNamespace
 
 from . import diagnostics, experiments, tables
-from .config import ConfigError, _built, _parse_floats, _parse_ints, parse_config, render_effective
+from .config import ConfigError, _built, parse_config, render_effective
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
 from .solver import BlowUpError, run
 from .tables import TableError
@@ -43,10 +43,20 @@ def _load_run_config(args):
     return parse_config(args.config, overrides)
 
 
+def _parse_list(convert):
+    """Parser of a comma-separated list flag; a blank value is the flag left out, an empty item an error."""
+    def parse(raw: str) -> tuple:
+        items = [p.strip() for p in raw.split(",")] if raw.strip() else []
+        if "" in items:
+            raise ValueError(f"empty item in list {raw!r}")
+        return tuple(map(convert, items))
+    return parse
+
+
 # StudySpec field: (flag, argparse keywords, parser of a list flag).  A flag's dest is its field.
 _STUDY_FLAGS = {
-    "deltas": ("--deltas", {"help": "comma-separated, strictly decreasing"}, _parse_floats),
-    "orders": ("--orders", {}, _parse_ints),
+    "deltas": ("--deltas", {"help": "comma-separated, strictly decreasing"}, _parse_list(float)),
+    "orders": ("--orders", {}, _parse_list(int)),
     "delta": ("--delta", {"type": float}, None),
     "fit_window": ("--fit-window", {"type": int}, None),
     "grid_n": ("--grid-n", {"type": int}, None),
@@ -56,15 +66,17 @@ _STUDY_FLAGS = {
 
 
 def _study_spec(args, kind: str, rc=None):
-    """The command's StudySpec: the run config's [study] values, given flags on top.
+    """The command's StudySpec, from its flags alone; a command that reads
+    --config adds the run config's solver scenario as `base`.
 
-    Every value, from the config or a flag, is checked by StudySpec and a
-    rejected one is reported against its `study.<field>` key.
+    A flag left out takes StudySpec's default for the kind.  Every given
+    flag is checked by StudySpec and a rejected one is reported against its
+    `study.<field>` key.
     """
-    values = dict(rc.study or {}, base=rc.solver) if rc is not None else {}
+    values = {"base": rc.solver} if rc is not None else {}
     for name, (_, _, parse) in _STUDY_FLAGS.items():
         raw = getattr(args, name, None)
-        if raw is None or raw == "":
+        if raw is None:
             continue
         try:
             values[name] = parse(raw) if parse else raw
@@ -142,8 +154,8 @@ def _print_table(report) -> None:
 
 # command: (study kind, help, printer, flags, reads --config).
 # A command that reads --config takes its scenario from there and must be given --out.
-# A flag left out takes its [study] value or else StudySpec's default; for --orders
-# and --deltas that is the kind's default sweep, which StudySpec alone chooses.
+# A flag left out takes StudySpec's default for the kind, which StudySpec alone
+# chooses: the default sweep for --orders and --deltas, and --delta and --fit-window.
 _STUDY_COMMANDS = {
     "transfer": ("transfer", "tabulate filter, deconvolution and smoother multipliers at one radius",
                  _print_table, ("delta", "orders", "k_max", "k_points"), False),
@@ -228,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_study_flags(p, flags)
         p.add_argument("--out", required=reads_config)
         p.set_defaults(func=cmd_study)
-        if command == "transfer":
-            p.set_defaults(delta=1.0)  # over StudySpec's 0.5
 
     p = sub.add_parser("compare", help="error norms between two snapshot directories")
     p.add_argument("--model", required=True, help="directory of model .snap files")

@@ -12,9 +12,8 @@ from __future__ import annotations
 import configparser
 import contextlib
 import hashlib
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 
-from .experiments import StudySpec
 from .fields import FieldSpec
 from .filtering import DEFAULT_MAX_ORDER, FilterSpec
 from .solver import ModelKind, SolverConfig
@@ -43,24 +42,6 @@ def _parse_mode(raw: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
-def _parse_list(raw: str, convert) -> tuple:
-    """Comma-separated items; an empty value is the empty list, an empty item is an error."""
-    if not raw.strip():
-        return ()
-    items = [p.strip() for p in raw.split(",")]
-    if "" in items:
-        raise ValueError(f"empty item in list {raw!r}")
-    return tuple(convert(p) for p in items)
-
-
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return _parse_list(raw, float)
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return _parse_list(raw, int)
-
-
 def _retired(parse, value, reason: str) -> tuple:
     """Schema entry of a key kept only so that every effective.cfg written so
     far parses: it accepts a spelling `parse` reads as `value`, nothing else."""
@@ -71,8 +52,6 @@ def _retired(parse, value, reason: str) -> tuple:
         raise ValueError(f"{reason}, got {raw!r}")
     return convert, value
 
-
-_STUDY_DEFAULTS = {f.name: f.default for f in dataclass_fields(StudySpec)}
 
 _FIELD_KEYS = {
     "kind": (str, "zero"),
@@ -112,10 +91,6 @@ SCHEMA: dict = {
         "dir": (str, "out"),
         "formats": (str, "csv,snapshot"),
     },
-    # sweep defaults, each key defaulting to its StudySpec field's default
-    "study": {key: (convert, _STUDY_DEFAULTS[key]) for key, convert in (
-        ("deltas", _parse_floats), ("orders", _parse_ints), ("delta", float),
-        ("fit_window", int), ("floor", float))},
 }
 
 
@@ -127,7 +102,6 @@ class RunConfig:
     out_dir: str
     formats: tuple
     effective: dict
-    study: dict | None = None
 
     @property
     def config_hash(self) -> str:
@@ -170,8 +144,6 @@ def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
 
     typed: dict = {}
     for section, keys in SCHEMA.items():
-        if section == "study" and section not in raw:
-            continue  # sweep defaults are honoured and echoed only when some are given
         typed[section] = {}
         for key, (convert, default) in keys.items():
             if key in raw.get(section, {}):
@@ -250,7 +222,6 @@ def parse_config_text(text: str, overrides=None) -> RunConfig:
         out_dir=values["output"]["dir"],
         formats=formats,
         effective=values,
-        study=values.get("study"),
     )
 
 
@@ -274,8 +245,6 @@ def render_effective(values: dict) -> str:
     """Canonical text of the effective configuration, defaults included."""
     lines = []
     for section, keys in SCHEMA.items():
-        if section not in values:
-            continue
         lines.append(f"[{section}]")
         for key in keys:
             value = values[section][key]

@@ -86,8 +86,11 @@ def consistency_bound_rhs(v: SpectralField, spec: FilterSpec) -> tuple[float, fl
     sharp = l2_box_norm(err) * l2_box_norm(v)
     m = spec.order + 1
     crude_field = v.with_coeffs(v.coeffs * v.modes.k_sq**m)
-    crude = spec.delta ** (2 * m) * l2_box_norm(crude_field) * l2_box_norm(v)
-    return sharp, crude
+    try:
+        scale = spec.delta ** (2 * m)
+    except OverflowError:  # a huge radius: the crude bound is inf, as d_exact is
+        scale = float("inf")
+    return sharp, scale * l2_box_norm(crude_field) * l2_box_norm(v)
 
 
 @dataclass

@@ -46,16 +46,17 @@ class RateFit:
 class StudySpec:
     """Sweep request shared by all studies; unused knobs are ignored per kind.
 
-    An empty `orders` or `deltas` is resolved here, the one place a default
-    sweep is chosen, to the kind's entry in `_STUDIES`, then checked like a given one.
+    An empty `orders` or `deltas` and a left-out `delta` are resolved here,
+    the one place a kind's defaults are chosen, to the kind's entry in
+    `_STUDIES`, then checked like given ones.  A rate fit reads the
+    `fit_window` finest radii, three unless given.
     """
 
     kind: str
     deltas: tuple = ()
     orders: tuple = ()
-    delta: float = 0.5
-    fit_window: int | None = None
-    floor: float = 1e-12
+    delta: float | None = None
+    fit_window: int = 3
     base: SolverConfig | None = None
     grid_n: int = 16
     k_max: float = 10.0
@@ -64,7 +65,7 @@ class StudySpec:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}, expected one of {STUDY_KINDS}")
-        _, default_orders, default_deltas = _STUDIES[self.kind]
+        _, default_orders, default_deltas, default_delta = _STUDIES[self.kind]
         ds = tuple(float(d) for d in self.deltas) or default_deltas
         if not all(np.isfinite(d) and d >= 0 for d in ds):
             raise spectral.ParameterError("deltas", f"deltas must be finite and >= 0, got {ds}")
@@ -74,19 +75,23 @@ class StudySpec:
             raise spectral.ParameterError("deltas", "deltas must be strictly decreasing")
         if self.kind in _RATE_KINDS and len(ds) < 3:
             raise spectral.ParameterError("deltas", "a rate fit needs at least three sweep points")
-        if self.fit_window is not None and self.fit_window < 3:
+        if self.fit_window < 3:
             raise spectral.ParameterError("fit_window", f"fit_window must be >= 3, got {self.fit_window}")
-        if self.kind in _RATE_KINDS and (self.fit_window or 0) > len(ds):
+        if self.kind in _RATE_KINDS and self.fit_window > len(ds):
             raise spectral.ParameterError(
                 "fit_window", f"fit_window must be at most the sweep's {len(ds)} points, got {self.fit_window}")
-        if not (np.isfinite(self.delta) and self.delta > 0):
+        if self.delta is None:
+            self.delta = default_delta
+        elif not (np.isfinite(self.delta) and self.delta > 0):
             raise spectral.ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
-        if not (np.isfinite(self.floor) and self.floor >= 0):
-            raise spectral.ParameterError("floor", f"floor must be finite and >= 0, got {self.floor}")
         orders = tuple(int(n) for n in self.orders) or default_orders
         if any(n < 0 or n > DEFAULT_MAX_ORDER for n in orders):  # FilterSpec's cap, before any run
             raise spectral.ParameterError("orders", f"orders must be in [0, {DEFAULT_MAX_ORDER}], got {orders}")
         self.orders = orders
+        if self.kind == "cutoff_table" and not np.isfinite(  # the largest cutoff: finest radius, top order
+                filtering.cutoff_root(FilterSpec(delta=min(ds), order=max(orders)))):
+            raise spectral.ParameterError(
+                "deltas", f"the cutoff at radius {min(ds)!r} and order {max(orders)} is not a finite float")
         spectral.check_grid_size("grid_n", self.grid_n)  # Grid's rule, before any grid is built
         if not (np.isfinite(self.k_max) and self.k_max > 0):
             raise spectral.ParameterError("k_max", f"k_max must be positive and finite, got {self.k_max}")
@@ -109,7 +114,7 @@ def fit_rate(
     deltas,
     errors,
     expected: float,
-    window: int | None = None,
+    window: int = 3,
     floor: float = 0.0,
 ) -> RateFit:
     """Least-squares slope of log(error) against log(delta).
@@ -142,7 +147,7 @@ def fit_rate(
             degenerate=True, floor_limited=True,
         )
 
-    w = min(window if window is not None else 3, usable)
+    w = min(window, usable)
     w = max(w, 3)
     sel_d = ds[usable - w : usable]
     sel_e = es[usable - w : usable]
@@ -224,6 +229,10 @@ def _trajectory_point(base: SolverConfig, reference, delta: float, order: int) -
             "filter_applications": stats.filter_applications, "rhs_evals": stats.rhs_evals}
 
 
+# the error change between radii below which a trajectory rate fit stops, at the integrator's floor
+_TRAJECTORY_FLOOR = 1e-12
+
+
 def delta_rate_study(spec: StudySpec) -> StudyReport:
     """Model-vs-reference trajectory error across filter radii at fixed order.
 
@@ -233,7 +242,7 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
     """
     reference, metadata = _reference(spec, "delta_rate_study")
     return _rate_study("delta_rate", spec, lambda d, order: _trajectory_point(spec.base, reference, d, order),
-                       spec.floor, metadata)
+                       _TRAJECTORY_FLOOR, metadata)
 
 
 def deconv_unit_cost(g_hat: np.ndarray, fbar: np.ndarray) -> float:
@@ -360,13 +369,13 @@ def transfer_study(spec: StudySpec) -> StudyReport:
     )
 
 
-_STUDIES = {  # kind: (study, default orders, default deltas)
-    "deconv_rate": (deconv_rate_study, (0, 1, 2), (0.2, 0.1, 0.05, 0.025)),
-    "delta_rate": (delta_rate_study, (0,), (0.4, 0.2, 0.1)),
-    "n_limit": (n_limit_study, (0, 1, 2, 4, 8), ()),
-    "cutoff_table": (cutoff_table_study, tuple(range(0, 51, 5)), (1.0, 0.5, 0.25)),
-    "consistency_rate": (consistency_rate_study, (0, 1), (0.2, 0.1, 0.05, 0.025)),
-    "transfer": (transfer_study, (0, 1, 2), ()),
+_STUDIES = {  # kind: (study, default orders, default deltas, default delta)
+    "deconv_rate": (deconv_rate_study, (0, 1, 2), (0.2, 0.1, 0.05, 0.025), None),
+    "delta_rate": (delta_rate_study, (0,), (0.4, 0.2, 0.1), None),
+    "n_limit": (n_limit_study, (0, 1, 2, 4, 8), (), 0.5),
+    "cutoff_table": (cutoff_table_study, tuple(range(0, 51, 5)), (1.0, 0.5, 0.25), None),
+    "consistency_rate": (consistency_rate_study, (0, 1), (0.2, 0.1, 0.05, 0.025), None),
+    "transfer": (transfer_study, (0, 1, 2), (), 1.0),
 }
 STUDY_KINDS = tuple(_STUDIES)
 _RATE_KINDS = ("deconv_rate", "delta_rate", "consistency_rate")

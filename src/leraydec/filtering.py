@@ -24,7 +24,7 @@ accuracy of the family shows up mode by mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,20 +192,24 @@ def cutoff_frequency_exact(spec: FilterSpec) -> float:
 
 
 def cutoff_root(spec: FilterSpec) -> float:
-    """Root of h_N(k) = 1/2 located by bisection on the monotone multiplier."""
-    lo = 0.0
-    hi = max(1.0, 1.0 / spec.delta)
-    while transfer_hn(hi, spec) > 0.5:
+    """Root of h_N(k) = 1/2 located by bisection on the monotone multiplier.
+
+    h_N reads k only through delta k, so the bisection runs at delta = 1 and
+    its root is divided by delta once: it is inf only past the largest float.
+    """
+    unit = replace(spec, delta=1.0)
+    lo, hi = 0.0, 1.0
+    while transfer_hn(hi, unit) > 0.5:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if transfer_hn(mid, spec) > 0.5:
+        if transfer_hn(mid, unit) > 0.5:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-13 * max(1.0, hi):
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) / spec.delta
 
 
 def cutoff_frequency(spec: FilterSpec) -> int:

@@ -430,21 +430,22 @@ def test_sweep_delta_runs_its_default_radii(cfg_path, tmp_path, capsys):
     assert report["params"] == {"orders": [0], "deltas": [0.4, 0.2, 0.1]}
 
 
-def test_sweeps_read_study_section_without_kind(cfg_path, tmp_path, capsys):
-    path = tmp_path / "study.cfg"
-    path.write_text(BASE_CFG + "\n[study]\ndeltas = 0.4,0.2,0.1\norders = 0\n")
-    out = str(tmp_path / "sw")
-    assert _run(["sweep-delta", "--config", str(path), "--out", out]) == 0
-    assert "order_0: slope" in capsys.readouterr().out
-    assert _run(["sweep-n", "--config", str(path), "--out", str(tmp_path / "sn")]) == 0
-    assert "order 0: l2l2" in capsys.readouterr().out
-    assert _run(["sweep-n", "--config", cfg_path, "--set", "study.orders=1",
-                 "--out", str(tmp_path / "sn1")]) == 0
-    assert "order 1: l2l2" in capsys.readouterr().out
-    assert _run(["sweep-n", "--config", str(path), "--orders", "2",
-                 "--out", str(tmp_path / "sn2")]) == 0
-    stdout = capsys.readouterr().out
-    assert "order 2: l2l2" in stdout and "order 0:" not in stdout
+@pytest.mark.parametrize("command", ["run", "sweep-delta", "sweep-n"])
+def test_a_study_section_or_key_is_rejected_before_any_run_or_output(cfg_path, tmp_path, capsys,
+                                                                      monkeypatch, command):
+    """A sweep is set by the study command's flags alone: a [study] section in
+    the config, or a --set study.<key>, is unknown like any other."""
+    runs = []
+    monkeypatch.setattr(solver, "run", lambda config: runs.append(config))
+    with_section = tmp_path / "study.cfg"
+    with_section.write_text(BASE_CFG + "\n[study]\norders = 0\n")
+    out = tmp_path / "never"
+    for config, extra, message in ((str(with_section), [], "unknown section [study]"),
+                                   (cfg_path, ["--set", "study.orders=0"], "unknown key study.orders")):
+        assert _run([command, "--config", config, *extra, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, key", [
@@ -452,9 +453,9 @@ def test_sweeps_read_study_section_without_kind(cfg_path, tmp_path, capsys):
     (["sweep-n", "--delta", "nan", "--orders", "0"], "delta"),
     (["sweep-n", "--orders", "0,-1"], "orders"),
     (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "-1"], "orders"),
-    (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0", "--set", "study.floor=nan"], "floor"),
-    (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0", "--set", "study.floor=-1"], "floor"),
-    (["sweep-delta", "--orders", "0", "--set", "study.deltas=0.1,0.2,0.3"], "deltas"),
+    (["sweep-delta", "--deltas", "0.4,,0.1"], "deltas"),
+    (["sweep-n", "--delta", "inf"], "delta"),
+    (["sweep-delta", "--orders", "0", "--deltas", "0.1,0.2,0.3"], "deltas"),
     (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0", "--fit-window", "2"], "fit_window"),
     (["sweep-delta", "--fit-window", "4"], "fit_window"),  # wider than the three default radii
 ])
@@ -537,12 +538,25 @@ def test_no_study_flag_is_ignored(tmp_path, command, base):
     (["transfer", "--orders", "1,,2"], "error: invalid value for study.orders:"),
     (["consistency", "--grid-n", "8", "--deltas", "0.2,0.1,0.05", "--fit-window", "9"],
      "error: invalid value for study.fit_window:"),
+    (["cutoff", "--deltas", "5e-324", "--orders", "0"],
+     "error: invalid value for study.deltas: the cutoff at radius 5e-324 and order 0 is not a finite float"),
+    (["cutoff", "--deltas", "1e-308", "--orders", "0,50"], "error: invalid value for study.deltas:"),
 ])
 def test_a_flag_without_a_config_is_rejected_before_any_output(tmp_path, capsys, args, message):
     out = tmp_path / "never"
     assert _run([*args, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_consistency_at_huge_radii_writes_an_infinite_crude_bound(tmp_path):
+    # delta^(2N+2) overflows from about 1.3e154 at order 0 and 1.2e77 at order 1;
+    # the suite's filterwarnings = error fails any overflow warning
+    out = tmp_path / "c"
+    assert _run(["consistency", "--grid-n", "8", "--deltas", "1e300,1e200,1e100", "--out", str(out)]) == 0
+    cols = _table_cells(out / "consistency_rate_main.csv")
+    assert cols["bound_crude_order_0"][:2] + cols["bound_crude_order_1"] == ["inf"] * 5
+    assert float(cols["bound_crude_order_0"][2]) > 1e200  # 1e100^2, within range
 
 
 def test_consistency_command(tmp_path, capsys):
@@ -554,13 +568,13 @@ def test_consistency_command(tmp_path, capsys):
     assert "consistency_rate_main.csv" in set(os.listdir(tmp_path / "c"))
 
 
-# each study command's default sweep, spelled out as flags
+# each study command's default sweep, radius and fit window, spelled out as flags
 _DEFAULT_SWEEP_FLAGS = {
-    "transfer": ["--orders", "0,1,2"],
-    "sweep-delta": ["--orders", "0", "--deltas", "0.4,0.2,0.1"],
-    "sweep-n": ["--orders", "0,1,2,4,8"],
+    "transfer": ["--orders", "0,1,2", "--delta", "1"],
+    "sweep-delta": ["--orders", "0", "--deltas", "0.4,0.2,0.1", "--fit-window", "3"],
+    "sweep-n": ["--orders", "0,1,2,4,8", "--delta", "0.5"],
     "cutoff": ["--orders", "0,5,10,15,20,25,30,35,40,45,50", "--deltas", "1,0.5,0.25"],
-    "consistency": ["--orders", "0,1", "--deltas", "0.2,0.1,0.05,0.025"],
+    "consistency": ["--orders", "0,1", "--deltas", "0.2,0.1,0.05,0.025", "--fit-window", "3"],
 }
 
 
@@ -574,8 +588,8 @@ def _untimed(table_csv: bytes) -> list:
 @pytest.mark.parametrize("command", list(cli._STUDY_COMMANDS))
 def test_a_sweep_left_out_is_the_kinds_default_sweep(cfg_path, tmp_path, command):
     """A study run with no sweep flag and one given its kind's default
-    --orders/--deltas write the same bytes, manifest digest included; the
-    trajectory sweeps differ only in their measured times."""
+    --orders/--deltas/--delta/--fit-window write the same bytes, manifest
+    digest included; the trajectory sweeps differ only in their measured times."""
     head = {"sweep-delta": ["--config", cfg_path], "sweep-n": ["--config", cfg_path],
             "consistency": ["--grid-n", "8"]}.get(command, [])
     out = tmp_path / "out"  # one directory, since a run config's hash covers output.dir

@@ -41,7 +41,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.snapshot_every == 10
     assert rc.out_dir == "out"
     assert rc.formats == ("csv", "snapshot")
-    assert rc.study is None
 
 
 def test_leray_config_builds_filter():
@@ -200,7 +199,7 @@ def test_render_effective_mentions_defaults():
     text = config.render_effective(config.parse_config_text(MINIMAL).effective)
     assert "snapshot_every = 10" in text
     assert "kind = taylor_green" in text
-    assert "[study]" not in text  # no study requested, section omitted
+    assert "[study]" not in text  # sweeps are set by the study commands' flags alone
 
 
 def test_config_hash_tracks_content():
@@ -210,44 +209,12 @@ def test_config_hash_tracks_content():
     assert len(a.config_hash) == 64
 
 
-def test_study_section_parsed():
-    text = MINIMAL + """
-[study]
-deltas = 1.0, 0.5, 0.25
-orders = 0, 5, 10
-"""
-    rc = config.parse_config_text(text)
-    assert rc.study is not None
-    assert rc.study["deltas"] == (1.0, 0.5, 0.25)
-    assert rc.study["orders"] == (0, 5, 10)
-    assert "[study]" in config.render_effective(rc.effective)
-
-
-def test_study_section_honoured_when_any_key_is_set():
-    rc = config.parse_config_text(MINIMAL, overrides=["study.orders=0,1"])
-    assert rc.study is not None
-    assert rc.study["orders"] == (0, 1)
-    assert rc.study["deltas"] == ()
-    text = config.render_effective(rc.effective)
-    assert "[study]" in text
-    assert config.parse_config_text(text).study == rc.study
-
-
-@pytest.mark.parametrize("key, parse, item", [("orders", config._parse_ints, 1),
-                                             ("deltas", config._parse_floats, 1.0)])
-def test_study_lists_reject_empty_items(key, parse, item):
-    assert parse("") == parse("  ") == ()
-    assert parse(" 1 , 2 ") == (item, 2 * item)
-    for raw in ("1,,2", "1,2,", ",1", ","):
-        with pytest.raises(ValueError, match="empty item"):
-            parse(raw)
-        with pytest.raises(config.ConfigError, match=f"invalid value for study.{key}"):
-            config.parse_config_text(MINIMAL, overrides=[f"study.{key}={raw}"])
-
-
-@pytest.mark.parametrize("key", ["kind", "grid_n", "k_max", "k_points"])
+@pytest.mark.parametrize("key", ["kind", "grid_n", "k_max", "k_points", "deltas", "orders", "delta",
+                                 "fit_window", "floor"])
 def test_unread_study_keys_rejected(key):
-    with pytest.raises(config.ConfigError, match=f"unknown key study.{key}"):
+    # a sweep is set by the study command's flags alone, so [study] is an
+    # unknown section like any other, in the file and as an override
+    with pytest.raises(config.ConfigError, match=re.escape("unknown section [study]")):
         config.parse_config_text(MINIMAL + f"\n[study]\n{key} = 1\n")
     with pytest.raises(config.ConfigError, match=f"unknown key study.{key}"):
         config.parse_config_text(MINIMAL, overrides=[f"study.{key}=1"])

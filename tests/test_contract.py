@@ -1,20 +1,24 @@
 """No input ends in a traceback.
 
 Generated values for every configuration key may only be rejected with a
-ConfigError that names a key, and corrupted bytes in every output file may
-only be rejected with the reader's own error naming the file.  Hypothesis
-runs derandomized with few examples, and nothing here runs the solver, so
-the contract is cheap and repeatable.
+ConfigError that names a key, generated values for every flag of the study
+commands that read no run config may only be rejected with an error naming
+its `study.<field>`, and corrupted bytes in every output file may only be
+rejected with the reader's own error naming the file.  Hypothesis runs
+derandomized with few examples, and nothing here runs the solver, so the
+contract is cheap and repeatable.
 """
 
+import contextlib
+import io
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import leraydec as ld
-from leraydec import config, snapshots, tables
+from leraydec import cli, config, snapshots, tables
 from leraydec.diagnostics import DiagRecord
 
 # On a failure Hypothesis imports libcst to suggest a patch, and that import
@@ -73,6 +77,47 @@ def test_every_key_takes_any_value_or_rejects_it_by_key(values):
             config.parse_config_text(BASE, overrides=[*_read_under(key), f"{key}={value}"])
         except config.ConfigError as exc:
             assert any(re.search(rf"\b{re.escape(name)}\b", str(exc)) for name in KEYS), str(exc)
+
+
+# numbers as a flag spells them, the extremes included, or junk; a list flag
+# also gets decreasing radii, which pass its checks, so the studies run too
+NUMBERS = st.one_of(st.floats().map(repr), INTEGERS,
+                    st.sampled_from(["nan", "-inf", "1e308", "1e-308", "5e-324", "0", "-0.0"]))
+RADII = st.lists(st.floats(min_value=5e-324, max_value=1e308), min_size=1, max_size=4, unique=True).map(
+    lambda ds: ",".join(map(repr, sorted(ds, reverse=True))))
+FLAG_VALUES = {
+    "deltas": st.one_of(RADII, VALUES),
+    "orders": st.one_of(st.lists(st.integers(-1, 66).map(str), max_size=3).map(",".join), VALUES),
+    "delta": NUMBERS,
+    "fit_window": st.one_of(st.integers(-1, 6).map(str), INTEGERS),
+    "k_max": NUMBERS,
+    "k_points": st.integers(-1, 1000).map(str),  # capped, so each table stays small
+}
+# the study commands that read no run config, each with the flags it is given
+# at a fixed value: consistency runs on an 8^3 grid
+FIXED_FLAGS = {"cutoff": {}, "transfer": {}, "consistency": {"grid_n": "8"}}
+
+
+@pytest.mark.parametrize("command", FIXED_FLAGS)
+@CONTRACT
+@given(values=st.fixed_dictionaries({}, optional=FLAG_VALUES))
+@example(values={"deltas": "1e-308", "orders": "0"})
+@example(values={"deltas": "5e-324", "orders": "0"})
+@example(values={"deltas": "1e300,1e200,1e100"})
+def test_every_study_flag_takes_any_value_or_rejects_it_by_field(tmp_path_factory, command, values):
+    flags = cli._STUDY_COMMANDS[command][3]
+    given_values = {**{name: v for name, v in values.items() if name in flags}, **FIXED_FLAGS[command]}
+    args = [f"{cli._STUDY_FLAGS[name][0]}={value}" for name, value in given_values.items()]
+    out = tmp_path_factory.mktemp(command) / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, *args, "--out", str(out)])
+    if code == 0:
+        assert (out / "manifest.json").is_file()
+    else:
+        assert code == 1 and not out.exists(), stderr.getvalue()
+        rejected = re.match(r"error: invalid value for study\.(\w+): ", stderr.getvalue())
+        assert rejected and rejected[1] in given_values, stderr.getvalue()
 
 
 READERS = {

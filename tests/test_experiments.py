@@ -96,7 +96,7 @@ def test_study_spec_rejects_nondecreasing_deltas():
 
 @pytest.mark.parametrize("name, value", [
     ("delta", -1.0), ("delta", 0.0), ("delta", float("nan")), ("delta", float("inf")),
-    ("floor", float("nan")), ("floor", -1.0), ("floor", float("inf")),
+    ("fit_window", 2), ("k_max", float("inf")), ("deltas", (0.2, 0.1)),
     ("orders", (0, -1)), ("deltas", (0.4, float("nan"), 0.1)), ("deltas", (0.2, 0.1, -0.1)),
     ("k_max", -1.0), ("k_max", 0.0), ("k_max", float("nan")), ("k_points", 0),
     ("orders", (0, 65)), ("grid_n", 7), ("grid_n", 2),
@@ -118,17 +118,30 @@ def test_study_spec_rejects_each_bad_value_by_its_field(name, value):
     ("transfer", (0, 1, 2), ()),
 ])
 def test_study_spec_resolves_each_kinds_default_sweep(kind, orders, deltas):
-    """An empty orders or deltas is the kind's default sweep once the spec is
-    built, so every study reads the resolved values and a fit window is
+    """An empty orders or deltas is the kind's default sweep, and a left-out
+    delta the kind's radius (none for a kind that reads none), once the spec
+    is built, so every study reads the resolved values and a fit window is
     checked against them."""
     spec = experiments.StudySpec(kind=kind)
-    assert (spec.orders, spec.deltas) == (orders, deltas)
-    assert experiments.StudySpec(kind=kind, orders=[], deltas=[]) == spec
+    delta = {"n_limit": 0.5, "transfer": 1.0}.get(kind)
+    assert (spec.orders, spec.deltas, spec.delta, spec.fit_window) == (orders, deltas, delta, 3)
+    assert experiments.StudySpec(kind=kind, orders=[], deltas=[], delta=None) == spec
     if kind.endswith("_rate"):
         assert experiments.StudySpec(kind=kind, fit_window=len(deltas)).fit_window == len(deltas)
         with pytest.raises(ld.ParameterError, match="at most the sweep's") as err:
             experiments.StudySpec(kind=kind, fit_window=len(deltas) + 1)
         assert err.value.parameter == "fit_window"
+
+
+def test_cutoff_table_takes_a_radius_while_its_cutoff_is_a_float():
+    # radius 1e-308 cuts off at 1e308 at order 0, and past the largest float by order 50
+    rep = experiments.run_study(experiments.StudySpec(kind="cutoff_table", deltas=(1e-308,), orders=(0,)))
+    (k_c,) = rep.tables["main"]["k_c_delta_1e-308"]
+    assert k_c == ld.cutoff_frequency(ld.FilterSpec(delta=1e-308)) and 0.99e308 < k_c < 1e308
+    for deltas, orders in (((5e-324,), (0,)), ((1.0, 1e-308), (0, 50))):
+        with pytest.raises(ld.ParameterError, match="not a finite float") as err:
+            experiments.StudySpec(kind="cutoff_table", deltas=deltas, orders=orders)
+        assert err.value.parameter == "deltas"
 
 
 def test_only_delta_rate_takes_a_zero_radius():

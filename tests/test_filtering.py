@@ -167,6 +167,15 @@ def test_cutoff_bisection_agrees_with_closed_form():
             )
 
 
+def test_cutoff_bisection_holds_to_the_largest_float():
+    # the bisection runs at delta = 1, so a tiny radius scales a root near 1, not a bracket near inf
+    for delta in (1e-300, 1e-307, 1e-308):
+        for order in (0, 1):
+            spec = ld.FilterSpec(delta=delta, order=order)
+            assert filtering.cutoff_root(spec) == pytest.approx(ld.cutoff_frequency_exact(spec), rel=1e-9)
+    assert filtering.cutoff_root(ld.FilterSpec(delta=1e-308, order=50)) == float("inf")
+
+
 def test_cutoff_monotone():
     seq = [ld.cutoff_frequency(ld.FilterSpec(delta=1.0, order=o)) for o in range(51)]
     assert all(b >= a for a, b in zip(seq, seq[1:]))

@@ -557,7 +557,10 @@ def test_every_solver_entry_point_builds_one_run_object(grid8, monkeypatch):
 
 # The box's symmetries act on full-grid coefficients c[component, kx, ky, kz],
 # each axis in FFT order.  step and nonlinear_term must commute with each of a
-# generating set.
+# generating set.  Taylor-Green forcing of amplitude a maps to itself at
+# amplitude -a under the x/y swap and a half-box shift, and at +a under a
+# reflection, so forced steps commute with those maps when the forcing's
+# amplitude is mapped alike.
 _TOLERANCE = 64 * np.finfo(np.float64).eps  # relative to the largest coefficient
 
 
@@ -573,8 +576,8 @@ def _reflect(axis):  # u' = u with coordinate and component `axis` negated: k_ax
     return reflect
 
 
-def _shift(axis):  # u'(x) = u(x - h e_axis) for one cell h = 2 pi / n
-    return lambda c, grid: c * np.exp(-1j * grid.wavevectors()[axis] * (2 * np.pi / grid.n))
+def _shift(axis, half_box=False):  # u'(x) = u(x - h e_axis) for one cell h = 2 pi / n, or h = pi
+    return lambda c, grid: c * np.exp(-1j * grid.wavevectors()[axis] * (np.pi if half_box else 2 * np.pi / grid.n))
 
 
 def _swap_xy_axes_only(c, grid):  # a wrong component map: the axes swapped, the components not
@@ -593,28 +596,38 @@ def _advection(state, cfg):
 
 @pytest.fixture(scope="module")
 def symmetry_runs():
-    """Per grid size: the config, an order-3 start field and, for each of
-    _five_steps and _advection, its value on that field."""
+    """Per grid size: an order-3 start field; (config, op, the op's value on
+    that field) for _five_steps and _advection; and the configs forced by
+    Taylor-Green at amplitude +a and -a, by sign, with _five_steps' value at +a."""
     runs = {}
     for n in (8, 16):
         grid = ld.Grid(n)
         cfg = _cfg(grid, model="leray_deconv", order=3)
+        forced = {sign: replace(cfg, forcing=ld.FieldSpec(kind="taylor_green", amplitude=0.7 * sign))
+                  for sign in (1, -1)}
         start = ld.random_solenoidal(grid, seed=4)
-        runs[n] = cfg, start, {op: op(start, cfg) for op in (_five_steps, _advection)}
+        checks = [(cfg, op, op(start, cfg)) for op in (_five_steps, _advection)]
+        runs[n] = start, checks, (forced, _five_steps(start, forced[1]))
     return runs
 
 
-@pytest.mark.parametrize("symmetry, commutes", [
-    (_swap_xy, True), (_reflect(0), True), (_reflect(1), True), (_reflect(2), True),
-    (_shift(0), True), (_shift(1), True), (_shift(2), True), (_swap_xy_axes_only, False),
+@pytest.mark.parametrize("symmetry, commutes, forcing_sign", [
+    (_swap_xy, True, -1), (_reflect(0), True, 1), (_reflect(1), True, 1), (_reflect(2), True, 1),
+    (_shift(0), True, None), (_shift(1), True, None), (_shift(2), True, None),
+    (_shift(0, half_box=True), True, -1), (_shift(1, half_box=True), True, -1),
+    (_shift(2, half_box=True), True, -1), (_swap_xy_axes_only, False, -1),
 ], ids=["swap-xy", "reflect-x", "reflect-y", "reflect-z", "shift-x", "shift-y", "shift-z",
-        "wrong-component-map"])
-def test_step_commutes_with_the_box_symmetries(symmetry_runs, symmetry, commutes):
+        "half-shift-x", "half-shift-y", "half-shift-z", "wrong-component-map"])
+def test_step_commutes_with_the_box_symmetries(symmetry_runs, symmetry, commutes, forcing_sign):
     """Five order-3 steps, and the nonlinear term, of a transformed field are
-    the transformed ones, to a few rounding errors, at 8^3 and 16^3; a wrong
+    the transformed ones, to a few rounding errors, at 8^3 and 16^3; so are
+    five steps under Taylor-Green forcing, run with its amplitude times
+    forcing_sign (a one-cell shift moves the forcing off itself); a wrong
     component map does not commute."""
-    for n, (cfg, start, values) in symmetry_runs.items():
-        moved = start.with_coeffs(symmetry(start.coeffs, cfg.grid))
-        for op, value in values.items():
-            defect = np.abs(op(moved, cfg) - symmetry(value, cfg.grid)).max() / np.abs(value).max()
-            assert (defect <= _TOLERANCE) == commutes, (n, op.__name__, defect)
+    for n, (start, checks, (forced, forced_value)) in symmetry_runs.items():
+        moved = start.with_coeffs(symmetry(start.coeffs, start.grid))
+        if forcing_sign is not None:
+            checks = [*checks, (forced[forcing_sign], _five_steps, forced_value)]
+        for cfg, op, value in checks:
+            defect = np.abs(op(moved, cfg) - symmetry(value, start.grid)).max() / np.abs(value).max()
+            assert (defect <= _TOLERANCE) == commutes, (n, op.__name__, cfg.forcing.amplitude, defect)
