@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .fields import FieldSpec
-from .filtering import DEFAULT_MAX_ORDER, FilterSpec
+from .filtering import MAX_ORDER, FilterSpec
 from .solver import ModelKind, SolverConfig
 from .spectral import Grid, ParameterError
 
@@ -60,7 +60,8 @@ _FIELD_KEYS = {
     "slope": (float, -5.0 / 3.0),
     "seed": (int, 0),
     "band": (int, None),
-    "expr": (str, ""),
+    "expr": _retired(str, "", "expr is retired: ABC flow is kind = abc_flow, and the plane shear is "
+                     "kind = single_mode with mode = 1,0,0"),
 }
 
 SCHEMA: dict = {
@@ -72,7 +73,7 @@ SCHEMA: dict = {
         "kind": (str, "nse"),
         "delta": (float, None),
         "order": (int, 0),
-        "max_order": (int, DEFAULT_MAX_ORDER),
+        "max_order": _retired(int, MAX_ORDER, f"max_order must be {MAX_ORDER}, the fixed cap on model.order"),
         "filter_forcing": (_parse_bool, True),
         "filter_ic": (_parse_bool, True),
         "conv_form": _retired(str, "advective", "the only convective form is 'advective'"),
@@ -163,7 +164,6 @@ def _typed_values(parser: configparser.ConfigParser, overrides=None) -> dict:
 _ARGUMENT_KEYS = {
     "n": "grid.n",
     "family": "model.kind", "delta": "model.delta", "order": "model.order",
-    "max_order": "model.max_order",
     "nu": "fluid.nu",
     "dt": "time.dt", "t_end": "time.t_end", "snapshot_every": "time.snapshot_every",
 }
@@ -187,10 +187,11 @@ def _build_solver_config(v: dict) -> SolverConfig:
         if m["delta"] is None:
             raise ConfigError("missing required key model.delta (required when model.kind = leray_deconv)")
         model = _built(ModelKind.leray_deconvolution, m["order"])
-        filter_spec = _built(FilterSpec, delta=m["delta"], order=m["order"], max_order=m["max_order"])
+        filter_spec = _built(FilterSpec, delta=m["delta"], order=m["order"])
 
     def field_spec(section: str) -> FieldSpec:
-        spec = _built(FieldSpec, section=section, **v[section])
+        keys = {key: value for key, value in v[section].items() if key != "expr"}  # expr is retired
+        spec = _built(FieldSpec, section=section, **keys)
         _built(spec.check, grid, section=section)  # now, not once the run evaluates the field
         return spec
 

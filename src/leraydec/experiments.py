@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics, fields, filtering, solver, spectral
-from .filtering import DEFAULT_MAX_ORDER, FilterSpec
+from .filtering import MAX_ORDER, FilterSpec
 from .solver import ModelKind, SolverConfig
 
 
@@ -85,8 +85,8 @@ class StudySpec:
         elif not (np.isfinite(self.delta) and self.delta > 0):
             raise spectral.ParameterError("delta", f"delta must be positive and finite, got {self.delta}")
         orders = tuple(int(n) for n in self.orders) or default_orders
-        if any(n < 0 or n > DEFAULT_MAX_ORDER for n in orders):  # FilterSpec's cap, before any run
-            raise spectral.ParameterError("orders", f"orders must be in [0, {DEFAULT_MAX_ORDER}], got {orders}")
+        if any(n < 0 or n > MAX_ORDER for n in orders):  # FilterSpec's cap, before any run
+            raise spectral.ParameterError("orders", f"orders must be in [0, {MAX_ORDER}], got {orders}")
         self.orders = orders
         if self.kind == "cutoff_table" and not np.isfinite(  # the largest cutoff: finest radius, top order
                 filtering.cutoff_root(FilterSpec(delta=min(ds), order=max(orders)))):

@@ -16,15 +16,16 @@ import numpy as np
 from . import spectral
 from .spectral import Grid, ParameterError, SpectralField, check_finite
 
-FIELD_KINDS = ("zero", "taylor_green", "single_mode", "random_solenoidal", "manufactured")
+FIELD_KINDS = ("zero", "taylor_green", "abc_flow", "single_mode", "random_solenoidal")
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Recipe for an analytic or seeded random field.
+    """Recipe for an analytic or seeded random field, one kind per constructor.
 
-    Used both for initial conditions and for steady forcing; the parameters
-    beyond `kind` are read only by the kinds that need them.
+    Used both for initial conditions and for steady forcing.  `amplitude`
+    scales every kind but `zero`; `mode` is read by `single_mode` alone, and
+    `slope`, `seed` and `band` by `random_solenoidal` alone.
     """
 
     kind: str = "zero"
@@ -33,7 +34,6 @@ class FieldSpec:
     slope: float = -5.0 / 3.0
     seed: int = 0
     band: int | None = None
-    expr: str = ""
 
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
@@ -53,8 +53,6 @@ class FieldSpec:
             _checked_mode(grid, self.mode)
         elif self.kind == "random_solenoidal":
             _checked_slope(self.slope, _checked_band(grid, self.band))
-        elif self.kind == "manufactured":
-            _manufactured_builder(self.expr)
 
 
 def _from_modes(grid: Grid, modes) -> SpectralField:
@@ -176,32 +174,15 @@ def abc_flow(grid: Grid, amplitude: float = 1.0) -> SpectralField:
                               for term in ((i, sign * e[s], -1j * h * sign), (i, sign * e[c], h))])
 
 
-def shear_mode(grid: Grid, amplitude: float = 1.0) -> SpectralField:
-    """Plane shear u = (0, amplitude cos x, 0); the simplest steady test field."""
-    return single_mode(grid, (1, 0, 0), amplitude)
-
-
-MANUFACTURED_FIELDS = {
-    "abc_flow": abc_flow,
-    "shear_mode": shear_mode,
-}
-
-
 def evaluate_field(spec: FieldSpec, grid: Grid) -> SpectralField:
+    """The field spec describes on grid, built by the constructor of its kind."""
     if spec.kind == "zero":
         return spectral.zeros(grid)
     if spec.kind == "taylor_green":
         return taylor_green(grid, spec.amplitude)
+    if spec.kind == "abc_flow":
+        return abc_flow(grid, spec.amplitude)
     if spec.kind == "single_mode":
         return single_mode(grid, spec.mode, spec.amplitude)
-    if spec.kind == "random_solenoidal":
-        return random_solenoidal(grid, spec.seed, spec.slope, spec.amplitude, spec.band)
-    return _manufactured_builder(spec.expr)(grid, spec.amplitude)  # FieldSpec admits no other kind
-
-
-def _manufactured_builder(expr: str):
-    try:
-        return MANUFACTURED_FIELDS[expr]
-    except KeyError:
-        known = sorted(MANUFACTURED_FIELDS)
-        raise ParameterError("expr", f"unknown manufactured field {expr!r}, expected one of {known}") from None
+    # FieldSpec admits no other kind
+    return random_solenoidal(grid, spec.seed, spec.slope, spec.amplitude, spec.band)

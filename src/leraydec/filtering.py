@@ -30,29 +30,22 @@ import numpy as np
 
 from .spectral import ParameterError, SpectralField, check_finite
 
-DEFAULT_MAX_ORDER = 64
+MAX_ORDER = 64  # the one cap on the deconvolution order, for runs and studies alike
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Filter radius delta and deconvolution order, with a safety cap on order."""
+    """Filter radius delta > 0, finite, and deconvolution order in [0, MAX_ORDER]."""
 
     delta: float
     order: int = 0
-    max_order: int = DEFAULT_MAX_ORDER
 
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ParameterError("delta", f"filter radius must be positive, got {self.delta}")
         check_finite("delta", self.delta)
-        if self.order < 0:
-            raise ParameterError("order", f"deconvolution order must be >= 0, got {self.order}")
-        if self.max_order < 0:
-            raise ParameterError("max_order", f"max_order must be >= 0, got {self.max_order}")
-        if self.order > self.max_order:
-            raise ParameterError(
-                "order", f"deconvolution order {self.order} exceeds the configured max {self.max_order}"
-            )
+        if not 0 <= self.order <= MAX_ORDER:
+            raise ParameterError("order", f"deconvolution order must be in [0, {MAX_ORDER}], got {self.order}")
 
 
 def _prepare(k):
@@ -215,10 +208,17 @@ def cutoff_root(spec: FilterSpec) -> float:
 def cutoff_frequency(spec: FilterSpec) -> int:
     """Largest integer wavenumber the smoother passes at amplitude >= 1/2.
 
-    The continuous root is found by bisection; the floor is taken with a
-    1e-9 guard so roots that are integers up to rounding land on the integer.
+    The bisected root is accurate to about 1e-13 relative, so its floor is
+    checked against h_N itself: it steps up while the next integer still
+    passes and down while it does not pass itself.  Past 2^53, where
+    neighbouring integers round to one float, it stays the floor.
     """
-    return int(np.floor(cutoff_root(spec) + 1e-9))
+    c = int(np.floor(cutoff_root(spec)))
+    while float(c + 1) != c and transfer_hn(c + 1.0, spec) >= 0.5:
+        c += 1
+    while float(c - 1) != c and transfer_hn(float(c), spec) < 0.5:
+        c -= 1
+    return c
 
 
 def operator_norm_dn(spec: FilterSpec, k_max: float) -> float:

@@ -84,3 +84,25 @@ def shell_energies(f):
     density = 0.5 * (f.coeffs.real**2 + f.coeffs.imag**2).sum(axis=0)
     shells = np.ceil(f.grid.k_mag).astype(np.int64)
     return np.bincount(shells.ravel(), weights=density.ravel())[1:]
+
+
+# The box's symmetries, acting on full-grid coefficients c[component, kx, ky,
+# kz] with each axis in FFT order; the model and its diagnostics commute with
+# each of them to a few rounding errors.
+SYMMETRY_TOLERANCE = 64 * np.finfo(np.float64).eps  # relative to the largest value compared
+
+
+def swap_xy(c, grid):  # u'(x, y, z) = (u_y, u_x, u_z)(y, x, z)
+    return c[[1, 0, 2]].transpose(0, 2, 1, 3)
+
+
+def reflect(axis):  # u' = u with coordinate and component `axis` negated: k_axis -> -k_axis
+    def reflect(c, grid):  # along the axis, index i -> -i mod n
+        out = np.roll(np.flip(c, axis=axis + 1), 1, axis=axis + 1)
+        out[axis] *= -1
+        return out
+    return reflect
+
+
+def shift(axis, half_box=False):  # u'(x) = u(x - h e_axis) for one cell h = 2 pi / n, or h = pi
+    return lambda c, grid: c * np.exp(-1j * grid.wavevectors()[axis] * (np.pi if half_box else 2 * np.pi / grid.n))

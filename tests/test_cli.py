@@ -114,7 +114,8 @@ def test_invalid_config_exits_one(cfg_path, tmp_path, capsys):
 def test_bad_field_parameter_exits_one_before_creating_output(cfg_path, tmp_path, capsys, section):
     out = tmp_path / "never"
     for settings, key in ((["kind=single_mode", "mode=0,0,0"], "mode"),
-                          (["kind=manufactured", "expr=bogus"], "expr"),
+                          (["kind=manufactured"], "kind"),
+                          (["expr=abc_flow"], "expr"),
                           (["kind=random_solenoidal", "slope=700"], "slope"),
                           (["kind=random_solenoidal", "slope=1000"], "slope")):
         sets = [arg for item in settings for arg in ("--set", f"{section}.{item}")]
@@ -133,7 +134,7 @@ def test_nonfinite_value_exits_one_before_creating_output(cfg_path, tmp_path, ca
 
 
 @pytest.mark.parametrize("setting", ["time.t_end=1e308", "model.conv_form=divergence", "grid.n=1000000000",
-                                     "grid.dealias=false"])
+                                     "grid.dealias=false", "model.max_order=100"])
 def test_rejected_run_setting_exits_one_before_any_run_or_output(cfg_path, tmp_path, capsys,
                                                                  monkeypatch, setting):
     runs = []
@@ -208,6 +209,11 @@ def test_cutoff_stdout(capsys):
     assert "k_c_delta_1" in out
     rows = [ln.split() for ln in out.splitlines()[1:] if ln and not ln.startswith("flag")]
     assert rows[0] == ["0", "1", "2", "4"]
+
+
+def test_cutoff_at_a_small_radius_lands_on_the_integer(tmp_path):
+    assert _run(["cutoff", "--deltas", "1e-5", "--orders", "0", "--out", str(tmp_path / "c")]) == 0
+    assert _table_cells(tmp_path / "c" / "cutoff_table_main.csv") == {"order": ["0"], "k_c_delta_1e-05": ["100000"]}
 
 
 def _table_cells(path):

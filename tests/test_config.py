@@ -82,11 +82,14 @@ def test_boolean_spellings():
 def test_an_old_effective_cfg_parses_as_one_without_the_retired_keys():
     # guard: effective.cfg files written while the keys were options carry
     # them; they must still re-run, and echo them as before
-    old = LERAY.replace("n = 16", "n = 16\ndealias = yes") + "conv_form = advective\n"
+    old = (LERAY.replace("n = 16", "n = 16\ndealias = yes") + "conv_form = advective\nmax_order = 64\n"
+           + "\n[ic]\nkind = taylor_green\nexpr =\n")
     with_keys, without = config.parse_config_text(old), config.parse_config_text(LERAY)
     assert with_keys.solver == without.solver
     assert config.render_effective(with_keys.effective) == config.render_effective(without.effective)
-    assert "dealias = true" in config.render_effective(without.effective)
+    echo = config.render_effective(without.effective)
+    for line in ("dealias = true", "conv_form = advective", "max_order = 64", "expr = "):
+        assert line in echo
 
 
 def test_semantic_validation_messages():
@@ -161,8 +164,9 @@ amplitude = 0.2
 _BAD_FIELD_PARAMETERS = [
     (["kind=single_mode", "mode=0,0,0"], "mode", "nonzero integer triple"),
     (["kind=single_mode", "mode=0,8,0"], "mode", "does not fit"),
-    (["kind=manufactured", "expr=bogus"], "expr", "unknown manufactured field 'bogus'"),
+    (["expr=abc_flow"], "expr", "expr is retired: ABC flow is kind = abc_flow"),
     (["kind=random_solenoidal", "band=0"], "band", "band must be >= 1"),
+    (["kind=manufactured"], "kind", "unknown field kind 'manufactured'"),
 ]
 
 
@@ -245,7 +249,7 @@ def test_rejected_values_name_their_key(key, value):
 @pytest.mark.parametrize("settings, key, reason", [
     (["model.delta=nan"], "model.delta", "filter radius must be positive, got nan"),
     (["model.delta=inf"], "model.delta", "delta must be finite, got inf"),
-    (["model.max_order=-1"], "model.max_order", "max_order must be >= 0, got -1"),
+    (["model.max_order=100"], "model.max_order", "max_order must be 64, the fixed cap on model.order, got '100'"),
     (["fluid.nu=inf"], "fluid.nu", "nu must be finite, got inf"),
     (["time.dt=inf"], "time.dt", "dt must be finite, got inf"),
     (["time.t_end=inf"], "time.t_end", "t_end must be finite, got inf"),
@@ -255,6 +259,7 @@ def test_rejected_values_name_their_key(key, value):
     (["ic.kind=random_solenoidal", "ic.slope=nan"], "ic.slope", "slope must be finite, got nan"),
     (["ic.kind=random_solenoidal", "ic.seed=-1"], "ic.seed", "seed must be >= 0, got -1"),
     (["grid.dealias=off"], "grid.dealias", "dealiasing by the two-thirds rule is always on, got 'off'"),
+    (["model.order=65"], "model.order", "deconvolution order must be in [0, 64], got 65"),
 ])
 def test_rejected_values_report_key_and_reason(settings, key, reason):
     # a value the run cannot use is reported under its own key, in one format

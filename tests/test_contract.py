@@ -1,12 +1,12 @@
 """No input ends in a traceback.
 
 Generated values for every configuration key may only be rejected with a
-ConfigError that names a key, generated values for every flag of the study
-commands that read no run config may only be rejected with an error naming
-its `study.<field>`, and corrupted bytes in every output file may only be
-rejected with the reader's own error naming the file.  Hypothesis runs
-derandomized with few examples, and nothing here runs the solver, so the
-contract is cheap and repeatable.
+ConfigError that names a key, generated values for every flag of every study
+command may only be rejected with an error naming its `study.<field>`, and
+corrupted bytes in every output file may only be rejected with the reader's
+own error naming the file.  Hypothesis runs derandomized with few examples,
+and the only solver runs are the trajectory sweeps' one-step 8^3 runs, so
+the contract is cheap and repeatable.
 """
 
 import contextlib
@@ -62,7 +62,7 @@ def _read_under(key: str) -> tuple:
     """Settings under which a key that only some kinds read is read."""
     section, name = key.split(".")
     if section in ("ic", "forcing"):
-        kind = {"mode": "single_mode", "expr": "manufactured"}.get(name, "random_solenoidal")
+        kind = "single_mode" if name == "mode" else "random_solenoidal"
         return (f"{section}.kind={kind}",)
     if section == "model":
         return ("model.kind=leray_deconv", "model.delta=0.5")
@@ -93,9 +93,18 @@ FLAG_VALUES = {
     "k_max": NUMBERS,
     "k_points": st.integers(-1, 1000).map(str),  # capped, so each table stays small
 }
-# the study commands that read no run config, each with the flags it is given
-# at a fixed value: consistency runs on an 8^3 grid
-FIXED_FLAGS = {"cutoff": {}, "transfer": {}, "consistency": {"grid_n": "8"}}
+# the study commands, each with the flags it is given at a fixed value:
+# consistency runs on an 8^3 grid, and the two trajectory sweeps read the
+# one-step 8^3 scenario ONE_STEP through --config
+FIXED_FLAGS = {"cutoff": {}, "transfer": {}, "consistency": {"grid_n": "8"}, "sweep-delta": {}, "sweep-n": {}}
+ONE_STEP = BASE.replace("t_end = 0.1", "t_end = 0.01")
+
+
+@pytest.fixture(scope="module")
+def one_step_cfg(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scenario") / "one_step.cfg"
+    path.write_text(ONE_STEP)
+    return path
 
 
 @pytest.mark.parametrize("command", FIXED_FLAGS)
@@ -104,10 +113,13 @@ FIXED_FLAGS = {"cutoff": {}, "transfer": {}, "consistency": {"grid_n": "8"}}
 @example(values={"deltas": "1e-308", "orders": "0"})
 @example(values={"deltas": "5e-324", "orders": "0"})
 @example(values={"deltas": "1e300,1e200,1e100"})
-def test_every_study_flag_takes_any_value_or_rejects_it_by_field(tmp_path_factory, command, values):
-    flags = cli._STUDY_COMMANDS[command][3]
+@example(values={"deltas": "1e308,1e-300,5e-324", "orders": "64,0", "delta": "5e-324"})
+def test_every_study_flag_takes_any_value_or_rejects_it_by_field(tmp_path_factory, one_step_cfg, command, values):
+    flags, reads_config = cli._STUDY_COMMANDS[command][3:]
     given_values = {**{name: v for name, v in values.items() if name in flags}, **FIXED_FLAGS[command]}
     args = [f"{cli._STUDY_FLAGS[name][0]}={value}" for name, value in given_values.items()]
+    if reads_config:
+        args.append(f"--config={one_step_cfg}")
     out = tmp_path_factory.mktemp(command) / "out"
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):

@@ -8,7 +8,7 @@ import pytest
 import leraydec as ld
 from leraydec import diagnostics
 
-from conftest import rel_l2
+from conftest import SYMMETRY_TOLERANCE, reflect, rel_l2, shift, swap_xy
 
 
 def _viscous_tg_run(grid, dt, t_end=0.2, nu=0.1, order=0):
@@ -231,3 +231,65 @@ def test_model_error_pads_nothing():
     assert [ast.unparse(node) for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "padded"] == []
+
+
+# The diagnostics commute with the box's symmetries (conftest's maps).  The
+# fields are synthetic band snapshots, seeded random fields mapped on the full
+# grid and restricted to the integration band as a run holds them; nothing is
+# integrated.
+def _band_snapshot(f, symmetry=None, t=0.0):
+    c = f.coeffs if symmetry is None else symmetry(f.coeffs, f.grid)
+    band = ld.spectral.integration_band(f.grid)
+    return ld.SpectralField(f.grid, band.restrict(c), t, band)
+
+
+def _unchanged(a, b, names, scales):
+    """Whether each named value of b equals a's within the tolerance of its scale."""
+    return all(abs(getattr(b, name) - getattr(a, name)) <= SYMMETRY_TOLERANCE * scale
+               for name, scale in zip(names, scales))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+def test_energy_record_is_unchanged_by_a_one_cell_shift(grid16, axis):
+    state, forcing = ld.random_solenoidal(grid16, seed=3), ld.random_solenoidal(grid16, seed=5)
+    names = ("energy", "h1_seminorm_sq", "dissipation", "input_power")
+
+    def record(state_map, forcing_map):
+        return diagnostics.energy_record(_band_snapshot(state, state_map), 0.3, _band_snapshot(forcing, forcing_map))
+
+    before = record(None, None)
+    # input power is bounded by ||f|| ||w||, the scale it is compared at
+    scales = (before.energy, before.h1_seminorm_sq, before.dissipation, ld.hs_norm(state, 0) * ld.hs_norm(forcing, 0))
+    assert _unchanged(before, record(shift(axis), shift(axis)), names, scales)
+    # the state shifted under a fixed forcing meets it at another phase
+    assert not _unchanged(before, record(shift(axis), None), names, scales)
+
+
+def test_consistency_report_is_unchanged_by_a_reflection(grid16):
+    v = ld.random_solenoidal(grid16, seed=7)
+    spec = ld.FilterSpec(delta=0.3, order=2)
+    before = diagnostics.consistency_report(_band_snapshot(v), spec)
+    after = diagnostics.consistency_report(_band_snapshot(v, reflect(0)), spec)
+    names = ("l1_tau", "bound_sharp", "bound_crude")
+    assert _unchanged(before, after, names, [getattr(before, name) for name in names])
+
+
+@pytest.mark.parametrize("symmetry", [swap_xy, reflect(0), reflect(2), shift(1), shift(2, half_box=True)],
+                         ids=["swap-xy", "reflect-x", "reflect-z", "shift-y", "half-shift-z"])
+def test_model_error_is_unchanged_when_both_runs_are_mapped_alike(grid16, symmetry):
+    times = (0.0, 0.1, 0.2)
+    reference = [ld.random_solenoidal(grid16, seed=seed) for seed in (1, 2, 3)]
+    model = [f.with_coeffs(f.coeffs + 0.01 * ld.random_solenoidal(grid16, seed=10 + i).coeffs)
+             for i, f in enumerate(reference)]
+
+    def snapshots(fields, symmetry=None):
+        return SimpleNamespace(snapshots=[_band_snapshot(f, symmetry, t) for f, t in zip(fields, times)])
+
+    before = diagnostics.model_error(snapshots(model), snapshots(reference))
+    names = ("l2_final", "l2l2", "h1_timeavg")
+    scales = [getattr(before, name) for name in names]
+    after = diagnostics.model_error(snapshots(model, symmetry), snapshots(reference, symmetry))
+    assert after.cutoff == before.cutoff and _unchanged(before, after, names, scales)
+    # mapping one run alone moves it off the other
+    assert not _unchanged(before, diagnostics.model_error(snapshots(model, symmetry), snapshots(reference)),
+                          names, scales)

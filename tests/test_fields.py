@@ -16,8 +16,8 @@ from conftest import curl, energy, k_linf, shell_energies
         ld.FieldSpec(kind="taylor_green"),
         ld.FieldSpec(kind="single_mode", mode=(2, -1, 3)),
         ld.FieldSpec(kind="random_solenoidal", seed=4),
-        ld.FieldSpec(kind="manufactured", expr="abc_flow"),
-        ld.FieldSpec(kind="manufactured", expr="shear_mode"),
+        ld.FieldSpec(kind="abc_flow"),
+        ld.FieldSpec(kind="single_mode", mode=(1, 0, 0)),  # the plane shear u = (0, cos x, 0)
     ],
 )
 def test_constructors_satisfy_invariants(grid16, spec):
@@ -153,12 +153,10 @@ def test_abc_flow_is_beltrami(grid16):
     np.testing.assert_allclose(curl(f), f.coeffs, rtol=0, atol=1e-13)
 
 
-def test_manufactured_dispatch_errors(grid16):
-    with pytest.raises(ValueError, match="unknown manufactured field"):
-        ld.FieldSpec(kind="manufactured", expr="nonsense").evaluate(grid16)
-
-
-def test_shear_mode_is_single_mode(grid16):
-    a = fields.shear_mode(grid16, amplitude=0.7)
-    b = ld.single_mode(grid16, (1, 0, 0), amplitude=0.7)
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+def test_each_analytic_kind_is_its_constructor(grid16):
+    for kind, build in (("taylor_green", ld.taylor_green), ("abc_flow", ld.abc_flow)):
+        np.testing.assert_array_equal(ld.FieldSpec(kind=kind, amplitude=0.7).evaluate(grid16).coeffs,
+                                      build(grid16, 0.7).coeffs)
+    with pytest.raises(ld.ParameterError, match="unknown field kind 'manufactured'") as err:
+        ld.FieldSpec(kind="manufactured")
+    assert err.value.parameter == "kind"

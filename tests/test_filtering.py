@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,10 @@ def test_filter_spec_validation():
         ld.FilterSpec(delta=-1.0)
     with pytest.raises(ValueError):
         ld.FilterSpec(delta=1.0, order=-1)
-    with pytest.raises(ValueError):
-        ld.FilterSpec(delta=1.0, order=100, max_order=64)
+    with pytest.raises(ld.ParameterError, match=r"must be in \[0, 64\], got 65") as err:
+        ld.FilterSpec(delta=1.0, order=filtering.MAX_ORDER + 1)  # the one cap, runs and studies alike
+    assert err.value.parameter == "order"
+    assert [f.name for f in dataclasses.fields(ld.FilterSpec)] == ["delta", "order"]
 
 
 def test_frozen_transfer_values():
@@ -174,6 +178,16 @@ def test_cutoff_bisection_holds_to_the_largest_float():
             spec = ld.FilterSpec(delta=delta, order=order)
             assert filtering.cutoff_root(spec) == pytest.approx(ld.cutoff_frequency_exact(spec), rel=1e-9)
     assert filtering.cutoff_root(ld.FilterSpec(delta=1e-308, order=50)) == float("inf")
+
+
+def test_cutoff_is_the_last_integer_passed_at_half_amplitude():
+    # the bisected root of radius 1e-5 reads 99999.99999999715, yet h_0(100000) is exactly 1/2
+    for j in range(12):
+        for order in (0, 1, 5, 50):
+            spec = ld.FilterSpec(delta=10.0**-j, order=order)
+            k_c = ld.cutoff_frequency(spec)
+            assert ld.transfer_hn(float(k_c), spec) >= 0.5 > ld.transfer_hn(k_c + 1.0, spec), (j, order, k_c)
+    assert ld.cutoff_frequency(ld.FilterSpec(delta=1e-5)) == 100000
 
 
 def test_cutoff_monotone():

@@ -10,7 +10,7 @@ import pytest
 import leraydec as ld
 from leraydec import diagnostics, spectral
 
-from conftest import band_mask, hermitian, inner, k_linf, rel_l2
+from conftest import SYMMETRY_TOLERANCE, band_mask, hermitian, inner, k_linf, reflect, rel_l2, shift, swap_xy
 
 
 def _cfg(grid, model="nse", order=0, delta=0.5, nu=0.05, dt=0.01, t_end=0.1, **kw):
@@ -107,7 +107,7 @@ def test_abc_flow_exact_solution(grid16):
     # exponentially under both the plain and the regularized dynamics
     for model, order in [("nse", 0), ("leray_deconv", 2)]:
         cfg = _cfg(grid16, model=model, order=order, nu=0.1, dt=0.005, t_end=0.1,
-                   ic=ld.FieldSpec(kind="manufactured", expr="abc_flow"),
+                   ic=ld.FieldSpec(kind="abc_flow"),
                    filter_ic=False)
         traj = ld.run(cfg)
         w0 = traj.snapshots[0]
@@ -555,29 +555,11 @@ def test_every_solver_entry_point_builds_one_run_object(grid8, monkeypatch):
     assert not hasattr(ld.solver, "_Advection")
 
 
-# The box's symmetries act on full-grid coefficients c[component, kx, ky, kz],
-# each axis in FFT order.  step and nonlinear_term must commute with each of a
-# generating set.  Taylor-Green forcing of amplitude a maps to itself at
-# amplitude -a under the x/y swap and a half-box shift, and at +a under a
-# reflection, so forced steps commute with those maps when the forcing's
-# amplitude is mapped alike.
-_TOLERANCE = 64 * np.finfo(np.float64).eps  # relative to the largest coefficient
-
-
-def _swap_xy(c, grid):  # u'(x, y, z) = (u_y, u_x, u_z)(y, x, z)
-    return c[[1, 0, 2]].transpose(0, 2, 1, 3)
-
-
-def _reflect(axis):  # u' = u with coordinate and component `axis` negated: k_axis -> -k_axis
-    def reflect(c, grid):  # along the axis, index i -> -i mod n
-        out = np.roll(np.flip(c, axis=axis + 1), 1, axis=axis + 1)
-        out[axis] *= -1
-        return out
-    return reflect
-
-
-def _shift(axis, half_box=False):  # u'(x) = u(x - h e_axis) for one cell h = 2 pi / n, or h = pi
-    return lambda c, grid: c * np.exp(-1j * grid.wavevectors()[axis] * (np.pi if half_box else 2 * np.pi / grid.n))
+# step and nonlinear_term must commute with each of a generating set of the
+# box's symmetries (conftest's maps).  Taylor-Green forcing of amplitude a maps
+# to itself at amplitude -a under the x/y swap and a half-box shift, and at +a
+# under a reflection, so forced steps commute with those maps when the
+# forcing's amplitude is mapped alike.
 
 
 def _swap_xy_axes_only(c, grid):  # a wrong component map: the axes swapped, the components not
@@ -612,10 +594,10 @@ def symmetry_runs():
 
 
 @pytest.mark.parametrize("symmetry, commutes, forcing_sign", [
-    (_swap_xy, True, -1), (_reflect(0), True, 1), (_reflect(1), True, 1), (_reflect(2), True, 1),
-    (_shift(0), True, None), (_shift(1), True, None), (_shift(2), True, None),
-    (_shift(0, half_box=True), True, -1), (_shift(1, half_box=True), True, -1),
-    (_shift(2, half_box=True), True, -1), (_swap_xy_axes_only, False, -1),
+    (swap_xy, True, -1), (reflect(0), True, 1), (reflect(1), True, 1), (reflect(2), True, 1),
+    (shift(0), True, None), (shift(1), True, None), (shift(2), True, None),
+    (shift(0, half_box=True), True, -1), (shift(1, half_box=True), True, -1),
+    (shift(2, half_box=True), True, -1), (_swap_xy_axes_only, False, -1),
 ], ids=["swap-xy", "reflect-x", "reflect-y", "reflect-z", "shift-x", "shift-y", "shift-z",
         "half-shift-x", "half-shift-y", "half-shift-z", "wrong-component-map"])
 def test_step_commutes_with_the_box_symmetries(symmetry_runs, symmetry, commutes, forcing_sign):
@@ -630,4 +612,4 @@ def test_step_commutes_with_the_box_symmetries(symmetry_runs, symmetry, commutes
             checks = [*checks, (forced[forcing_sign], _five_steps, forced_value)]
         for cfg, op, value in checks:
             defect = np.abs(op(moved, cfg) - symmetry(value, start.grid)).max() / np.abs(value).max()
-            assert (defect <= _TOLERANCE) == commutes, (n, op.__name__, cfg.forcing.amplitude, defect)
+            assert (defect <= SYMMETRY_TOLERANCE) == commutes, (n, op.__name__, cfg.forcing.amplitude, defect)
