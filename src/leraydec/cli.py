@@ -66,8 +66,8 @@ _STUDY_FLAGS = {
 
 
 def _study_spec(args, kind: str, rc=None):
-    """The command's StudySpec, from its flags alone; a command that reads
-    --config adds the run config's solver scenario as `base`.
+    """The command's StudySpec, from its flags alone; a command whose kind
+    requests `base` adds the run config's solver scenario as `base`.
 
     A flag left out takes StudySpec's default for the kind.  Every given
     flag is checked by StudySpec and a rejected one is reported against its
@@ -85,11 +85,11 @@ def _study_spec(args, kind: str, rc=None):
     return _built(experiments.StudySpec, kind=kind, section="study", **values)
 
 
-def _study_digest(command: str, spec, flags, rc=None) -> str:
+def _study_digest(command: str, params: dict, rc=None) -> str:
     """sha256 of the command, the run config's hash when it reads --config and
-    the resolved StudySpec value of each of its flags: requests that resolve
-    alike share a digest however their flags are spelled."""
-    parts = {"cmd": command, **{name: getattr(spec, name) for name in flags}}
+    the report's params, the resolved request: requests that resolve alike
+    share a digest however their flags are spelled."""
+    parts = {"cmd": command, **params}
     if rc is not None:
         parts["config_sha256"] = rc.config_hash
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
@@ -115,10 +115,9 @@ def cmd_run(args) -> int:
     if "snapshot" in rc.formats:
         model = rc.solver.model
         delta = rc.solver.filter.delta if rc.solver.filter is not None else 0.0
-        order = model.order if model.is_regularized else 0
         for i, snap in enumerate(traj.snapshots):
             path = os.path.join(rc.out_dir, f"snap_{i:06d}.snap")
-            write_snapshot(path, snap, model_family=model.family, delta=delta, order=order)
+            write_snapshot(path, snap, model_family=model.family, delta=delta, order=model.order)
             written.append(path)
     tables.write_manifest(rc.out_dir, written, rc.config_hash)
 
@@ -152,34 +151,28 @@ def _print_table(report) -> None:
         print("  ".join(f"{v:>16}" for v in row))
 
 
-# command: (study kind, help, printer, flags, reads --config).
-# A command that reads --config takes its scenario from there and must be given --out.
-# A flag left out takes StudySpec's default for the kind, which StudySpec alone
-# chooses: the default sweep for --orders and --deltas, and --delta and --fit-window.
+# command: (study kind, help, printer).  A command's flags are its kind's request
+# (experiments.request); one whose request holds `base` reads it from --config
+# and must be given --out.  A flag left out takes StudySpec's default for the kind.
 _STUDY_COMMANDS = {
-    "transfer": ("transfer", "tabulate filter, deconvolution and smoother multipliers at one radius",
-                 _print_table, ("delta", "orders", "k_max", "k_points"), False),
-    "sweep-delta": ("delta_rate", "model-vs-reference error as the filter radius shrinks",
-                    _print_fits, ("deltas", "orders", "fit_window"), True),
-    "sweep-n": ("n_limit", "model error and cost as deconvolution order grows",
-                _print_orders, ("delta", "orders"), True),
-    "cutoff": ("cutoff_table", "smoother cutoff wavenumber table",
-               _print_table, ("deltas", "orders"), False),
-    "consistency": ("consistency_rate", "consistency-tensor size and bounds on an analytic field",
-                    _print_fits, ("deltas", "orders", "grid_n", "fit_window"), False),
+    "transfer": ("transfer", "tabulate filter, deconvolution and smoother multipliers at one radius", _print_table),
+    "sweep-delta": ("delta_rate", "model-vs-reference error as the filter radius shrinks", _print_fits),
+    "sweep-n": ("n_limit", "model error and cost as deconvolution order grows", _print_orders),
+    "cutoff": ("cutoff_table", "smoother cutoff wavenumber table", _print_table),
+    "consistency": ("consistency_rate", "consistency-tensor size and bounds on an analytic field", _print_fits),
 }
 
 
 def cmd_study(args) -> int:
-    kind, _, printer, flags, reads_config = _STUDY_COMMANDS[args.command]
-    rc = _load_run_config(args) if reads_config else None
+    kind, _, printer = _STUDY_COMMANDS[args.command]
+    rc = _load_run_config(args) if "base" in experiments.request(kind) else None
     spec = _study_spec(args, kind, rc)
     report = experiments.run_study(spec)
     printer(report)
     for flag in report.flags:
         print(f"flag: {flag}")
     if args.out:
-        _write_study(args.out, report, _study_digest(args.command, spec, flags, rc))
+        _write_study(args.out, report, _study_digest(args.command, report.params, rc))
     return 1 if "bound_violated" in report.flags else 0
 
 
@@ -212,12 +205,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_study_flags(parser, names) -> None:
-    for name in names:
-        flag, keywords, _ = _STUDY_FLAGS[name]
-        parser.add_argument(flag, dest=name, **keywords)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leraydec",
@@ -232,13 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (overrides output.dir)")
     p.set_defaults(func=cmd_run)
 
-    for command, (_, help_text, _, flags, reads_config) in _STUDY_COMMANDS.items():
+    for command, (kind, help_text, _) in _STUDY_COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        if reads_config:
+        request = experiments.request(kind)
+        if "base" in request:
             p.add_argument("--config", required=True)
             p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-        _add_study_flags(p, flags)
-        p.add_argument("--out", required=reads_config)
+        for name in request:
+            if name != "base":
+                flag, keywords, _ = _STUDY_FLAGS[name]
+                p.add_argument(flag, dest=name, **keywords)
+        p.add_argument("--out", required="base" in request)
         p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("compare", help="error norms between two snapshot directories")

@@ -44,12 +44,13 @@ class RateFit:
 
 @dataclass
 class StudySpec:
-    """Sweep request shared by all studies; unused knobs are ignored per kind.
+    """Sweep request shared by all studies; a kind reads only the fields of
+    its request (`request(kind)`) and ignores the rest.
 
     An empty `orders` or `deltas` and a left-out `delta` are resolved here,
     the one place a kind's defaults are chosen, to the kind's entry in
-    `_STUDIES`, then checked like given ones.  A rate fit reads the
-    `fit_window` finest radii, three unless given.
+    `_STUDIES`, then checked like given ones.  Orders must be distinct.  A
+    rate fit reads the `fit_window` finest radii, three unless given.
     """
 
     kind: str
@@ -65,7 +66,8 @@ class StudySpec:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}, expected one of {STUDY_KINDS}")
-        _, default_orders, default_deltas, default_delta = _STUDIES[self.kind]
+        _, fields_read, default_orders, default_deltas, default_delta = _STUDIES[self.kind]
+        fits_rates = "fit_window" in fields_read  # the three rate kinds, the only readers of fit_window
         ds = tuple(float(d) for d in self.deltas) or default_deltas
         if not all(np.isfinite(d) and d >= 0 for d in ds):
             raise spectral.ParameterError("deltas", f"deltas must be finite and >= 0, got {ds}")
@@ -73,11 +75,11 @@ class StudySpec:
             raise spectral.ParameterError("deltas", f"deltas must be positive for {self.kind}, got {ds}")
         if ds and any(b >= a for a, b in zip(ds, ds[1:])):
             raise spectral.ParameterError("deltas", "deltas must be strictly decreasing")
-        if self.kind in _RATE_KINDS and len(ds) < 3:
+        if fits_rates and len(ds) < 3:
             raise spectral.ParameterError("deltas", "a rate fit needs at least three sweep points")
         if self.fit_window < 3:
             raise spectral.ParameterError("fit_window", f"fit_window must be >= 3, got {self.fit_window}")
-        if self.kind in _RATE_KINDS and self.fit_window > len(ds):
+        if fits_rates and self.fit_window > len(ds):
             raise spectral.ParameterError(
                 "fit_window", f"fit_window must be at most the sweep's {len(ds)} points, got {self.fit_window}")
         if self.delta is None:
@@ -87,6 +89,8 @@ class StudySpec:
         orders = tuple(int(n) for n in self.orders) or default_orders
         if any(n < 0 or n > MAX_ORDER for n in orders):  # FilterSpec's cap, before any run
             raise spectral.ParameterError("orders", f"orders must be in [0, {MAX_ORDER}], got {orders}")
+        if len(set(orders)) < len(orders):
+            raise spectral.ParameterError("orders", f"orders must be distinct, got {orders}")
         self.orders = orders
         if self.kind == "cutoff_table" and not np.isfinite(  # the largest cutoff: finest radius, top order
                 filtering.cutoff_root(FilterSpec(delta=min(ds), order=max(orders)))):
@@ -102,12 +106,12 @@ class StudySpec:
 
 @dataclass
 class StudyReport:
-    kind: str
-    params: dict
     tables: dict
     fits: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    kind: str = ""  # kind and params are the spec's, set by run_study
+    params: dict = field(default_factory=dict)
 
 
 def fit_rate(
@@ -162,13 +166,12 @@ def _columns(rows) -> dict:
     return {name: [row[name] for row in rows] for name in rows[0]}
 
 
-def _rate_study(kind, spec, measure, floor, metadata, **params) -> StudyReport:
+def _rate_study(spec, measure, floor, metadata) -> StudyReport:
     """Sweep delta per order; fit the first measured quantity against delta^(2N+2).
 
     measure(delta, order) returns {name: value}; each name becomes the
     column `<name>_order_<N>`, in the order measure returns them.  Fits
     that are degenerate or floor-limited are flagged by their order key.
-    The report's params are the sweep's orders and deltas plus **params.
     """
     table: dict = {"delta": list(spec.deltas)}
     fits = {}
@@ -180,8 +183,7 @@ def _rate_study(kind, spec, measure, floor, metadata, **params) -> StudyReport:
             window=spec.fit_window, floor=floor,
         )
     flags = [k for k, f in fits.items() if f.degenerate or f.floor_limited]
-    return StudyReport(kind=kind, params={"orders": spec.orders, "deltas": spec.deltas, **params},
-                       tables={"main": table}, fits=fits, flags=flags, metadata=metadata)
+    return StudyReport(tables={"main": table}, fits=fits, flags=flags, metadata=metadata)
 
 
 def deconv_rate_study(spec: StudySpec) -> StudyReport:
@@ -191,15 +193,14 @@ def deconv_rate_study(spec: StudySpec) -> StudyReport:
     deconvolution, then the L2 norm of the difference from the original.
     """
     mode = (1, 0, 0)
-    phi = fields.single_mode(spectral.Grid(spec.grid_n), mode)
+    phi = fields.single_mode(spectral.Grid(16), mode)  # any grid holding the mode measures alike
 
     def measure(d, order):
         fspec = FilterSpec(delta=d, order=order)
         recovered = filtering.van_cittert(filtering.apply_filter(phi, fspec), fspec)
         return {"error": spectral.hs_norm(phi.with_coeffs(phi.coeffs - recovered.coeffs), 0)}
 
-    return _rate_study("deconv_rate", spec, measure, 0.0, {"field": "single_mode"},
-                       mode=mode, grid_n=spec.grid_n)
+    return _rate_study(spec, measure, 0.0, {"field": "single_mode", "mode": mode})
 
 
 def _scenario(base: SolverConfig, delta: float, order: int) -> SolverConfig:
@@ -207,11 +208,11 @@ def _scenario(base: SolverConfig, delta: float, order: int) -> SolverConfig:
     return replace(base, model=ModelKind.leray_deconvolution(order), filter=FilterSpec(delta=delta, order=order))
 
 
-def _reference(spec: StudySpec, study: str):
+def _reference(spec: StudySpec):
     """The NSE reference trajectory of the study's base scenario, and its metadata."""
     base = spec.base
     if base is None:
-        raise ValueError(f"{study} requires a base SolverConfig")
+        raise ValueError(f"{spec.kind} requires a base SolverConfig")
     metadata = {"n": base.grid.n, "nu": base.nu, "dt": base.dt, "t_end": base.t_end}
     return solver.run(replace(base, model=ModelKind.nse(), filter=None)), metadata
 
@@ -240,8 +241,8 @@ def delta_rate_study(spec: StudySpec) -> StudyReport:
     A delta = 0 point is the reference itself, with its cost and a zero
     error row, which the fit then reports as degenerate rather than crashing.
     """
-    reference, metadata = _reference(spec, "delta_rate_study")
-    return _rate_study("delta_rate", spec, lambda d, order: _trajectory_point(spec.base, reference, d, order),
+    reference, metadata = _reference(spec)
+    return _rate_study(spec, lambda d, order: _trajectory_point(spec.base, reference, d, order),
                        _TRAJECTORY_FLOOR, metadata)
 
 
@@ -279,7 +280,7 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
     The unit is read before each model run and after the last; their median
     is `unit_filter_seconds`, and `unit_filter_readings` keeps them all.
     """
-    reference, metadata = _reference(spec, "n_limit_study")
+    reference, metadata = _reference(spec)
     band = spectral.integration_band(spec.base.grid)  # deconv_unit_cost's operand, built once
     g_hat = filtering.transfer_g(band.k_mag, FilterSpec(delta=spec.delta))
     fbar = g_hat * band.restrict(fields.random_solenoidal(spec.base.grid, seed=973).coeffs)
@@ -295,10 +296,7 @@ def n_limit_study(spec: StudySpec) -> StudyReport:
         flags.append("errors_not_strictly_decreasing")
 
     return StudyReport(
-        kind="n_limit",
-        params={"orders": spec.orders, "delta": spec.delta},
-        tables={"main": table},
-        flags=flags,
+        tables={"main": table}, flags=flags,
         # statistics.median, not np.median, whose first call imports numpy.ma (0.5 MiB)
         metadata={**metadata, "unit_filter_seconds": statistics.median(units), "unit_filter_readings": units},
     )
@@ -319,12 +317,7 @@ def cutoff_table_study(spec: StudySpec) -> StudyReport:
     flags += [f"not_monotone_in_inverse_delta_order_{row['order']}" for row in rows
               if falls([row[name] for name in names])]
 
-    return StudyReport(
-        kind="cutoff_table",
-        params={"orders": spec.orders, "deltas": spec.deltas},
-        tables={"main": table},
-        flags=flags,
-    )
+    return StudyReport(tables={"main": table}, flags=flags)
 
 
 def consistency_rate_study(spec: StudySpec) -> StudyReport:
@@ -340,7 +333,7 @@ def consistency_rate_study(spec: StudySpec) -> StudyReport:
         return {"l1_tau": rep.l1_tau, "bound_sharp": rep.bound_sharp,
                 "bound_crude": rep.bound_crude, "ratio": rep.ratio}
 
-    report = _rate_study("consistency_rate", spec, measure, 0.0, {"field": "taylor_green"}, grid_n=spec.grid_n)
+    report = _rate_study(spec, measure, 0.0, {"field": "taylor_green"})
     if violated:
         report.flags.insert(0, "bound_violated")
     return report
@@ -362,24 +355,32 @@ def transfer_study(spec: StudySpec) -> StudyReport:
         fs = FilterSpec(delta=spec.delta, order=order)
         table[f"d_hat_order_{order}"] = filtering.transfer_dn(ks, fs).tolist()
         table[f"h_hat_order_{order}"] = filtering.transfer_hn(ks, fs).tolist()
-    return StudyReport(
-        kind="transfer",
-        params={"delta": spec.delta, "orders": spec.orders, "k_max": spec.k_max, "k_points": spec.k_points},
-        tables={"main": table},
-    )
+    return StudyReport(tables={"main": table})
 
 
-_STUDIES = {  # kind: (study, default orders, default deltas, default delta)
-    "deconv_rate": (deconv_rate_study, (0, 1, 2), (0.2, 0.1, 0.05, 0.025), None),
-    "delta_rate": (delta_rate_study, (0,), (0.4, 0.2, 0.1), None),
-    "n_limit": (n_limit_study, (0, 1, 2, 4, 8), (), 0.5),
-    "cutoff_table": (cutoff_table_study, tuple(range(0, 51, 5)), (1.0, 0.5, 0.25), None),
-    "consistency_rate": (consistency_rate_study, (0, 1), (0.2, 0.1, 0.05, 0.025), None),
-    "transfer": (transfer_study, (0, 1, 2), (), 1.0),
+# kind: (study, request, default orders, default deltas, default delta).  The
+# request is the StudySpec fields the study reads: `run_study` writes it, less
+# `base`, as the report's params, and the kind's command takes it as its flags.
+_STUDIES = {
+    "deconv_rate": (deconv_rate_study, ("deltas", "orders", "fit_window"),
+                    (0, 1, 2), (0.2, 0.1, 0.05, 0.025), None),
+    "delta_rate": (delta_rate_study, ("base", "deltas", "orders", "fit_window"), (0,), (0.4, 0.2, 0.1), None),
+    "n_limit": (n_limit_study, ("base", "delta", "orders"), (0, 1, 2, 4, 8), (), 0.5),
+    "cutoff_table": (cutoff_table_study, ("deltas", "orders"), tuple(range(0, 51, 5)), (1.0, 0.5, 0.25), None),
+    "consistency_rate": (consistency_rate_study, ("deltas", "orders", "grid_n", "fit_window"),
+                         (0, 1), (0.2, 0.1, 0.05, 0.025), None),
+    "transfer": (transfer_study, ("delta", "orders", "k_max", "k_points"), (0, 1, 2), (), 1.0),
 }
 STUDY_KINDS = tuple(_STUDIES)
-_RATE_KINDS = ("deconv_rate", "delta_rate", "consistency_rate")
+
+
+def request(kind: str) -> tuple:
+    """The StudySpec fields a study kind reads, `base` among them for the trajectory studies."""
+    return _STUDIES[kind][1]
 
 
 def run_study(spec: StudySpec) -> StudyReport:
-    return _STUDIES[spec.kind][0](spec)
+    """Run the spec's study; its report's params are the spec's resolved request, less `base`."""
+    study, fields_read = _STUDIES[spec.kind][:2]
+    params = {name: getattr(spec, name) for name in fields_read if name != "base"}
+    return replace(study(spec), kind=spec.kind, params=params)

@@ -66,9 +66,9 @@ class BlowUpError(RuntimeError):
 class ModelKind:
     """Which momentum equation to integrate.
 
-    family "nse" advects with the velocity itself; family "leray_deconv"
-    advects with the order-N deconvolved filtered velocity (order 0 is the
-    Leray-alpha regularization).
+    family "nse" advects with the velocity itself, at order 0; family
+    "leray_deconv" advects with the order-N deconvolved filtered velocity,
+    N in [0, filtering.MAX_ORDER] (order 0 is the Leray-alpha regularization).
     """
 
     family: str
@@ -79,8 +79,9 @@ class ModelKind:
             raise ParameterError(
                 "family", f"unknown model family {self.family!r} (expected nse or leray_deconv)"
             )
-        if self.order < 0:
-            raise ParameterError("order", f"deconvolution order must be >= 0, got {self.order}")
+        cap = filtering.MAX_ORDER if self.is_regularized else 0
+        if not 0 <= self.order <= cap:
+            raise ParameterError("order", f"deconvolution order must be in [0, {cap}], got {self.order}")
 
     @classmethod
     def nse(cls) -> "ModelKind":
@@ -242,7 +243,7 @@ class _Stepper:
         self.g_hat = (
             filtering.transfer_g(self.band.k_mag, config.filter) if model.is_regularized else None
         )
-        self.order = model.order if model.is_regularized else 0
+        self.order = model.order
         self.ik = [1j * kj for kj in self.band.wavevectors()]
 
         gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1], 1.0 - _RK_C[2])

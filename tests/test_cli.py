@@ -3,6 +3,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from leraydec import cli, diagnostics, filtering, solver, tables, validate_field
+from leraydec import cli, diagnostics, experiments, filtering, parse_config, solver, tables, validate_field
 from leraydec.snapshots import read_snapshot
 
 BASE_CFG = """
@@ -300,6 +301,8 @@ def test_transfer_rejects_before_creating_output(tmp_path, capsys, args):
     (["cutoff", "--deltas", "1,2"], "deltas"),
     (["transfer", "--delta", "-1"], "delta"),
     (["consistency", "--grid-n", "1000000000"], "grid_n"),
+    (["consistency", "--grid-n", "8", "--orders", "1,0,1"], "orders"),  # an order is measured once
+    (["transfer", "--orders", "2,2"], "orders"),
 ])
 def test_study_commands_reject_by_study_key(tmp_path, capsys, args, key):
     out = tmp_path / "never"
@@ -433,7 +436,7 @@ def test_sweep_delta_runs_its_default_radii(cfg_path, tmp_path, capsys):
     assert _run(["sweep-delta", "--config", cfg_path, "--out", str(out)]) == 0
     assert "order_0: slope" in capsys.readouterr().out
     report = json.loads((out / "delta_rate_report.json").read_text())
-    assert report["params"] == {"orders": [0], "deltas": [0.4, 0.2, 0.1]}
+    assert report["params"] == {"orders": [0], "deltas": [0.4, 0.2, 0.1], "fit_window": 3}
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-delta", "sweep-n"])
@@ -464,6 +467,8 @@ def test_a_study_section_or_key_is_rejected_before_any_run_or_output(cfg_path, t
     (["sweep-delta", "--orders", "0", "--deltas", "0.1,0.2,0.3"], "deltas"),
     (["sweep-delta", "--deltas", "0.4,0.2,0.1", "--orders", "0", "--fit-window", "2"], "fit_window"),
     (["sweep-delta", "--fit-window", "4"], "fit_window"),  # wider than the three default radii
+    (["sweep-delta", "--orders", "0,1,0"], "orders"),
+    (["sweep-n", "--orders", "2,2"], "orders"),
 ])
 def test_sweep_rejects_before_any_run_or_output(cfg_path, tmp_path, capsys, monkeypatch, args, key):
     runs = []
@@ -523,7 +528,7 @@ def test_no_study_flag_is_ignored(tmp_path, command, base):
     """Each flag the command takes, given other than at its default, changes
     the written tables or the report's results, not only the manifest's
     digest and the report's echo of the request (`params`)."""
-    flags = cli._STUDY_COMMANDS[command][3]
+    flags = experiments.request(cli._STUDY_COMMANDS[command][0])
     assert set(flags) <= set(_OTHER_VALUES)
 
     def written(label, values):
@@ -615,3 +620,38 @@ def test_a_sweep_left_out_is_the_kinds_default_sweep(cfg_path, tmp_path, command
             assert _untimed(left_out[name]) == _untimed(spelled[name]), name
     else:
         assert left_out == spelled
+
+
+@pytest.mark.parametrize("command", list(cli._STUDY_COMMANDS))
+def test_a_study_digest_hashes_the_request_its_report_echoes(cfg_path, tmp_path, command):
+    """A study manifest's config_sha256 is the sha256 of the command and the
+    report's params, with the run config's hash for a command that reads
+    --config: the request the report echoes is the one the digest names."""
+    head = {"sweep-delta": ["--config", cfg_path], "sweep-n": ["--config", cfg_path],
+            "consistency": ["--grid-n", "8"]}.get(command, [])
+    out = tmp_path / "out"
+    assert _run([command, *head, "--out", str(out)]) == 0
+    report = json.loads(next(out.glob("*_report.json")).read_text())
+    parts = {"cmd": command, **report["params"]}
+    if command in ("sweep-delta", "sweep-n"):
+        parts["config_sha256"] = parse_config(cfg_path, [f"output.dir={out}"]).config_hash
+    digest = hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
+    assert tables.read_manifest(out / "manifest.json")["config_sha256"] == digest
+
+
+# manifest digests of study commands, pinned; a change that moves one on purpose updates it here
+_PINNED_DIGESTS = {
+    "transfer --delta 0.5 --orders 0,1,2": "a3f547f72eea3d9c7a04ba4ac1adbdb5f55ed747eaf0c0bdcfc4cd5787ef2b3d",
+    "transfer --orders 0,1,2,10,50": "8546d1987dc3099c2d389ec8f73df85090ec52731cc1a59feb8a0a64c0de311b",
+    "cutoff --deltas 1,0.5,0.25 --orders 0,1,2,5,10": "69f0a912e05650958d436f10b16bb5c3f09cade59b5f917547d3de661671c7b5",
+    "consistency --grid-n 8": "ffeae57c1ee04c101de9642c87ccf1528385ade63693fce8896feee0e7130d0d",
+}
+
+
+def test_study_digests_stay_pinned(tmp_path):
+    digests = {}
+    for i, command in enumerate(_PINNED_DIGESTS):
+        out = tmp_path / str(i)
+        assert _run([*command.split(), "--out", str(out)]) == 0
+        digests[command] = tables.read_manifest(out / "manifest.json")["config_sha256"]
+    assert digests == _PINNED_DIGESTS

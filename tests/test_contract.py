@@ -18,7 +18,7 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import leraydec as ld
-from leraydec import cli, config, snapshots, tables
+from leraydec import cli, config, experiments, snapshots, tables
 from leraydec.diagnostics import DiagRecord
 
 # On a failure Hypothesis imports libcst to suggest a patch, and that import
@@ -115,10 +115,10 @@ def one_step_cfg(tmp_path_factory):
 @example(values={"deltas": "1e300,1e200,1e100"})
 @example(values={"deltas": "1e308,1e-300,5e-324", "orders": "64,0", "delta": "5e-324"})
 def test_every_study_flag_takes_any_value_or_rejects_it_by_field(tmp_path_factory, one_step_cfg, command, values):
-    flags, reads_config = cli._STUDY_COMMANDS[command][3:]
-    given_values = {**{name: v for name, v in values.items() if name in flags}, **FIXED_FLAGS[command]}
+    request = experiments.request(cli._STUDY_COMMANDS[command][0])
+    given_values = {**{name: v for name, v in values.items() if name in request}, **FIXED_FLAGS[command]}
     args = [f"{cli._STUDY_FLAGS[name][0]}={value}" for name, value in given_values.items()]
-    if reads_config:
+    if "base" in request:
         args.append(f"--config={one_step_cfg}")
     out = tmp_path_factory.mktemp(command) / "out"
     stderr = io.StringIO()

@@ -102,6 +102,7 @@ def test_study_spec_rejects_nondecreasing_deltas():
     ("orders", (0, 65)), ("grid_n", 7), ("grid_n", 2),
     ("k_points", 10**13),
     ("fit_window", 5),  # wider than deconv_rate's four default radii
+    ("orders", (1, 0, 1)),
 ])
 def test_study_spec_rejects_each_bad_value_by_its_field(name, value):
     with pytest.raises(ld.ParameterError) as err:

@@ -1,4 +1,5 @@
 import ast
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -66,6 +67,13 @@ def test_model_kind():
         ld.ModelKind("euler")
     with pytest.raises(ValueError):
         ld.ModelKind("leray_deconv", order=-1)
+    # FilterSpec's cap for the regularized family, order 0 alone for the NSE
+    assert ld.ModelKind.leray_deconvolution(64).order == 64
+    for model, reason in ((lambda: ld.ModelKind.leray_deconvolution(65), "must be in [0, 64], got 65"),
+                          (lambda: ld.ModelKind("nse", 3), "must be in [0, 0], got 3")):
+        with pytest.raises(ld.ParameterError, match=re.escape(reason)) as err:
+            model()
+        assert err.value.parameter == "order"
 
 
 def test_cfl_max_dt_single_mode(grid16):

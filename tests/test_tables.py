@@ -102,6 +102,8 @@ def test_study_tables_and_report(tmp_path):
     payload = json.loads(Path(report_path).read_text())
     assert payload["schema"] == "study/1"
     assert payload["kind"] == "deconv_rate"
+    assert payload["params"] == {"deltas": [0.2, 0.1, 0.05, 0.025], "orders": [0, 1], "fit_window": 3}
+    assert payload["metadata"] == {"field": "single_mode", "mode": [1, 0, 0]}
     assert payload["flags"] == []
     fit = payload["fits"]["order_0"]
     assert fit["expected"] == 2.0
