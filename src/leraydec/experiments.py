@@ -45,7 +45,7 @@ class RateFit:
 @dataclass
 class StudySpec:
     """Sweep request shared by all studies; a kind reads only the fields of
-    its request (`request(kind)`) and ignores the rest.
+    its request (`request(kind)`), though every field is checked.
 
     An empty `orders` or `deltas` and a left-out `delta` are resolved here,
     the one place a kind's defaults are chosen, to the kind's entry in
