@@ -20,7 +20,6 @@ from . import diagnostics, experiments, tables
 from .config import ConfigError, _built, parse_config, render_effective
 from .snapshots import SnapshotError, read_snapshot, write_snapshot
 from .solver import BlowUpError, run
-from .tables import TableError
 
 
 def _write_effective(rc, out_dir) -> str:
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, SnapshotError, TableError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, SnapshotError and TableError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

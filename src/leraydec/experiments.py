@@ -45,7 +45,8 @@ class RateFit:
 @dataclass
 class StudySpec:
     """Sweep request shared by all studies; a kind reads only the fields of
-    its request (`request(kind)`), though every field is checked.
+    its request (`request(kind)`), and any other field set off its default
+    is rejected by key, so the value rules below meet only fields it reads.
 
     An empty `orders` or `deltas` and a left-out `delta` are resolved here,
     the one place a kind's defaults are chosen, to the kind's entry in
@@ -67,6 +68,7 @@ class StudySpec:
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}, expected one of {STUDY_KINDS}")
         _, fields_read, default_orders, default_deltas, default_delta = _STUDIES[self.kind]
+        spectral.check_request(self, fields_read)  # an unread field keeps its default, which passes every rule
         fits_rates = "fit_window" in fields_read  # the three rate kinds, the only readers of fit_window
         ds = tuple(float(d) for d in self.deltas) or default_deltas
         if not all(np.isfinite(d) and d >= 0 for d in ds):

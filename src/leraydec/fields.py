@@ -14,18 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .spectral import Grid, ParameterError, SpectralField, check_finite
-
-FIELD_KINDS = ("zero", "taylor_green", "abc_flow", "single_mode", "random_solenoidal")
+from .spectral import Grid, ParameterError, SpectralField, check_finite, check_request
 
 
 @dataclass(frozen=True)
 class FieldSpec:
     """Recipe for an analytic or seeded random field, one kind per constructor.
 
-    Used both for initial conditions and for steady forcing.  `amplitude`
-    scales every kind but `zero`; `mode` is read by `single_mode` alone, and
-    `slope`, `seed` and `band` by `random_solenoidal` alone.
+    Used both for initial conditions and for steady forcing.  A kind reads
+    the fields its row of `_KINDS` lists, by name, and any other field set
+    off its default is rejected by key.
     """
 
     kind: str = "zero"
@@ -38,6 +36,7 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ParameterError("kind", f"unknown field kind {self.kind!r}, expected one of {FIELD_KINDS}")
+        check_request(self, _KINDS[self.kind][1])
         check_finite("amplitude", self.amplitude)
         check_finite("slope", self.slope)
         if self.seed < 0:
@@ -48,11 +47,10 @@ class FieldSpec:
 
     def check(self, grid: Grid) -> None:
         """Raise ParameterError for a parameter evaluate(grid) would reject,
-        without evaluating the field."""
-        if self.kind == "single_mode":
-            _checked_mode(grid, self.mode)
-        elif self.kind == "random_solenoidal":
-            _checked_slope(self.slope, _checked_band(grid, self.band))
+        without evaluating the field.  A field the kind does not read sits at
+        its default, which fits every grid."""
+        _checked_mode(grid, self.mode)
+        _checked_slope(self.slope, _checked_band(grid, self.band))
 
 
 def _from_modes(grid: Grid, modes) -> SpectralField:
@@ -174,15 +172,18 @@ def abc_flow(grid: Grid, amplitude: float = 1.0) -> SpectralField:
                               for term in ((i, sign * e[s], -1j * h * sign), (i, sign * e[c], h))])
 
 
+# kind: (constructor, the FieldSpec fields it reads, passed by name)
+_KINDS = {
+    "zero": (spectral.zeros, ()),
+    "taylor_green": (taylor_green, ("amplitude",)),
+    "abc_flow": (abc_flow, ("amplitude",)),
+    "single_mode": (single_mode, ("mode", "amplitude")),
+    "random_solenoidal": (random_solenoidal, ("seed", "slope", "amplitude", "band")),
+}
+FIELD_KINDS = tuple(_KINDS)
+
+
 def evaluate_field(spec: FieldSpec, grid: Grid) -> SpectralField:
     """The field spec describes on grid, built by the constructor of its kind."""
-    if spec.kind == "zero":
-        return spectral.zeros(grid)
-    if spec.kind == "taylor_green":
-        return taylor_green(grid, spec.amplitude)
-    if spec.kind == "abc_flow":
-        return abc_flow(grid, spec.amplitude)
-    if spec.kind == "single_mode":
-        return single_mode(grid, spec.mode, spec.amplitude)
-    # FieldSpec admits no other kind
-    return random_solenoidal(grid, spec.seed, spec.slope, spec.amplitude, spec.band)
+    constructor, reads = _KINDS[spec.kind]
+    return constructor(grid, **{name: getattr(spec, name) for name in reads})

@@ -28,7 +28,7 @@ once for its unstored conjugate (the wavenumbers' `_weight`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,21 @@ def check_finite(parameter: str, value: float) -> None:
     """Raise ParameterError unless value is a finite number."""
     if not np.isfinite(value):
         raise ParameterError(parameter, f"{parameter} must be finite, got {value}")
+
+
+def check_request(spec, reads) -> None:
+    """Raise ParameterError for a dataclass field of spec, other than `kind`,
+    that is set off its default although spec.kind reads only `reads`.
+
+    A sequence counts as its tuple, so [] and () are both unset and
+    [1, 0, 0] equals a (1, 0, 0) default.
+    """
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, (list, tuple, np.ndarray)):
+            value = tuple(value)
+        if f.name != "kind" and f.name not in reads and value != f.default:
+            raise ParameterError(f.name, f"{spec.kind} reads no {f.name}, got {value!r}")
 
 
 # A run on an n^3 grid holds a transform workspace of 96 n^3 bytes (one
@@ -288,8 +303,8 @@ class SpectralField:
         return SpectralField(self.grid, coeffs, self.t if t is None else t, self.band)
 
 
-def zeros(grid: Grid, t: float = 0.0) -> SpectralField:
-    return SpectralField(grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=np.complex128), t)
+def zeros(grid: Grid) -> SpectralField:
+    return SpectralField(grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=np.complex128))
 
 
 def inverse_transform(c: np.ndarray, band: Band | None = None, out=None, work=None) -> np.ndarray:
@@ -340,14 +355,14 @@ def to_physical(f: SpectralField) -> np.ndarray:
     return inverse_transform(f.coeffs, f.band, out=np.empty(work.shape), work=work)
 
 
-def from_physical(grid: Grid, samples: np.ndarray, t: float = 0.0) -> SpectralField:
+def from_physical(grid: Grid, samples: np.ndarray) -> SpectralField:
     """Transform real collocation samples into a SpectralField."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape != (3, grid.n, grid.n, grid.n):
         raise ValueError(
             f"samples must have shape (3, {grid.n}, {grid.n}, {grid.n}), got {samples.shape}"
         )
-    return SpectralField(grid, forward_transform(samples), t)
+    return SpectralField(grid, forward_transform(samples))
 
 
 def _mode_inner(f: SpectralField, g: SpectralField) -> np.ndarray:
@@ -439,13 +454,10 @@ def solenoidal_defect(f: SpectralField) -> float:
     return hs_norm(f.with_coeffs(f.coeffs - leray_project(f).coeffs), 0) / norm
 
 
-def validate_field(
-    f: SpectralField,
-    solenoidal: bool = False,
-    tol: float = 1e-12,
-) -> None:
+def validate_field(f: SpectralField, solenoidal: bool = False) -> None:
     """Assert the representation invariants, on the full grid; raises
     ValueError on violation."""
+    tol = 1e-12
     f = f.padded()
     c = f.coeffs
     if not np.all(np.isfinite(c)):

@@ -125,6 +125,17 @@ def test_bad_field_parameter_exits_one_before_creating_output(cfg_path, tmp_path
         assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["ic.seed=5", "ic.slope=3", "ic.mode=0,0,3", "forcing.amplitude=3"])
+def test_a_field_key_its_kind_does_not_read_exits_one_before_creating_output(cfg_path, tmp_path, capsys,
+                                                                            setting):
+    # each one changed the config hash of a Taylor-Green run and nothing it computed
+    out = tmp_path / "never"
+    assert _run(["run", "--config", cfg_path, "--out", str(out), "--set", setting]) == 1
+    key = setting.split("=")[0]
+    assert f"error: invalid value for {key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", ["model.delta=nan", "fluid.nu=inf", "ic.amplitude=nan"])
 def test_nonfinite_value_exits_one_before_creating_output(cfg_path, tmp_path, capsys, setting):
     out = tmp_path / "never"

@@ -105,9 +105,30 @@ def test_study_spec_rejects_nondecreasing_deltas():
     ("orders", (1, 0, 1)),
 ])
 def test_study_spec_rejects_each_bad_value_by_its_field(name, value):
+    """Each value rule fires on a kind that reads the field: deconv_rate
+    reads deltas, orders and fit_window, and no other field here."""
+    kind = {"delta": "transfer", "k_max": "transfer", "k_points": "transfer",
+            "grid_n": "consistency_rate"}.get(name, "deconv_rate")
+    assert name in experiments.request(kind)
     with pytest.raises(ld.ParameterError) as err:
-        experiments.StudySpec(kind="deconv_rate", **{name: value})
+        experiments.StudySpec(kind=kind, **{name: value})
+    assert err.value.parameter == name and "reads no" not in str(err.value)
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("deconv_rate", "grid_n", 32), ("deconv_rate", "grid_n", 7), ("transfer", "deltas", (0.2, 0.1)),
+    ("transfer", "deltas", [0.1, 0.2]), ("cutoff_table", "k_points", 0), ("cutoff_table", "fit_window", 4),
+    ("n_limit", "k_max", 1.0), ("consistency_rate", "delta", 0.5), ("deconv_rate", "base", object()),
+])
+def test_study_spec_rejects_a_field_its_kind_does_not_read(kind, name, value):
+    """A field outside the kind's request, set off its default, is rejected
+    by key whatever its value; at its default, in any spelling, it is not."""
+    assert name not in experiments.request(kind)
+    with pytest.raises(ld.ParameterError, match=f"{kind} reads no {name}") as err:
+        experiments.StudySpec(kind=kind, **{name: value})
     assert err.value.parameter == name
+    default = experiments.StudySpec.__dataclass_fields__[name].default
+    assert experiments.StudySpec(kind=kind, **{name: default}) == experiments.StudySpec(kind=kind)
 
 
 @pytest.mark.parametrize("kind, orders, deltas", [
@@ -148,7 +169,8 @@ def test_cutoff_table_takes_a_radius_while_its_cutoff_is_a_float():
 def test_only_delta_rate_takes_a_zero_radius():
     # delta = 0 is delta_rate's NSE pass-through; no other study can run it
     for kind in set(experiments.STUDY_KINDS) - {"delta_rate"}:
-        with pytest.raises(ld.ParameterError, match="positive") as err:
+        reads = "deltas" in experiments.request(kind)
+        with pytest.raises(ld.ParameterError, match="positive" if reads else f"{kind} reads no deltas") as err:
             experiments.StudySpec(kind=kind, deltas=(0.2, 0.1, 0.0))
         assert err.value.parameter == "deltas"
     assert experiments.StudySpec(kind="delta_rate", deltas=(0.2, 0.1, 0.0)).deltas == (0.2, 0.1, 0.0)
@@ -186,11 +208,11 @@ def test_only_the_point_and_the_reference_run_the_solver():
 def test_rate_studies_fail_before_running(grid8, monkeypatch, kind):
     runs = []
     monkeypatch.setattr(ld.solver, "run", lambda config: runs.append(config))
-    base = _small_base(grid8)
+    base = {"base": _small_base(grid8)} if kind == "delta_rate" else {}
     with pytest.raises(ValueError, match="at least three sweep points"):
-        experiments.run_study(experiments.StudySpec(kind=kind, deltas=(0.4, 0.2), base=base))
+        experiments.run_study(experiments.StudySpec(kind=kind, deltas=(0.4, 0.2), **base))
     with pytest.raises(ValueError, match="fit_window must be >= 3, got 2"):
-        experiments.run_study(experiments.StudySpec(kind=kind, fit_window=2, base=base))
+        experiments.run_study(experiments.StudySpec(kind=kind, fit_window=2, **base))
     assert runs == []
 
 

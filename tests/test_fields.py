@@ -160,3 +160,29 @@ def test_each_analytic_kind_is_its_constructor(grid16):
     with pytest.raises(ld.ParameterError, match="unknown field kind 'manufactured'") as err:
         ld.FieldSpec(kind="manufactured")
     assert err.value.parameter == "kind"
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("taylor_green", "seed", 5), ("taylor_green", "slope", 3.0), ("taylor_green", "mode", (0, 0, 3)),
+    ("zero", "amplitude", 3.0), ("abc_flow", "band", 2), ("single_mode", "seed", 1),
+    ("random_solenoidal", "mode", [0, 1, 0]), ("zero", "slope", float("nan")),
+])
+def test_field_spec_rejects_a_field_its_kind_does_not_read(kind, name, value):
+    """A field outside the kind's row of _KINDS, set off its default, is
+    rejected by key; at its default, in any spelling, it is not."""
+    with pytest.raises(ld.ParameterError, match=f"{kind} reads no {name}") as err:
+        ld.FieldSpec(kind=kind, **{name: value})
+    assert err.value.parameter == name
+    default = ld.FieldSpec.__dataclass_fields__[name].default
+    spelled = list(default) if isinstance(default, tuple) else default
+    ld.FieldSpec(kind=kind, **{name: spelled})
+
+
+def test_each_kind_reads_its_fields_by_name(grid8):
+    """Every field a kind reads changes the field it builds."""
+    changed = {"amplitude": 0.5, "mode": (0, 1, 0), "seed": 7, "slope": -3.0, "band": 1}
+    for kind, (_, reads) in fields._KINDS.items():
+        base = ld.FieldSpec(kind=kind).evaluate(grid8).coeffs
+        for name in reads:
+            other = ld.FieldSpec(kind=kind, **{name: changed[name]}).evaluate(grid8).coeffs
+            assert not np.array_equal(other, base), (kind, name)

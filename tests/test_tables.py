@@ -92,7 +92,7 @@ def test_transfer_csv_round_trip(tmp_path):
 
 def test_study_tables_and_report(tmp_path):
     rep = experiments.run_study(
-        experiments.StudySpec(kind="deconv_rate", grid_n=8, orders=(0, 1))
+        experiments.StudySpec(kind="deconv_rate", orders=(0, 1))
     )
     paths = tables.write_study_tables(tmp_path / "study", rep)
     names = {p.rsplit("/", 1)[-1] for p in paths}
