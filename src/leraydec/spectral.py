@@ -59,10 +59,12 @@ def check_request(spec, reads) -> None:
     [1, 0, 0] equals a (1, 0, 0) default.
     """
     for f in fields(spec):
+        if f.name == "kind" or f.name in reads:
+            continue
         value = getattr(spec, f.name)
-        if isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, (list, np.ndarray)):
             value = tuple(value)
-        if f.name != "kind" and f.name not in reads and value != f.default:
+        if value != f.default:
             raise ParameterError(f.name, f"{spec.kind} reads no {f.name}, got {value!r}")
 
 

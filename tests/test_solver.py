@@ -129,9 +129,9 @@ def test_forced_nonlinear_run_converges_at_third_order_in_dt(grid8, nu):
     by 2^3: successive differences at dt, dt/2, dt/4 shrink by about 8.
 
     Bits aside, this is what pins the coupling of the viscous integrating
-    factors to the RK stages: it read 8.00 and 7.99 here, 2.00 and 2.00
-    with the first two integrating-factor gaps swapped, and 2.49 and 1.96
-    with _RK_A[2] = -153/127.
+    factors to the RK stages: it reads 8.00 (nu = 0.05) and 7.99 (nu = 0.5),
+    2.00 and 2.00 with the first two integrating-factor gaps swapped, and
+    2.49 and 1.96 with _RK_A[2] = -153/127.
     """
     ends = [ld.run(_cfg(grid8, model="leray_deconv", order=1, delta=0.5, nu=nu, dt=dt, t_end=0.4,
                         ic=ld.FieldSpec(kind="random_solenoidal", seed=3),
