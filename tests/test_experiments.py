@@ -259,7 +259,7 @@ def test_rate_studies_keep_their_column_and_flag_order(grid8, monkeypatch):
 
 
 def test_deconv_rate_study_matches_closed_form():
-    spec = experiments.StudySpec(kind="deconv_rate", grid_n=16)
+    spec = experiments.StudySpec(kind="deconv_rate")
     rep = experiments.run_study(spec)
     assert rep.kind == "deconv_rate"
     table = rep.tables["main"]
