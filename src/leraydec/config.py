@@ -106,7 +106,11 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        return hashlib.sha256(render_effective(self.effective).encode()).hexdigest()
+        """sha256 of the effective configuration without `[output] dir`:
+        the same run written to two directories has one hash.  effective.cfg
+        still records the directory."""
+        values = {**self.effective, "output": {**self.effective["output"], "dir": None}}
+        return hashlib.sha256(render_effective(values).encode()).hexdigest()
 
 
 def _read_parser(text: str) -> configparser.ConfigParser:

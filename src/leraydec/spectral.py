@@ -207,7 +207,8 @@ class Band(_Wavenumbers):
         self.k_mag = self.k_mag
         self._k_sq_safe = self._k_sq_safe
 
-    def pad(self, compact: np.ndarray, full: np.ndarray | None = None) -> np.ndarray:
+    def pad(self, compact: np.ndarray, full: np.ndarray | None = None,
+            imag: np.ndarray | None = None) -> np.ndarray:
         """Copy band coefficients into their places on the full grid, and
         their conjugates into the places of the negated wavenumbers.
 
@@ -215,13 +216,30 @@ class Band(_Wavenumbers):
         outside the band (zeros, for a buffer made by np.zeros) stays; None
         allocates a zero array.  The kz < 0 half is conj(compact(-k)),
         conjugated from reflected views of `compact` straight into place.
+
+        `imag`, band coefficients of a second real field, packs that field
+        in: the kz >= 0 blocks get compact + i imag and the kz < 0 half
+        conj(compact(-k) - i imag(-k)), the Hermitian completions of the two
+        summed, so the inverse transform of `full` holds compact's samples
+        in its real part and imag's in its imaginary part.  Each part is
+        written from the two fields' real and imaginary parts, one addition
+        or subtraction a mode.
         """
         if full is None:
             full = np.zeros(compact.shape[:-3] + (self.grid.n,) * 3, dtype=compact.dtype)
-        for c, f in _blocks(self.side, self.grid.n, self.cutoff):
-            full[f] = compact[c]
+        blocks = _blocks(self.side, self.grid.n, self.cutoff)
+        if imag is None:
+            for c, f in blocks:
+                full[f] = compact[c]
+            for f, c in self._mirror_pairs:
+                np.conjugate(compact[c], out=full[f])
+            return full
+        for c, f in blocks:
+            np.subtract(compact[c].real, imag[c].imag, out=full[f].real)
+            np.add(compact[c].imag, imag[c].real, out=full[f].imag)
         for f, c in self._mirror_pairs:
-            np.conjugate(compact[c], out=full[f])
+            np.add(compact[c].real, imag[c].imag, out=full[f].real)
+            np.subtract(imag[c].real, compact[c].imag, out=full[f].imag)
         return full
 
     def restrict(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -309,7 +327,8 @@ def zeros(grid: Grid) -> SpectralField:
     return SpectralField(grid, np.zeros((3, grid.n, grid.n, grid.n), dtype=np.complex128))
 
 
-def inverse_transform(c: np.ndarray, band: Band | None = None, out=None, work=None) -> np.ndarray:
+def inverse_transform(c: np.ndarray, band: Band | None = None, out=None, work=None,
+                      imag: np.ndarray | None = None) -> np.ndarray:
     """Real collocation samples of coefficients c, sum_k c(k) exp(+i k.x).
 
     c covers the full grid, or only `band` of it when that is given.
@@ -321,14 +340,27 @@ def inverse_transform(c: np.ndarray, band: Band | None = None, out=None, work=No
     band is padded into it.
     out (real) receives a copy of the samples; without it the result is the
     real part of the transform, a view of work when work is given.
+
+    imag, band coefficients of a second real field (band required), rides
+    in the same transform (Press et al., Numerical Recipes, sec. 12.3):
+    Band.pad packs c + i imag into work, and the result is work itself,
+    complex, with c's samples in its real part and imag's in its imaginary
+    part; out is not used.  Each part equals its field's own samples to
+    rounding: the band stores the kz = 0 plane whole, and a field's
+    rounding-level departure from conjugate symmetry there lands in the
+    other part.
     """
+    if imag is not None and band is None:
+        raise ValueError("imag packs band coefficients and needs a band")
     if band is not None:
         work.fill(0.0)
-        c = band.pad(c, work)
-    samples = np.fft.ifftn(c, axes=_AXES, norm="forward", out=work).real
+        c = band.pad(c, work, imag)
+    transform = np.fft.ifftn(c, axes=_AXES, norm="forward", out=work)
+    if imag is not None:
+        return transform
     if out is None:
-        return samples
-    np.copyto(out, samples)
+        return transform.real
+    np.copyto(out, transform.real)
     return out
 
 
@@ -405,6 +437,17 @@ def wavevector_dot(c: np.ndarray, grid: Grid | Band, out: np.ndarray, scratch: n
     out += scratch
     np.multiply(grid.kz, c[2], out=scratch)
     out += scratch
+    return out
+
+
+def cross(a, b, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The cross product a x b of two 3-component arrays, or triples of
+    arrays that broadcast against one component, written into out; scratch
+    has the shape of one component of out.  Component j is a[s] b[t] -
+    a[t] b[s], (j, s, t) cyclic; nothing else is allocated."""
+    for j, (s, t) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[s], b[t], out=out[j])
+        out[j] -= np.multiply(a[t], b[s], out=scratch)
     return out
 
 

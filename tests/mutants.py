@@ -37,6 +37,11 @@ MUTANTS = {
     "gaps": ("solver.py", "gaps = (_RK_C[1] - _RK_C[0], _RK_C[2] - _RK_C[1],",
              "gaps = (_RK_C[2] - _RK_C[1], _RK_C[1] - _RK_C[0],"),
     "half_band_weight": ("spectral.py", "np.where(self.kz > 0, 2.0, 1.0)", "np.where(self.kz >= 0, 2.0, 1.0)"),
+    "omega_sign": ("solver.py", "omega = spectral.cross(self.ik, w, out=c1, scratch=c0[0])",
+                   "omega = spectral.cross(self.ik, w, out=c1, scratch=c0[0]); omega[1] *= -1"),
+    "pack_conj": ("spectral.py", "np.subtract(imag[c].real, compact[c].imag, out=full[f].imag)",
+                  "np.subtract(compact[c].imag, imag[c].real, out=full[f].imag)"),
+    "cross_index": ("spectral.py", "enumerate(((1, 2), (2, 0), (0, 1)))", "enumerate(((1, 2), (0, 2), (0, 1)))"),
 }
 
 

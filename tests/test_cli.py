@@ -70,7 +70,7 @@ def test_run_writes_artifacts(cfg_path, tmp_path, capsys):
     assert records[-1].t == pytest.approx(0.2)
 
 
-def test_run_is_byte_reproducible(cfg_path, tmp_path):
+def test_run_is_byte_reproducible(cfg_path, tmp_path, capsys):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     assert _run(["run", "--config", cfg_path, "--out", out1]) == 0
     assert _run(["run", "--config", cfg_path, "--out", out2]) == 0
@@ -81,6 +81,10 @@ def test_run_is_byte_reproducible(cfg_path, tmp_path):
     # the echoed configs differ only in the output directory they record
     strip = lambda p: [ln for ln in Path(p).read_text().splitlines() if not ln.startswith("dir =")]
     assert strip(os.path.join(out1, "effective.cfg")) == strip(os.path.join(out2, "effective.cfg"))
+    # which the config hash leaves out: one run, one hash
+    hashes = {tables.read_manifest(os.path.join(out, "manifest.json"))["config_sha256"] for out in (out1, out2)}
+    printed = re.findall(r"config sha256: (\w+)", capsys.readouterr().out)
+    assert len(hashes) == 1 and printed == [*hashes] * 2
 
 
 def test_effective_config_reproduces_run(cfg_path, tmp_path):
@@ -614,13 +618,13 @@ def test_a_sweep_left_out_is_the_kinds_default_sweep(cfg_path, tmp_path, command
     digest included; the trajectory sweeps differ only in their measured times."""
     head = {"sweep-delta": ["--config", cfg_path], "sweep-n": ["--config", cfg_path],
             "consistency": ["--grid-n", "8"]}.get(command, [])
-    out = tmp_path / "out"  # one directory, since a run config's hash covers output.dir
 
-    def written(flags):
+    def written(label, flags):  # each into its own directory, which no digest covers
+        out = tmp_path / label
         assert _run([command, *head, *flags, "--out", str(out)]) == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
-    left_out, spelled = written([]), written(_DEFAULT_SWEEP_FLAGS[command])
+    left_out, spelled = written("left_out", []), written("spelled", _DEFAULT_SWEEP_FLAGS[command])
     assert left_out.keys() == spelled.keys()
     if command in ("sweep-delta", "sweep-n"):
         def digest(files):

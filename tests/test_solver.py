@@ -11,7 +11,7 @@ import pytest
 import leraydec as ld
 from leraydec import diagnostics, spectral
 
-from conftest import SYMMETRY_TOLERANCE, band_mask, hermitian, inner, k_linf, reflect, rel_l2, shift, swap_xy
+from conftest import SYMMETRY_TOLERANCE, band_mask, curl, hermitian, inner, k_linf, reflect, rel_l2, shift, swap_xy
 
 
 def _cfg(grid, model="nse", order=0, delta=0.5, nu=0.05, dt=0.01, t_end=0.1, **kw):
@@ -317,28 +317,40 @@ def test_inviscid_energy_conservation_short(grid8):
     assert abs(e[-1] - e[0]) / e[0] < 1e-9
 
 
-def _reference_nonlinear(w, model, fspec):
+def _reference_nonlinear(w, model, fspec, advective=False):
     """The allocate-per-operation right-hand side the workspace kernel
     replaced, on the full grid; the input and the forward transform's output
-    get the exact conjugate kz < 0 half the kernel's half band implies."""
+    get the exact conjugate kz < 0 half the kernel's half band implies.
+    The NSE's is in rotational form, P[w x omega] with omega = ik x w, whose
+    samples are the real and imaginary parts of one inverse transform of
+    w + i omega; the model's, and the NSE's with `advective`, is in
+    advective form, -P[(u_adv . grad) w]."""
     g = w.grid
     n3 = g.n**3
     mask = band_mask(g)
     w = hermitian(w.coeffs * mask)
-    if model.is_regularized:
-        g_hat = ld.transfer_g(g.k_mag, fspec)
-        wbar = g_hat * w
-        adv = wbar.copy()
-        for _ in range(model.order):
-            adv += wbar - g_hat * adv
+    if model.is_regularized or advective:
+        if model.is_regularized:
+            g_hat = ld.transfer_g(g.k_mag, fspec)
+            wbar = g_hat * w
+            adv = wbar.copy()
+            for _ in range(model.order):
+                adv += wbar - g_hat * adv
+        else:
+            adv = w
+        adv_phys = np.fft.ifftn(adv, axes=(1, 2, 3)).real * n3
+        conv = np.zeros(w.shape)
+        for j, kj in enumerate(g.wavevectors()):
+            dw_j = np.fft.ifftn(1j * kj * w, axes=(1, 2, 3)).real * n3
+            conv += adv_phys[j] * dw_j
+        out = hermitian(-(np.fft.fftn(conv, axes=(1, 2, 3)) / n3))
     else:
-        adv = w
-    adv_phys = np.fft.ifftn(adv, axes=(1, 2, 3)).real * n3
-    conv = np.zeros(w.shape)
-    for j, kj in enumerate(g.wavevectors()):
-        dw_j = np.fft.ifftn(1j * kj * w, axes=(1, 2, 3)).real * n3
-        conv += adv_phys[j] * dw_j
-    out = hermitian(-(np.fft.fftn(conv, axes=(1, 2, 3)) / n3))
+        packed = np.fft.ifftn(w + 1j * hermitian(curl(ld.SpectralField(g, w))), axes=(1, 2, 3))
+        u, omega = packed.real * n3, packed.imag * n3
+        cross = np.stack([u[1] * omega[2] - u[2] * omega[1],
+                          u[2] * omega[0] - u[0] * omega[2],
+                          u[0] * omega[1] - u[1] * omega[0]])
+        out = hermitian(np.fft.fftn(cross, axes=(1, 2, 3)) / n3)
     out *= mask
     dot = g.kx * out[0] + g.ky * out[1] + g.kz * out[2]
     factor = dot / g._k_sq_safe
@@ -346,6 +358,16 @@ def _reference_nonlinear(w, model, fspec):
     out[1] -= g.ky * factor
     out[2] -= g.kz * factor
     return out
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_nse_term_in_rotational_form_matches_the_advective_form(n):
+    """The packed rotational evaluation equals the advective one on the band
+    to rounding: the gradient of |w|^2 / 2 it leaves out is projected away."""
+    w = ld.random_solenoidal(ld.Grid(n), seed=26)
+    nl = ld.nonlinear_term(w, ld.ModelKind.nse()).coeffs
+    advective = _reference_nonlinear(w, ld.ModelKind.nse(), None, advective=True)
+    assert np.abs(nl - advective).max() <= 64 * np.finfo(np.float64).eps * np.abs(advective).max()
 
 
 _MODELS = [(ld.ModelKind.nse(), None),
@@ -444,9 +466,10 @@ def test_run_is_bit_identical_to_the_full_layout_reference(grid16, model, fspec,
     assert traj.records == records
 
 
-def _stepper_of_a_forced_run(grid, monkeypatch, spy=None):
-    """The stepper of a forced order-2 run, as the run left it; spy, if
-    given, is called with the input of every numpy inverse FFT."""
+def _stepper_of_a_forced_run(grid, monkeypatch, spy=None, model="leray_deconv"):
+    """The stepper of a forced 3-step run, order 2 unless `model` is "nse",
+    as the run left it; spy, if given, is called with the input of every
+    numpy inverse FFT."""
     made = []
 
     class Recorded(ld.solver._Stepper):
@@ -463,7 +486,7 @@ def _stepper_of_a_forced_run(grid, monkeypatch, spy=None):
             return ifftn(c, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "ifftn", spied)
-    cfg = _cfg(grid, model="leray_deconv", order=2, t_end=0.03,
+    cfg = _cfg(grid, model=model, order=2, t_end=0.03,
                ic=ld.FieldSpec(kind="random_solenoidal", seed=25),
                forcing=ld.FieldSpec(kind="taylor_green", amplitude=0.5))
     ld.run(cfg)
@@ -476,11 +499,33 @@ def test_padded_transform_input_stays_zero_outside_the_band(grid8, monkeypatch):
     stepper = _stepper_of_a_forced_run(grid8, monkeypatch, spy=lambda c: inputs.append(c.copy()))
     # per step three right-hand sides of four inverse transforms, plus the CFL limit's
     assert len(inputs) == 3 * 3 * 4 + 1
+    _assert_plus_zero_outside_the_band(inputs, stepper.band)
+
+
+def _assert_plus_zero_outside_the_band(inputs, band):
     for c in inputs:
-        outside = c[:, k_linf(grid8) > stepper.band.cutoff]
+        outside = c[:, k_linf(band.grid) > band.cutoff]
         assert outside.size > 0
         assert np.all(outside == 0)
         assert not (np.signbit(outside.real).any() or np.signbit(outside.imag).any())
+
+
+def test_an_nse_stage_makes_one_packed_inverse_and_one_forward_transform(grid8, monkeypatch):
+    inputs, forward = [], []
+    fftn = np.fft.fftn
+
+    def counted(*args, **kwargs):
+        forward.append(None)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    stepper = _stepper_of_a_forced_run(grid8, monkeypatch, spy=lambda c: inputs.append(c.copy()), model="nse")
+    assert stepper.g_hat is None and stepper.f_eff is not None
+    # per step three right-hand sides of one packed inverse transform, plus the CFL limit's,
+    # and of one forward transform, plus the random initial condition's
+    assert len(inputs) == 3 * 3 * 1 + 1
+    assert len(forward) == 3 * 3 + 1
+    _assert_plus_zero_outside_the_band(inputs, stepper.band)
 
 
 def test_stepper_holds_nothing_full_grid_but_its_transform_workspace(grid8, monkeypatch):
