@@ -329,15 +329,15 @@ def _reference_nonlinear(w, model, fspec, advective=False):
     n3 = g.n**3
     mask = band_mask(g)
     w = hermitian(w.coeffs * mask)
+    if model.is_regularized:
+        g_hat = ld.transfer_g(g.k_mag, fspec)
+        wbar = g_hat * w
+        adv = wbar.copy()
+        for _ in range(model.order):
+            adv += wbar - g_hat * adv
+    else:
+        adv = w
     if model.is_regularized or advective:
-        if model.is_regularized:
-            g_hat = ld.transfer_g(g.k_mag, fspec)
-            wbar = g_hat * w
-            adv = wbar.copy()
-            for _ in range(model.order):
-                adv += wbar - g_hat * adv
-        else:
-            adv = w
         adv_phys = np.fft.ifftn(adv, axes=(1, 2, 3)).real * n3
         conv = np.zeros(w.shape)
         for j, kj in enumerate(g.wavevectors()):
